@@ -4,8 +4,8 @@ class-intersection bounds, coset-action invariants, and Gassmann tests.
 
 All probabilities and distances are exact rationals; class-size square-root
 bounds are carried symbolically and compared by certified interval
-arithmetic.  Hot enumeration loops run on numba kernels with a pure-numpy
-fallback (HSP_KERNELS=numpy).
+arithmetic.  Hot enumeration loops run on numpy kernels over a packed
+stabilizer chain.
 """
 
 from .coset import (
@@ -42,11 +42,8 @@ from .perm import (
     ClassProfile,
     PermGroup,
     Permutation,
-    build_group,
     class_profile,
-    cycle_type,
-    fix,
-    general_classes,
+    element_class_map,
     is_primitive,
     is_transitive,
     load_group_file,
@@ -56,7 +53,6 @@ from .perm import (
     parse_cycles,
     parse_group_file,
     sn_class_size,
-    support,
 )
 from .qfs import (
     BoundsReport,

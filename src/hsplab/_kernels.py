@@ -1,14 +1,8 @@
 """Hot inner loops shared by the permutation and coset machinery.
 
-Two interchangeable backends compute identical results:
-
-* ``numba`` -- ``@njit`` compiled loops (default when numba imports cleanly),
-* ``numpy`` -- pure numpy/python fallback.
-
-Select with the ``HSP_KERNELS`` environment variable (``numba``, ``numpy`` or
-``auto``), or programmatically via :func:`force_backend`.  All kernels operate
-on a *packed stabilizer chain*: flat int32 arrays describing base points,
-orbits and explicit transversal elements (built in :mod:`hsplab.perm`).
+All kernels operate on a *packed stabilizer chain*: flat int32 arrays
+describing base points, orbits and explicit transversal elements (built in
+:mod:`hsplab.perm`).
 
 Permutations are 0-based int32 image arrays; ``mult(a, b)[i] = b[a[i]]``
 (apply ``a`` first, then ``b``).
@@ -16,47 +10,10 @@ Permutations are 0-based int32 image arrays; ``mult(a, b)[i] = b[a[i]]``
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_env = os.environ.get("HSP_KERNELS", "auto").strip().lower()
-if _env not in ("auto", "numba", "numpy"):
-    raise RuntimeError(f"HSP_KERNELS must be 'auto', 'numba' or 'numpy', got {_env!r}")
 
-_HAVE_NUMBA = False
-if _env in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _env == "numba":
-            raise
-_BACKEND = "numba" if _HAVE_NUMBA else "numpy"
-
-
-def backend() -> str:
-    """Name of the backend currently in use ('numba' or 'numpy')."""
-    return _BACKEND
-
-
-def force_backend(name: str) -> None:
-    """Switch backends at runtime (used by tests and the benchmark)."""
-    global _BACKEND
-    if name not in ("numba", "numpy"):
-        raise ValueError(name)
-    if name == "numba" and not _HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _BACKEND = name
-
-
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-# ---------------------------------------------------------------------------
-
-
-def _canon_np(z, base, level_off, orbit_pts, pos, trans):
+def _canon(z, base, level_off, orbit_pts, pos, trans):
     """Canonicalize z in place to the lex-minimal element of its right coset.
 
     The chain must have an increasing smallest-moved-point base; then greedy
@@ -77,25 +34,8 @@ def _canon_np(z, base, level_off, orbit_pts, pos, trans):
     return z
 
 
-def _canon_batch_np(reps, g, base, level_off, orbit_pts, pos, trans, out):
-    for r in range(reps.shape[0]):
-        z = g[reps[r]]
-        _canon_np(z, base, level_off, orbit_pts, pos, trans)
-        out[r] = z
-    return out
-
-
-def _fix_count_np(reps, g, base, level_off, orbit_pts, pos, trans):
-    count = 0
-    for r in range(reps.shape[0]):
-        z = g[reps[r]]
-        _canon_np(z, base, level_off, orbit_pts, pos, trans)
-        if np.array_equal(z, reps[r]):
-            count += 1
-    return count
-
-
-def _cycle_row_np(arr, out_row):
+def _cycle_row(arr, out_row):
+    """Add the cycle-length multiplicities of ``arr`` to ``out_row``."""
     n = arr.shape[0]
     seen = np.zeros(n, dtype=np.bool_)
     for i in range(n):
@@ -109,186 +49,39 @@ def _cycle_row_np(arr, out_row):
             out_row[length - 1] += 1
 
 
-def _census_np(base, level_off, trans, n, order):
-    """Cycle-length multiplicity row for every group element.
-
-    Row r holds, at column c, the number of (c+1)-cycles of element r.
-    """
-    out = np.zeros((order, n), dtype=np.int16)
-    nlev = base.shape[0]
-    if nlev == 0:
-        out[0, 0] = n
-        return out
-    sizes = [int(level_off[l + 1] - level_off[l]) for l in range(nlev)]
-    partial = np.empty((nlev + 1, n), dtype=np.int32)
-    partial[nlev] = np.arange(n, dtype=np.int32)
-    idx = [0] * nlev
-    lev = nlev - 1
-    cnt = 0
-    while True:
-        if idx[lev] < sizes[lev]:
-            u = trans[level_off[lev] + idx[lev]]
-            partial[lev] = u[partial[lev + 1]]
-            idx[lev] += 1
-            if lev == 0:
-                _cycle_row_np(partial[0], out[cnt])
-                cnt += 1
-            else:
-                lev -= 1
-                idx[lev] = 0
-        else:
-            lev += 1
-            if lev >= nlev:
-                break
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _canon_nb(z, base, level_off, orbit_pts, pos, trans, buf):
-        n = z.shape[0]
-        nlev = base.shape[0]
-        for lev in range(nlev):
-            lo = level_off[lev]
-            hi = level_off[lev + 1]
-            if hi - lo == 1:
-                continue
-            best = orbit_pts[lo]
-            bestval = z[best]
-            for r in range(lo + 1, hi):
-                p = orbit_pts[r]
-                if z[p] < bestval:
-                    bestval = z[p]
-                    best = p
-            if best != base[lev]:
-                row = lo + pos[lev, best]
-                for i in range(n):
-                    buf[i] = z[trans[row, i]]
-                for i in range(n):
-                    z[i] = buf[i]
-
-    @njit(cache=True, nogil=True)
-    def _canon_batch_nb(reps, g, base, level_off, orbit_pts, pos, trans, out):
-        n = g.shape[0]
-        buf = np.empty(n, dtype=np.int32)
-        z = np.empty(n, dtype=np.int32)
-        for r in range(reps.shape[0]):
-            for i in range(n):
-                z[i] = g[reps[r, i]]
-            _canon_nb(z, base, level_off, orbit_pts, pos, trans, buf)
-            for i in range(n):
-                out[r, i] = z[i]
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _fix_count_nb(reps, g, base, level_off, orbit_pts, pos, trans):
-        n = g.shape[0]
-        buf = np.empty(n, dtype=np.int32)
-        z = np.empty(n, dtype=np.int32)
-        count = 0
-        for r in range(reps.shape[0]):
-            for i in range(n):
-                z[i] = g[reps[r, i]]
-            _canon_nb(z, base, level_off, orbit_pts, pos, trans, buf)
-            same = True
-            for i in range(n):
-                if z[i] != reps[r, i]:
-                    same = False
-                    break
-            if same:
-                count += 1
-        return count
-
-    @njit(cache=True, nogil=True)
-    def _census_nb(base, level_off, trans, n, order, out):
-        nlev = base.shape[0]
-        if nlev == 0:
-            out[0, 0] = n
-            return out
-        partial = np.empty((nlev + 1, n), dtype=np.int32)
-        for i in range(n):
-            partial[nlev, i] = i
-        idx = np.zeros(nlev, dtype=np.int64)
-        seen = np.empty(n, dtype=np.uint8)
-        lev = nlev - 1
-        cnt = 0
-        while True:
-            if idx[lev] < level_off[lev + 1] - level_off[lev]:
-                row = level_off[lev] + idx[lev]
-                for i in range(n):
-                    partial[lev, i] = trans[row, partial[lev + 1, i]]
-                idx[lev] += 1
-                if lev == 0:
-                    for i in range(n):
-                        seen[i] = 0
-                    for i in range(n):
-                        if seen[i] == 0:
-                            length = 0
-                            j = i
-                            while seen[j] == 0:
-                                seen[j] = 1
-                                j = partial[0, j]
-                                length += 1
-                            out[cnt, length - 1] += 1
-                    cnt += 1
-                else:
-                    lev -= 1
-                    idx[lev] = 0
-            else:
-                lev += 1
-                if lev >= nlev:
-                    break
-        return out
-
-
-# ---------------------------------------------------------------------------
-# dispatchers
-# ---------------------------------------------------------------------------
-
-
 def canon_into(z, chain):
     """Canonicalize the int32 image array ``z`` in place; returns ``z``."""
-    if _BACKEND == "numba":
-        buf = np.empty(z.shape[0], dtype=np.int32)
-        _canon_nb(z, chain.base, chain.level_off, chain.orbit_pts, chain.pos, chain.trans, buf)
-        return z
-    return _canon_np(z, chain.base, chain.level_off, chain.orbit_pts, chain.pos, chain.trans)
+    return _canon(z, chain.base, chain.level_off, chain.orbit_pts, chain.pos, chain.trans)
 
 
 def canon_batch(reps, g, chain, out=None):
     """Canonical rep of coset(reps[r] * g) for every row r."""
     if out is None:
         out = np.empty_like(reps)
-    if _BACKEND == "numba":
-        return _canon_batch_nb(
-            reps, g, chain.base, chain.level_off, chain.orbit_pts, chain.pos, chain.trans, out
-        )
-    return _canon_batch_np(
-        reps, g, chain.base, chain.level_off, chain.orbit_pts, chain.pos, chain.trans, out
-    )
+    packed = (chain.base, chain.level_off, chain.orbit_pts, chain.pos, chain.trans)
+    for r in range(reps.shape[0]):
+        out[r] = _canon(g[reps[r]], *packed)
+    return out
 
 
 def fix_count(reps, g, chain) -> int:
-    """Number of rows r with coset(reps[r] * g) == coset(reps[r])."""
-    if _BACKEND == "numba":
-        return int(
-            _fix_count_nb(
-                reps, g, chain.base, chain.level_off, chain.orbit_pts, chain.pos, chain.trans
-            )
-        )
-    return _fix_count_np(
-        reps, g, chain.base, chain.level_off, chain.orbit_pts, chain.pos, chain.trans
-    )
+    """Number of rows r whose coset(reps[r] * g) has canonical rep reps[r]:
+    for a table of canonical reps, the number of cosets that g fixes."""
+    packed = (chain.base, chain.level_off, chain.orbit_pts, chain.pos, chain.trans)
+    count = 0
+    for r in range(reps.shape[0]):
+        if np.array_equal(_canon(g[reps[r]], *packed), reps[r]):
+            count += 1
+    return count
 
 
 def census_rows(chain, n: int, order: int):
-    """(order, n) int16 matrix of cycle-length multiplicities, one row per element."""
-    if _BACKEND == "numba":
-        out = np.zeros((order, n), dtype=np.int16)
-        return _census_nb(chain.base, chain.level_off, chain.trans, n, order, out)
-    return _census_np(chain.base, chain.level_off, chain.trans, n, order)
+    """(order, n) int16 matrix of cycle-length multiplicities, one row per element.
+
+    Row r holds, at column c, the number of (c+1)-cycles of the r-th element
+    in chain enumeration order.
+    """
+    out = np.zeros((order, n), dtype=np.int16)
+    for r, arr in enumerate(chain.elements()):
+        _cycle_row(arr, out[r])
+    return out

@@ -1,9 +1,9 @@
 """Batch command-line front end.
 
 Subcommands: analyze, compare, sweep, coset, check.  Reports are JSON (CSV
-optional for sweep tables) and byte-identical across runs and thread counts,
-except for the wall_time_s field.  Exit codes: 0 success, 2 parse error,
-3 limit exceeded, 4 mathematical precondition violated.
+optional for sweep tables) and byte-identical across runs, except for the
+wall_time_s field.  Exit codes: 0 success, 2 parse error, 3 limit exceeded,
+4 mathematical precondition violated.
 
 Verdicts are reports at the fixed input degree, not asymptotic claims; every
 threshold states its (log base, c) convention explicitly.
@@ -25,13 +25,12 @@ from fractions import Fraction
 
 from . import coset as coset_mod
 from . import lab, qfs
+from .coset import INDEX_LIMIT
 from .errors import HspError, LimitExceeded, ParseError, PreconditionError
+from .lab import DEGREE_LIMIT
 from .perm import ENUMERATION_LIMIT, ClassProfile, PermGroup, class_profile, load_group_file
+from .qfs import DECIMAL_DIGITS
 from .radical import _round_sig
-
-DEGREE_LIMIT = 40
-INDEX_LIMIT = 10**5
-DECIMAL_DIGITS = 40
 
 
 def _frac(x: Fraction) -> str:
@@ -65,8 +64,8 @@ class _Source:
             self.kind = "catalog"
 
     def profile(self, limit: int = ENUMERATION_LIMIT) -> ClassProfile:
-        if self.entry is not None and self.entry.profile is not None:
-            return self.entry.profile
+        if self.entry is not None:
+            return lab.profile_of(self.entry, limit)
         return class_profile(self.group, limit)
 
     def describe(self) -> dict:
@@ -77,13 +76,6 @@ class _Source:
             "degree": self.group.degree,
             "order": str(self.group.order),
         }
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("HSP_THREADS", "")
-    return max(1, int(env)) if env.isdigit() else 1
 
 
 def _emit(report: dict, args) -> None:
@@ -114,19 +106,9 @@ def cmd_analyze(args) -> dict:
             "the trivial subgroup is degenerate here: D_H = 0 and the strict "
             "lower bound does not apply; nothing to analyze"
         )
-    threads = _threads(args)
-    dist = qfs.weak_distribution(n, prof, threads)
-    dh = qfs.dh_exact(n, prof, threads)
-    thm1 = qfs.thm1_bounds(n, prof, with_exact=False)
-    thm1 = qfs.BoundsReport(
-        lower=thm1.lower,
-        exact_value=dh,
-        upper=thm1.upper,
-        upper_sq=thm1.upper_sq,
-        upper_float=thm1.upper_float,
-        float_precision=thm1.float_precision,
-        sandwich_ok=bool(thm1.lower < dh) and thm1.upper.compare_to(dh) >= 0,
-    )
+    dist = qfs.weak_distribution(n, prof)
+    thm1 = qfs.thm1_bounds(n, prof)
+    dh = thm1.exact_value
     cmin = qfs.cmin_bounds(n, prof, with_exact=False)
     upper_prop = qfs.prop_upper(n, prof)
     census = lab.support_census(prof)
@@ -209,7 +191,7 @@ def cmd_compare(args) -> dict:
         sn_distance = None
     else:
         sn_distance = qfs.d_between(
-            n, src_a.profile(args.order_limit), src_b.profile(args.order_limit), _threads(args)
+            n, src_a.profile(args.order_limit), src_b.profile(args.order_limit)
         )
     report = {
         "command": "compare",
@@ -285,7 +267,7 @@ def cmd_sweep(args) -> dict | list:
                 raise LimitExceeded(
                     f"sweep row {spec}: degree {n} exceeds limit {args.degree_limit}"
                 )
-            prof = entry.profile if entry.profile is not None else class_profile(entry.group, args.order_limit)
+            prof = lab.profile_of(entry, args.order_limit)
             if prof.order < 2:
                 raise PreconditionError(f"sweep row {spec}: trivial subgroup")
             dh = qfs.dh_exact(n, prof)
@@ -301,7 +283,7 @@ def cmd_sweep(args) -> dict | list:
                 "upper_decimal": bounds.upper.decimal(12),
             }
 
-        rows = qfs._map_ordered(one, specs, _threads(args))
+        rows = [one(spec) for spec in specs]
     if args.format == "csv":
         return rows
     return {
@@ -413,8 +395,6 @@ def cmd_check(args) -> dict:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: HSP_THREADS or 1); output is identical for all values")
     p.add_argument("--degree-limit", type=int, default=DEGREE_LIMIT)
     p.add_argument("--order-limit", type=int, default=ENUMERATION_LIMIT)
     p.add_argument("--index-limit", type=int, default=INDEX_LIMIT)

@@ -167,19 +167,9 @@ def permutation_character(ca: CosetAction) -> PermutationCharacter:
 
 def class_fixpoint_identity_holds(ca: CosetAction) -> bool:
     """fix_X(g) |C| == |H ∩ C| |X| for every class of G, checked exactly."""
-    n = ca.group.degree
-    if ca.group.order == math.factorial(n):
-        prof = class_profile(ca.subgroup)
-        in_h = lambda key: prof.count(key)
-    else:
-        _, class_id = element_class_map(ca.group)
-        counts: dict[int, int] = {}
-        for arr in ca.subgroup.element_arrays():
-            cid = class_id[arr.tobytes()]
-            counts[cid] = counts.get(cid, 0) + 1
-        in_h = lambda key: counts.get(key, 0)
+    counts = _class_counts(ca.group, ca.subgroup)
     for key, rep, size in _class_reps(ca.group):
-        if fix_in_X(ca, rep) * size != in_h(key) * ca.index:
+        if fix_in_X(ca, rep) * size != counts.get(key, 0) * ca.index:
             return False
     return True
 
@@ -428,6 +418,7 @@ class GassmannReport:
 
 
 def _class_counts(G: PermGroup, H: PermGroup) -> dict:
+    """|H ∩ C| per conjugacy class C of G that meets H, keyed as in _class_reps."""
     n = G.degree
     if G.order == math.factorial(n):
         return dict(class_profile(H).counts)

@@ -31,7 +31,8 @@ from .perm import (
     sn_class_size,
 )
 
-#: Degree cap for partition scans (class-size sandwich, Liebeck report).
+#: Degree cap for partition scans (class-size sandwich, Liebeck report) and
+#: the CLI's default character-analysis limit.
 DEGREE_LIMIT = 40
 
 #: Exponent in the support-count conjecture: |H_k| <= n^(k * SUPPORT_EXPONENT).

@@ -176,18 +176,6 @@ def cycle_type_of_array(arr: np.ndarray) -> CycleType:
     return tuple(parts)
 
 
-def cycle_type(p: Permutation) -> CycleType:
-    return p.cycle_type()
-
-
-def support(p: Permutation) -> int:
-    return p.support()
-
-
-def fix(p: Permutation) -> int:
-    return p.fix()
-
-
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
@@ -312,6 +300,32 @@ class PackedChain:
 
     def level_sizes(self) -> list:
         return [int(self.level_off[l + 1] - self.level_off[l]) for l in range(self.num_levels)]
+
+    def elements(self) -> Iterator[np.ndarray]:
+        """All group elements as image arrays, in deterministic chain order."""
+        idarr = np.arange(self.degree, dtype=np.int32)
+        nlev = self.num_levels
+        if nlev == 0:
+            yield idarr
+            return
+        sizes = self.level_sizes()
+        partial = [idarr] * (nlev + 1)
+        idx = [0] * nlev
+        lev = nlev - 1
+        while True:
+            if idx[lev] < sizes[lev]:
+                u = self.trans[int(self.level_off[lev]) + idx[lev]]
+                partial[lev] = u[partial[lev + 1]]
+                idx[lev] += 1
+                if lev == 0:
+                    yield partial[0]
+                else:
+                    lev -= 1
+                    idx[lev] = 0
+            else:
+                lev += 1
+                if lev >= nlev:
+                    return
 
 
 def _strong_generators(gen_arrays: list, degree: int) -> list:
@@ -445,30 +459,7 @@ class PermGroup:
             raise LimitExceeded(
                 f"group order {self.order} exceeds the enumeration bound {limit}"
             )
-        ch = self._chain
-        idarr = np.arange(self.degree, dtype=np.int32)
-        if ch.num_levels == 0:
-            yield idarr
-            return
-        sizes = ch.level_sizes()
-        nlev = ch.num_levels
-        partial = [idarr] * (nlev + 1)
-        idx = [0] * nlev
-        lev = nlev - 1
-        while True:
-            if idx[lev] < sizes[lev]:
-                u = ch.trans[int(ch.level_off[lev]) + idx[lev]]
-                partial[lev] = u[partial[lev + 1]]
-                idx[lev] += 1
-                if lev == 0:
-                    yield partial[0]
-                else:
-                    lev -= 1
-                    idx[lev] = 0
-            else:
-                lev += 1
-                if lev >= nlev:
-                    return
+        yield from self._chain.elements()
 
     def elements(self, limit: int = ENUMERATION_LIMIT) -> Iterator[Permutation]:
         for arr in self.element_arrays(limit):
@@ -508,10 +499,6 @@ class PermGroup:
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order}, ngens={len(self.generators)})"
-
-
-def build_group(gens: Iterable[Permutation], degree: int | None = None) -> PermGroup:
-    return PermGroup(gens, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -640,53 +627,18 @@ def minimal_degree(H: PermGroup, limit: int = ENUMERATION_LIMIT) -> int:
     return class_profile(H, limit).minimal_support()
 
 
-def general_classes(G: PermGroup, limit: int = ENUMERATION_LIMIT):
-    """Conjugacy classes of an arbitrary group: list of (representative, size).
-
-    Representatives are the first elements of each class in chain enumeration
-    order, so the result is deterministic.
-    """
-    if G.order > limit:
-        raise LimitExceeded(
-            f"group order {G.order} exceeds the enumeration bound {limit}"
-        )
-    elems = list(G.element_arrays(limit))
-    index = {a.tobytes(): i for i, a in enumerate(elems)}
-    gen_pairs = [(g.array, inv_array(g.array)) for g in G.generators]
-    assigned = np.full(len(elems), -1, dtype=np.int64)
-    classes = []
-    for i, e in enumerate(elems):
-        if assigned[i] >= 0:
-            continue
-        cid = len(classes)
-        assigned[i] = cid
-        members = [i]
-        queue = deque([e])
-        while queue:
-            x = queue.popleft()
-            for g, ginv in gen_pairs:
-                y = g[x[ginv]]
-                j = index[y.tobytes()]
-                if assigned[j] < 0:
-                    assigned[j] = cid
-                    members.append(j)
-                    queue.append(y)
-        classes.append((Permutation(elems[i]), len(members)))
-    return classes
-
-
 def element_class_map(G: PermGroup, limit: int = ENUMERATION_LIMIT):
-    """(classes, map from element bytes-key to class id) for class lookups."""
-    if G.order > limit:
-        raise LimitExceeded(
-            f"group order {G.order} exceeds the enumeration bound {limit}"
-        )
-    elems = list(G.element_arrays(limit))
-    index = {a.tobytes(): i for i, a in enumerate(elems)}
+    """Conjugacy classes of an arbitrary group, with a class lookup.
+
+    Returns (classes, class_id): classes is a list of (representative, size),
+    the representative being the first element of its class in chain
+    enumeration order, so the result is deterministic; class_id maps an
+    element's image-array bytes to its index in classes.
+    """
     gen_pairs = [(g.array, inv_array(g.array)) for g in G.generators]
     assigned: dict[bytes, int] = {}
     classes = []
-    for i, e in enumerate(elems):
+    for e in G.element_arrays(limit):
         key = e.tobytes()
         if key in assigned:
             continue
@@ -704,7 +656,6 @@ def element_class_map(G: PermGroup, limit: int = ENUMERATION_LIMIT):
                     size += 1
                     queue.append(y)
         classes.append((Permutation(e), size))
-    del index
     return classes, assigned
 
 

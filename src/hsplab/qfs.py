@@ -9,7 +9,6 @@ shifts the constant c).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -20,13 +19,6 @@ from .perm import ClassProfile, PermGroup, Permutation, element_class_map, sn_cl
 from .radical import SqrtSum
 
 DECIMAL_DIGITS = 40
-
-
-def _map_ordered(fn, items, threads: int):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
 
 
 def _check_profile(n: int, prof: ClassProfile) -> None:
@@ -73,23 +65,21 @@ class IrrepDistribution:
         ]
 
 
-def weak_distribution(n: int, prof: ClassProfile, threads: int = 1) -> IrrepDistribution:
+def weak_distribution(n: int, prof: ClassProfile) -> IrrepDistribution:
     """P_H(lam) = d_lam / n! * sum_t count(t) chi_lam(t), exactly."""
     _check_profile(n, prof)
     items = sorted(prof.counts.items(), reverse=True)
     fact = math.factorial(n)
-    lams = partitions(n)
-
-    def one(lam):
-        total = sum(c * mn_character(lam, t) for t, c in items)
-        return Fraction(dimension(lam) * total, fact)
-
-    values = _map_ordered(one, lams, threads)
-    probs = dict(zip(lams, values))
+    probs = {
+        lam: Fraction(dimension(lam) * sum(c * mn_character(lam, t) for t, c in items), fact)
+        for lam in partitions(n)
+    }
     for lam, p in probs.items():
         if p < 0:
             raise ValueError(f"negative mass at {lam}: profile is not a subgroup census")
-    assert sum(probs.values()) == 1
+    mass = sum(probs.values())
+    if mass != 1:
+        raise ValueError(f"total mass {mass} is not 1: profile is not a subgroup census")
     return IrrepDistribution(n, prof.order, probs)
 
 
@@ -98,7 +88,7 @@ def plancherel(n: int) -> IrrepDistribution:
     return weak_distribution(n, ClassProfile.identity(n))
 
 
-def dh_exact(n: int, prof: ClassProfile, threads: int = 1) -> Fraction:
+def dh_exact(n: int, prof: ClassProfile) -> Fraction:
     """D_H = 1/n! * sum_lam d_lam |sum_{t != id} count(t) chi_lam(t)|.
 
     This is the direct route; it must (and, in the tests, does) agree exactly
@@ -107,19 +97,18 @@ def dh_exact(n: int, prof: ClassProfile, threads: int = 1) -> Fraction:
     _check_profile(n, prof)
     nonid = prof.nonidentity_items()
     fact = math.factorial(n)
-
-    def one(lam):
-        return dimension(lam) * abs(sum(c * mn_character(lam, t) for t, c in nonid))
-
-    total = sum(_map_ordered(one, partitions(n), threads))
+    total = sum(
+        dimension(lam) * abs(sum(c * mn_character(lam, t) for t, c in nonid))
+        for lam in partitions(n)
+    )
     return Fraction(total, fact)
 
 
-def d_between(n: int, prof_a: ClassProfile, prof_b: ClassProfile, threads: int = 1) -> Fraction:
+def d_between(n: int, prof_a: ClassProfile, prof_b: ClassProfile) -> Fraction:
     """|P_A - P_B|_1, exactly."""
     _check_profile(n, prof_a)
     _check_profile(n, prof_b)
-    return weak_distribution(n, prof_a, threads).l1(weak_distribution(n, prof_b, threads))
+    return weak_distribution(n, prof_a).l1(weak_distribution(n, prof_b))
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +166,7 @@ def _bounds_report(lower: Fraction, upper: SqrtSum, exact: Fraction | None) -> B
     )
 
 
-def thm1_bounds(
-    n: int, prof: ClassProfile, with_exact: bool = True, threads: int = 1
-) -> BoundsReport:
+def thm1_bounds(n: int, prof: ClassProfile, with_exact: bool = True) -> BoundsReport:
     """sum |C∩H|^2 / (|H||C|)  <  D_H  <=  sum |C∩H| |C|^(-1/2), both exact."""
     _check_profile(n, prof)
     if prof.order < 2:
@@ -190,7 +177,7 @@ def thm1_bounds(
         (Fraction(c * c, order * sn_class_size(t)) for t, c in nonid), Fraction(0)
     )
     upper = SqrtSum.from_terms((c, sn_class_size(t)) for t, c in nonid)
-    exact = dh_exact(n, prof, threads) if with_exact else None
+    exact = dh_exact(n, prof) if with_exact else None
     return _bounds_report(lower, upper, exact)
 
 
@@ -209,9 +196,7 @@ class CminBounds:
         return out
 
 
-def cmin_bounds(
-    n: int, prof: ClassProfile, with_exact: bool = True, threads: int = 1
-) -> CminBounds:
+def cmin_bounds(n: int, prof: ClassProfile, with_exact: bool = True) -> CminBounds:
     """1/(|H||C_min|) < D_H <= (|H|-1) |C_min|^(-1/2) for the smallest
     non-identity class meeting H."""
     _check_profile(n, prof)
@@ -222,7 +207,7 @@ def cmin_bounds(
     size, t = min(candidates)
     lower = Fraction(1, order * size)
     upper = SqrtSum.from_terms([(order - 1, size)])
-    exact = dh_exact(n, prof, threads) if with_exact else None
+    exact = dh_exact(n, prof) if with_exact else None
     return CminBounds(_bounds_report(lower, upper, exact), t, size)
 
 

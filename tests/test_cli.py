@@ -53,8 +53,8 @@ def test_analyze_group_file(tmp_path, capsys):
 
 
 def test_analyze_is_deterministic(capsys):
-    _, out1, _ = run_cli(capsys, "analyze", "block:3x2", "--threads", "1")
-    _, out2, _ = run_cli(capsys, "analyze", "block:3x2", "--threads", "4")
+    _, out1, _ = run_cli(capsys, "analyze", "block:3x2")
+    _, out2, _ = run_cli(capsys, "analyze", "block:3x2")
     assert strip_wall_time(out1) == strip_wall_time(out2)
 
 
@@ -142,10 +142,10 @@ def test_sweep_young_family(capsys):
     assert [r["name"] for r in rows] == ["young:2+2", "young:3+2", "young:4+2"]
 
 
-def test_sweep_determinism_across_threads(capsys):
+def test_sweep_is_deterministic(capsys):
     args = ["sweep", "--family", "block", "--r", "2", "--start", "2", "--end", "5"]
-    _, out1, _ = run_cli(capsys, *args, "--threads", "1")
-    _, out2, _ = run_cli(capsys, *args, "--threads", "3")
+    _, out1, _ = run_cli(capsys, *args)
+    _, out2, _ = run_cli(capsys, *args)
     assert strip_wall_time(out1) == strip_wall_time(out2)
 
 
@@ -165,14 +165,6 @@ def test_output_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "analyze", "cyclic:2@3", "--output", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["dh"] == "1/3"
-
-
-def test_hsp_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("HSP_THREADS", "2")
-    _, out1, _ = run_cli(capsys, "analyze", "cyclic:4@4")
-    monkeypatch.setenv("HSP_THREADS", "1")
-    _, out2, _ = run_cli(capsys, "analyze", "cyclic:4@4")
-    assert strip_wall_time(out1) == strip_wall_time(out2)
 
 
 def test_console_script_entry_point():

@@ -1,14 +1,14 @@
-"""Backend agreement: the numba kernels and the numpy fallback must produce
-identical results on every input."""
+"""Kernel oracles: every kernel result equals a brute-force computation from
+the group elements."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from hsplab import _kernels
 from hsplab.coset import coset_action, fix_in_X, rank_subdegrees
-from hsplab.perm import PermGroup, Permutation, class_profile, parse_cycles
-
-HAVE_NUMBA = _kernels.backend() == "numba" or _kernels._HAVE_NUMBA
+from hsplab.perm import PermGroup, Permutation, cycle_type_of_array, parse_cycles
 
 GROUPS = [
     PermGroup.from_cycles(["(1 2)", "(1 2 3)"], 3),
@@ -19,42 +19,47 @@ GROUPS = [
 ]
 
 
-@pytest.fixture
-def both_backends():
-    if not HAVE_NUMBA:
-        pytest.skip("numba unavailable; only one backend to compare")
-    orig = _kernels.backend()
-    yield
-    _kernels.force_backend(orig)
-
-
-def _census_counts(G):
-    rows = _kernels.census_rows(G.chain, G.degree, G.order)
-    uniq, cnt = np.unique(rows, axis=0, return_counts=True)
-    return {u.tobytes(): int(c) for u, c in zip(uniq, cnt)}
+def _row_type(row) -> tuple:
+    """Cycle type (descending parts) from a row of cycle-length multiplicities."""
+    parts = []
+    for length in range(row.shape[0], 0, -1):
+        parts.extend([length] * int(row[length - 1]))
+    return tuple(parts)
 
 
 @pytest.mark.parametrize("G", GROUPS)
-def test_census_backends_agree(both_backends, G):
-    _kernels.force_backend("numba")
-    a = _census_counts(G)
-    _kernels.force_backend("numpy")
-    b = _census_counts(G)
-    assert a == b
+def test_census_rows_match_cycle_types(G):
+    rows = _kernels.census_rows(G.chain, G.degree, G.order)
+    assert rows.shape == (G.order, G.degree)
+    # each row accounts for every point exactly once
+    assert all(int((row * np.arange(1, G.degree + 1)).sum()) == G.degree for row in rows)
+    census = Counter(_row_type(row) for row in rows)
+    assert census == Counter(cycle_type_of_array(a) for a in G.element_arrays())
 
 
-def test_canon_backends_agree(both_backends):
+def test_canon_batch_and_fix_count_match_brute_force():
     H = PermGroup.from_cycles(["(1 2)", "(1 2 3)"], 5)
     S5 = PermGroup.symmetric(5)
     reps = np.stack(list(S5.element_arrays())[:40])
-    g = parse_cycles("(1 4 2 5)", 5).array
-    _kernels.force_backend("numba")
-    a = _kernels.canon_batch(reps, g, H.chain)
-    fa = _kernels.fix_count(reps, g, H.chain)
-    _kernels.force_backend("numpy")
-    b = _kernels.canon_batch(reps, g, H.chain)
-    fb = _kernels.fix_count(reps, g, H.chain)
-    assert np.array_equal(a, b) and fa == fb
+    h_elems = list(H.element_arrays())
+
+    def as_tuple(x):
+        return tuple(int(v) for v in x)
+
+    def coset_min(x):
+        # the right coset Hx has members x[h] (apply h, then x)
+        return min(as_tuple(x[h]) for h in h_elems)
+
+    fixed_total = 0
+    for cycles in ("(1 4 2 5)", "(4 5)", "(3 4 5)"):
+        g = parse_cycles(cycles, 5).array
+        expected = [coset_min(g[x]) for x in reps]
+        out = _kernels.canon_batch(reps, g, H.chain)
+        assert [as_tuple(row) for row in out] == expected
+        fixed = sum(m == as_tuple(x) for m, x in zip(expected, reps))
+        assert _kernels.fix_count(reps, g, H.chain) == fixed
+        fixed_total += fixed
+    assert fixed_total > 0
 
 
 def test_canon_is_idempotent_and_stays_in_coset():
@@ -77,8 +82,7 @@ def test_canon_is_idempotent_and_stays_in_coset():
         assert tuple(int(v) for v in z) == min(members)
 
 
-def test_coset_pipeline_on_numpy_backend(both_backends):
-    _kernels.force_backend("numpy")
+def test_coset_pipeline():
     S6 = PermGroup.symmetric(6)
     H = PermGroup.from_cycles(["(1 2)", "(1 2 3)"], 6)
     ca = coset_action(S6, H)
@@ -86,43 +90,3 @@ def test_coset_pipeline_on_numpy_backend(both_backends):
     assert fix_in_X(ca, parse_cycles("(1 2)", 6)) == fix_in_X(ca, parse_cycles("(5 6)", 6))
     rr = rank_subdegrees(ca)
     assert sum(rr.subdegrees) == 120
-    _kernels.force_backend("numba")
-    ca2 = coset_action(S6, H)
-    assert np.array_equal(ca.reps, ca2.reps)
-    assert rank_subdegrees(ca2).subdegrees == rr.subdegrees
-
-
-def test_profile_identical_across_backends(both_backends):
-    G = PermGroup.from_cycles(["(1 3)(2 4)", "(1 2 3 4 5 6 7 8)"], 8)
-    _kernels.force_backend("numba")
-    a = class_profile(G).counts
-    _kernels.force_backend("numpy")
-    b = class_profile(G).counts
-    assert dict(a) == dict(b)
-
-
-def test_env_flag_rejects_garbage():
-    import os
-    import subprocess
-    import sys
-
-    # The flag is read once, at import, so each value needs a fresh process.
-    # The child inherits the parent's environment, so it finds hsplab the same
-    # way the parent did (installed, or through PYTHONPATH).
-    def import_with(flag):
-        return subprocess.run(
-            [sys.executable, "-c", "import hsplab._kernels"],
-            env={**os.environ, "HSP_KERNELS": flag},
-            capture_output=True,
-            text=True,
-        )
-
-    # Control: a valid value imports cleanly in the same environment.
-    ok = import_with("numpy")
-    assert ok.returncode == 0, ok.stderr
-
-    proc = import_with("cuda")
-    assert proc.returncode != 0
-    assert "ModuleNotFoundError" not in proc.stderr
-    assert "RuntimeError" in proc.stderr
-    assert "HSP_KERNELS" in proc.stderr and "'cuda'" in proc.stderr

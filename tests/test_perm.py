@@ -10,9 +10,8 @@ from hsplab.perm import (
     ClassProfile,
     PermGroup,
     Permutation,
-    build_group,
     class_profile,
-    general_classes,
+    element_class_map,
     is_primitive,
     is_transitive,
     minimal_blocks,
@@ -116,7 +115,7 @@ def test_mixed_degree_rejected():
 
 
 def test_build_group_examples():
-    assert build_group([parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)]).order == 6
+    assert PermGroup([parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)]).order == 6
     assert PermGroup([], degree=4).order == 1
     assert PermGroup.from_cycles(["(1 2 3 4 5)", "(2 3 5 4)"], 5).order == 20
 
@@ -274,24 +273,26 @@ def test_sn_class_size():
         assert sum(sn_class_size(t) for t in partitions(n)) == math.factorial(n)
 
 
-def test_general_classes_examples():
+def test_element_class_map_examples():
     S3 = PermGroup.symmetric(3)
-    assert sorted(s for _, s in general_classes(S3)) == [1, 2, 3]
+    assert sorted(s for _, s in element_class_map(S3)[0]) == [1, 2, 3]
     C4 = PermGroup.from_cycles(["(1 2 3 4)"], 4)
-    assert [s for _, s in general_classes(C4)] == [1, 1, 1, 1]
+    assert [s for _, s in element_class_map(C4)[0]] == [1, 1, 1, 1]
     A4 = PermGroup.from_cycles(["(1 2 3)", "(2 3 4)"], 4)
-    classes = general_classes(A4)
+    classes = element_class_map(A4)[0]
     assert sum(s for _, s in classes) == 12
     assert sorted(s for _, s in classes) == [1, 3, 4, 4]
 
 
-def test_general_classes_are_conjugation_closed():
+def test_element_class_map_classes_are_conjugation_closed():
     G = PermGroup.from_cycles(["(1 2)", "(1 2 3 4)"], 4)
-    classes = general_classes(G)
+    classes, class_id = element_class_map(G)
     assert sum(s for _, s in classes) == G.order
-    for rep, size in classes:
+    assert len(class_id) == G.order
+    for cid, (rep, size) in enumerate(classes):
         orbit = {rep.conjugate_by(g) for g in G.elements()}
         assert len(orbit) == size
+        assert {class_id[x.array.tobytes()] for x in orbit} == {cid}
 
 
 # ---------------------------------------------------------------------------

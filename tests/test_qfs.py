@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -96,10 +99,26 @@ def test_d_between_examples():
     assert d_between(3, H12_S3, A3) == frac(4, 3)
 
 
-def test_threads_do_not_change_results():
-    prof = class_profile(PermGroup.from_cycles(["(1 3)(2 4)", "(1 2 3 4)"], 4))
-    assert dh_exact(4, prof) == dh_exact(4, prof, threads=4)
-    assert weak_distribution(4, prof).probs == weak_distribution(4, prof, threads=3).probs
+def test_unit_mass_check_runs_under_python_O():
+    # A "census" with the identity counted twice has non-negative mass at
+    # every irrep but total mass 2.  The check must raise even when python -O
+    # strips assert statements; the child inherits this environment, so it
+    # finds hsplab the same way this process did.
+    code = (
+        "from hsplab.perm import ClassProfile\n"
+        "from hsplab.qfs import weak_distribution\n"
+        "print(__debug__)\n"
+        "weak_distribution(3, ClassProfile(3, {(1, 1, 1): 2}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stdout.strip() == "False", proc.stderr
+    assert proc.returncode != 0
+    assert "ValueError" in proc.stderr and "total mass 2" in proc.stderr
 
 
 # ---------------------------------------------------------------------------
