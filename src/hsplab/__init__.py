@@ -33,6 +33,7 @@ from .lab import (
     young_profile,
 )
 from .characters import (
+    class_sums,
     dimension,
     mn_character,
     orthogonality_check,

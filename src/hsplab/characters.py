@@ -2,9 +2,14 @@
 
 Partitions are tuples of positive ints in non-increasing order.  All character
 values are exact Python ints; nothing in this module touches floating point.
-Character evaluation uses the Murnaghan-Nakayama border-strip recursion over
-beta-sets, memoized on (remaining shape, remaining cycle suffix) with cycles
-consumed largest-first.
+
+Class sums v(lam) = sum_t count(t) chi_lam(t) over a whole cycle-type profile
+come from `class_sums`, the one engine behind the weak-sampling distribution
+and D_H: a single Murnaghan-Nakayama border-strip recursion over bead
+bitmasks, run for every lam and every type of the profile together.
+`mn_character` evaluates one character value by its own beta-set recursion;
+it is the independent oracle the engine is tested against, and the
+orthogonality check reads the full character table through it.
 """
 
 from __future__ import annotations
@@ -123,6 +128,111 @@ def character_cache_info():
 
 def clear_character_cache() -> None:
     _mn.cache_clear()
+    _class_sum_vector.cache_clear()
+
+
+def _bead_mask(lam: Partition, beads: int) -> int:
+    """The beta-set of lam on `beads` beads as a bitmask: bead i sits at
+    lam_i + beads-1-i, with lam padded by zero parts."""
+    mask = (1 << (beads - len(lam))) - 1
+    for i, part in enumerate(lam):
+        mask |= 1 << (part + beads - 1 - i)
+    return mask
+
+
+def _type_dag(items) -> tuple:
+    """The cycle types as a trie, largest part first, with equal subtries shared.
+
+    A node is a tuple of (part, weight, child) edges; node 0 is the leaf ().
+    A node's value on a shape is the sum over its edges of weight times the
+    signed sum of the child's values over all removals of a part-strip; the
+    leaf's value on the empty shape is 1.  Each node's edge weights are
+    divided by their gcd, the factor moving to the edge above, so subtries
+    that differ only by a scalar (the all-ones tails, for one) are one node.
+    Returns (nodes, scale, root): the class sum at lam is scale times the
+    root's value on lam.
+    """
+    trie: dict = {}
+    for t, c in items:
+        node = trie
+        for part in t:
+            node = node.setdefault(part, {})
+        node[0] = c  # part 0 marks the end of a type; types are distinct
+    ids: dict = {(): 0}
+    nodes: list = [()]
+
+    def intern(node: dict) -> tuple:
+        if 0 in node:
+            return node[0], 0
+        edges = [(part, *intern(node[part])) for part in sorted(node, reverse=True)]
+        scale = math.gcd(*(w for _, w, _ in edges))
+        key = tuple((part, w // scale, child) for part, w, child in edges)
+        if key not in ids:
+            ids[key] = len(nodes)
+            nodes.append(key)
+        return scale, ids[key]
+
+    return (nodes, *intern(trie))
+
+
+@lru_cache(maxsize=8)
+def _class_sum_vector(n: int, items: tuple) -> tuple:
+    """Class sums over partitions(n), for validated (type, count) items."""
+    if not items:
+        return (0,) * len(partitions(n))
+    nodes, scale, root = _type_dag(items)
+    # memo[node][mask]: the node's value on the shape of mask; the callers
+    # look it up, so the leaf is only ever read, on the empty shape
+    memo = [{} for _ in nodes]
+    memo[0][(1 << n) - 1] = 1
+
+    def value(mask: int, node: int) -> int:
+        total = 0
+        for k, weight, child in nodes[node]:
+            seen = memo[child]
+            between = (1 << (k - 1)) - 1
+            strips = 0
+            # beads b >= k whose slot b-k is empty: each move b -> b-k
+            # removes one k-strip, with sign (-1)^(beads strictly between)
+            heads = mask & ~(mask << k) & ~((1 << k) - 1)
+            while heads:
+                low = heads & -heads
+                heads ^= low
+                b = low.bit_length() - 1
+                smaller = mask ^ low ^ (1 << (b - k))
+                x = seen.get(smaller)
+                if x is None:
+                    x = seen[smaller] = value(smaller, child)
+                if ((mask >> (b - k + 1)) & between).bit_count() & 1:
+                    strips -= x
+                else:
+                    strips += x
+            total += weight * strips
+        return total
+
+    return tuple(scale * value(_bead_mask(lam, n), root) for lam in partitions(n))
+
+
+def class_sums(n: int, counts) -> dict:
+    """{lam: sum_t counts[t] chi_lam(t)} for every partition lam of n, in
+    partitions(n) order.
+
+    Types may be given in any part order; zero counts are dropped.  Raises
+    ValueError for a type that is not a partition and PreconditionError for
+    one that does not sum to n, as `mn_character` does.  Each profile is
+    computed once and kept in a small cache, cleared by
+    `clear_character_cache`.
+    """
+    merged: dict = {}
+    for t, c in counts.items():
+        mu = tuple(sorted(t, reverse=True))
+        if not is_partition(mu):
+            raise ValueError("arguments must be partitions")
+        if sum(mu) != n:
+            raise PreconditionError(f"partition sizes differ: {n} vs {sum(mu)}")
+        merged[mu] = merged.get(mu, 0) + c
+    items = tuple(sorted((mu, c) for mu, c in merged.items() if c))
+    return dict(zip(partitions(n), _class_sum_vector(n, items)))
 
 
 @dataclass(frozen=True)

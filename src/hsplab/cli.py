@@ -2,8 +2,9 @@
 
 Subcommands: analyze, compare, sweep, coset, check.  Reports are JSON (CSV
 optional for sweep tables) and byte-identical across runs, except for the
-wall_time_s field.  Exit codes: 0 success, 2 parse error, 3 limit exceeded,
-4 mathematical precondition violated.
+wall_time_s field.  Exit codes: 0 success, 1 internal inconsistency (two
+routes to one value disagree), 2 parse error, 3 limit exceeded, 4 mathematical
+precondition violated.
 
 Verdicts are reports at the fixed input degree, not asymptotic claims; every
 threshold states its (log base, c) convention explicitly.
@@ -109,6 +110,12 @@ def cmd_analyze(args) -> dict:
     dist = qfs.weak_distribution(n, prof)
     thm1 = qfs.thm1_bounds(n, prof)
     dh = thm1.exact_value
+    dh_l1 = dist.l1(qfs.plancherel(n))
+    if dh != dh_l1:
+        raise HspError(
+            f"D_H routes disagree: dh_exact gives {_frac(dh)}, the L1 distance "
+            f"to the Plancherel distribution gives {_frac(dh_l1)}"
+        )
     cmin = qfs.cmin_bounds(n, prof, with_exact=False)
     upper_prop = qfs.prop_upper(n, prof)
     census = lab.support_census(prof)
@@ -130,6 +137,7 @@ def cmd_analyze(args) -> dict:
         "dh": _frac(dh),
         "dh_decimal": _frac_decimal(dh),
         "decimal_precision": DECIMAL_DIGITS,
+        "routes_agree": dh == dh_l1,
         "thm1_bounds": thm1.serialize(),
         "cmin_bounds": cmin.serialize(),
         "prop_upper": upper_prop.serialize(DECIMAL_DIGITS),

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by the library and the CLI.
 
 The CLI maps these onto exit codes: ParseError -> 2, LimitExceeded -> 3,
-PreconditionError -> 4.
+PreconditionError -> 4, and any other HspError (such as two routes to one
+value that disagree) -> 1.
 """
 
 

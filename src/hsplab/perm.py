@@ -403,6 +403,7 @@ class PermGroup:
         self.degree = degree
         self.generators = gens
         self._chain = _build_chain([g.array for g in gens], degree)
+        self._class_map = None  # built on first use by element_class_map
 
     @classmethod
     def from_cycles(cls, texts: Iterable[str], degree: int) -> "PermGroup":
@@ -633,12 +634,24 @@ def element_class_map(G: PermGroup, limit: int = ENUMERATION_LIMIT):
     Returns (classes, class_id): classes is a list of (representative, size),
     the representative being the first element of its class in chain
     enumeration order, so the result is deterministic; class_id maps an
-    element's image-array bytes to its index in classes.
+    element's image-array bytes to its index in classes.  The map is built
+    once per group and kept on it; callers must not modify it.  The
+    enumeration bound is checked on every call.
     """
+    if G.order > limit:
+        raise LimitExceeded(
+            f"group order {G.order} exceeds the enumeration bound {limit}"
+        )
+    if G._class_map is None:
+        G._class_map = _build_class_map(G)
+    return G._class_map
+
+
+def _build_class_map(G: PermGroup):
     gen_pairs = [(g.array, inv_array(g.array)) for g in G.generators]
     assigned: dict[bytes, int] = {}
     classes = []
-    for e in G.element_arrays(limit):
+    for e in G.chain.elements():
         key = e.tobytes()
         if key in assigned:
             continue

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .characters import Partition, dimension, mn_character, partitions
+from .characters import Partition, class_sums, dimension, partitions
 from .errors import PreconditionError
 from .perm import ClassProfile, PermGroup, Permutation, element_class_map, sn_class_size
 from .radical import SqrtSum
@@ -68,11 +68,10 @@ class IrrepDistribution:
 def weak_distribution(n: int, prof: ClassProfile) -> IrrepDistribution:
     """P_H(lam) = d_lam / n! * sum_t count(t) chi_lam(t), exactly."""
     _check_profile(n, prof)
-    items = sorted(prof.counts.items(), reverse=True)
     fact = math.factorial(n)
     probs = {
-        lam: Fraction(dimension(lam) * sum(c * mn_character(lam, t) for t, c in items), fact)
-        for lam in partitions(n)
+        lam: Fraction(dimension(lam) * v, fact)
+        for lam, v in class_sums(n, prof.counts).items()
     }
     for lam, p in probs.items():
         if p < 0:
@@ -84,24 +83,30 @@ def weak_distribution(n: int, prof: ClassProfile) -> IrrepDistribution:
 
 
 def plancherel(n: int) -> IrrepDistribution:
-    """The identity-subgroup distribution: P(lam) = d_lam^2 / n!."""
-    return weak_distribution(n, ClassProfile.identity(n))
+    """The identity-subgroup distribution: P(lam) = d_lam^2 / n!, read from
+    the hook length formula alone, with no class sums."""
+    fact = math.factorial(n)
+    return IrrepDistribution(
+        n, 1, {lam: Fraction(dimension(lam) ** 2, fact) for lam in partitions(n)}
+    )
 
 
 def dh_exact(n: int, prof: ClassProfile) -> Fraction:
-    """D_H = 1/n! * sum_lam d_lam |sum_{t != id} count(t) chi_lam(t)|.
+    """D_H = 1/n! * sum_lam d_lam |v(lam) - count(id) d_lam|, where
+    v = class_sums(n, prof.counts) is the same vector weak_distribution reads.
 
-    This is the direct route; it must (and, in the tests, does) agree exactly
-    with the L1 distance between weak_distribution(prof) and plancherel(n).
+    The subtracted term is the identity class, so the absolute value runs over
+    the non-identity class sum.  `analyze` compares this with the L1 distance
+    between weak_distribution(prof) and plancherel(n), built from dimensions
+    alone, and refuses a report where the two differ.
     """
     _check_profile(n, prof)
-    nonid = prof.nonidentity_items()
-    fact = math.factorial(n)
-    total = sum(
-        dimension(lam) * abs(sum(c * mn_character(lam, t) for t, c in nonid))
-        for lam in partitions(n)
-    )
-    return Fraction(total, fact)
+    c_id = prof.count((1,) * n)
+    total = 0
+    for lam, v in class_sums(n, prof.counts).items():
+        d = dimension(lam)
+        total += d * abs(v - c_id * d)
+    return Fraction(total, math.factorial(n))
 
 
 def d_between(n: int, prof_a: ClassProfile, prof_b: ClassProfile) -> Fraction:

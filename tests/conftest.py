@@ -126,3 +126,9 @@ def s4_table() -> GroupTable:
 @pytest.fixture(scope="session")
 def s4_subgroups(s4_table) -> list:
     return [s4_table.subgroup_from_mask(m) for m in s4_table.all_subgroup_masks()]
+
+
+@pytest.fixture(scope="session")
+def s5_subgroups() -> list:
+    table = GroupTable(PermGroup.symmetric(5))
+    return [table.subgroup_from_mask(m) for m in table.all_subgroup_masks()]

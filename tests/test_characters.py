@@ -5,7 +5,9 @@ from functools import cache
 import pytest
 
 from hsplab.characters import (
+    _class_sum_vector,
     class_sign,
+    class_sums,
     clear_character_cache,
     conjugate,
     dimension,
@@ -14,6 +16,7 @@ from hsplab.characters import (
     partitions,
 )
 from hsplab.errors import PreconditionError
+from hsplab.lab import block_group_profile, symmetric_profile, young_profile
 from hsplab.perm import sn_class_size
 
 
@@ -192,3 +195,69 @@ def test_character_cache_thread_safety():
     clear_character_cache()
     serial = [column(mu) for mu in mus]
     assert threaded == serial
+
+
+# ---------------------------------------------------------------------------
+# class sums: the bead-bitmask engine against the per-character MN oracle
+# ---------------------------------------------------------------------------
+
+
+def mn_class_sums(n, counts) -> dict:
+    """Oracle: one validated mn_character value per (lam, type)."""
+    return {
+        lam: sum(c * mn_character(lam, t) for t, c in counts.items())
+        for lam in partitions(n)
+    }
+
+
+def catalog_profiles(n):
+    yield symmetric_profile(n)
+    for parts in ((n - 2, 2), (n - 3, 2, 1), (n // 2, n - n // 2), (n - 4, 4)):
+        if all(p >= 1 for p in parts):
+            yield young_profile(parts)
+    for m in range(2, n + 1):
+        if n % m == 0:
+            yield block_group_profile(m, n // m)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_class_sums_match_mn_oracle_on_catalog_profiles(n):
+    for prof in catalog_profiles(n):
+        sums = class_sums(n, prof.counts)
+        assert list(sums) == list(partitions(n))
+        assert sums == mn_class_sums(n, prof.counts), prof.counts
+
+
+def test_class_sums_accept_unsorted_types():
+    n = 7
+    counts = symmetric_profile(n).counts
+    shuffled = {tuple(reversed(t)): c for t, c in counts.items()}
+    assert class_sums(n, shuffled) == class_sums(n, counts)
+    # two spellings of one type add up
+    split = {(2, 1): 2, (1, 2): 1, (1, 1, 1): 1}
+    assert class_sums(3, split) == class_sums(3, {(2, 1): 3, (1, 1, 1): 1})
+
+
+def test_class_sums_drop_zero_counts():
+    assert class_sums(4, {(4,): 0, (1, 1, 1, 1): 1}) == class_sums(4, {(1, 1, 1, 1): 1})
+    assert set(class_sums(4, {(4,): 0}).values()) == {0}
+
+
+def test_class_sums_reject_bad_types():
+    with pytest.raises(PreconditionError):
+        class_sums(3, {(2, 2): 1})
+    with pytest.raises(ValueError):
+        class_sums(3, {(3, 0): 1})
+
+
+def test_class_sums_cache_is_cleared_and_not_shared():
+    clear_character_cache()
+    counts = {(3,): 2, (1, 1, 1): 1}
+    first = class_sums(3, counts)
+    first[(3,)] = 99  # a caller's dict is its own
+    info = _class_sum_vector.cache_info()
+    assert info.currsize == 1
+    assert class_sums(3, counts) == {(3,): 3, (2, 1): 0, (1, 1, 1): 3}
+    assert _class_sum_vector.cache_info().hits == info.hits + 1
+    clear_character_cache()
+    assert _class_sum_vector.cache_info().currsize == 0

@@ -1,9 +1,15 @@
 import json
+import math
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
+import pytest
+
+from hsplab import coset, lab, perm, qfs
 from hsplab.cli import main
+from hsplab.errors import LimitExceeded
 
 
 def run_cli(capsys, *argv):
@@ -26,6 +32,55 @@ def test_analyze_cyclic(capsys):
     assert rep["thm1_bounds"]["sandwich_ok"] is True
     assert rep["verdict"]["log_base"] == 2
     assert rep["minimal_degree"] == 2
+
+
+def test_analyze_refuses_disagreeing_routes(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "analyze", "block:3x2")
+    assert code == 0 and json.loads(out)["routes_agree"] is True
+    dh = json.loads(out)["dh"]
+    real = qfs.dh_exact
+    monkeypatch.setattr(
+        qfs, "dh_exact", lambda n, prof: real(n, prof) + Fraction(1, math.factorial(n))
+    )
+    code, out, err = run_cli(capsys, "analyze", "block:3x2")
+    assert code == 1 and out == ""
+    skewed = Fraction(dh) + Fraction(1, 720)
+    assert "routes disagree" in err
+    assert f"{skewed.numerator}/{skewed.denominator}" in err and dh in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("compare", "gl32-point", "gl32-plane"), ("coset", "gl32", "gl32-point")]
+)
+def test_class_map_built_once_per_group(argv, capsys, monkeypatch):
+    def fresh_catalog():
+        for group in (lab.gl32_group, lab.gl32_point_stabilizer, lab.gl32_plane_stabilizer):
+            group.cache_clear()
+
+    # reference report: the class map rebuilt on every use
+    monkeypatch.setattr(
+        coset, "element_class_map", lambda G, limit=perm.ENUMERATION_LIMIT: perm._build_class_map(G)
+    )
+    fresh_catalog()
+    code, rebuilt, _ = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.undo()
+
+    builds = []
+    real = perm._build_class_map
+    monkeypatch.setattr(perm, "_build_class_map", lambda G: builds.append(G) or real(G))
+    fresh_catalog()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(builds) == 1
+    assert strip_wall_time(out) == strip_wall_time(rebuilt)
+
+
+def test_class_map_checks_the_bound_on_every_call():
+    G = lab.gl32_group()
+    perm.element_class_map(G)
+    with pytest.raises(LimitExceeded):
+        perm.element_class_map(G, limit=100)
 
 
 def test_analyze_block_group(capsys):

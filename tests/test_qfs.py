@@ -6,7 +6,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from conftest import random_subgroup
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hsplab.characters import class_sums, dimension, mn_character, partitions
 from hsplab.errors import PreconditionError
 from hsplab.perm import ClassProfile, PermGroup, class_profile, sn_class_size
 from hsplab.qfs import (
@@ -88,6 +92,51 @@ def test_dh_equals_l1_route(s4_subgroups):
     for H in s4_subgroups:
         prof = class_profile(H)
         assert dh_exact(4, prof) == weak_distribution(4, prof).l1(plancherel(4))
+
+
+def assert_engine_matches_mn_oracle(n, prof):
+    """class_sums, weak_distribution and dh_exact against one mn_character
+    value per (lam, type)."""
+    fact = math.factorial(n)
+    oracle = {
+        lam: sum(c * mn_character(lam, t) for t, c in prof.counts.items())
+        for lam in partitions(n)
+    }
+    assert class_sums(n, prof.counts) == oracle
+    assert weak_distribution(n, prof).probs == {
+        lam: Fraction(dimension(lam) * v, fact) for lam, v in oracle.items()
+    }
+    nonid = prof.nonidentity_items()
+    assert dh_exact(n, prof) == Fraction(
+        sum(
+            dimension(lam) * abs(sum(c * mn_character(lam, t) for t, c in nonid))
+            for lam in partitions(n)
+        ),
+        fact,
+    )
+
+
+def test_engine_matches_mn_oracle_on_s4_and_s5_subgroups(s4_subgroups, s5_subgroups):
+    assert (len(s4_subgroups), len(s5_subgroups)) == (30, 156)
+    for n, subgroups in ((4, s4_subgroups), (5, s5_subgroups)):
+        for H in subgroups:
+            assert_engine_matches_mn_oracle(n, class_profile(H))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=2, max_value=8), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_engine_matches_mn_oracle_on_random_subgroups(n, seed):
+    H = random_subgroup(random.Random(seed), PermGroup.symmetric(n))
+    assert_engine_matches_mn_oracle(n, class_profile(H))
+
+
+def test_plancherel_is_dimension_squares():
+    for n in (1, 5, 9):
+        fact = math.factorial(n)
+        assert plancherel(n).probs == {
+            lam: Fraction(dimension(lam) ** 2, fact) for lam in partitions(n)
+        }
+        assert plancherel(n) == weak_distribution(n, ClassProfile.identity(n))
 
 
 def test_d_between_examples():
