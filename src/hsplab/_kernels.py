@@ -5,74 +5,79 @@ describing base points, orbits and explicit transversal elements (built in
 :mod:`hsplab.perm`).
 
 Permutations are 0-based int32 image arrays; ``mult(a, b)[i] = b[a[i]]``
-(apply ``a`` first, then ``b``).
+(apply ``a`` first, then ``b``).  Every kernel works on a *row matrix*, one
+permutation per row, with numpy operations over all rows at once:
+
+- canonicalization (:func:`canon_into`, :func:`canon_batch`,
+  :func:`fix_count`) makes one ``argmin`` and one gather per chain level;
+- the census (:func:`census_rows`) builds the inner chain levels as one block
+  matrix, walks the outer levels one element at a time, and counts the
+  cycles of each block by pointer doubling.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+#: Largest block (rows x degree entries) that the census works on at once.
+CENSUS_BLOCK = 1 << 16
 
-def _canon(z, base, level_off, orbit_pts, pos, trans):
-    """Canonicalize z in place to the lex-minimal element of its right coset.
+
+def _canon_rows(z, chain):
+    """Canonicalize every row of the (rows, n) matrix ``z`` to the
+    lex-minimal element of its right coset; returns the new matrix.
 
     The chain must have an increasing smallest-moved-point base; then greedy
     per-level minimisation of the image array is lexicographically minimal.
+    Row 0 of each level's transversal maps the base point to itself.
     """
-    nlev = base.shape[0]
-    for lev in range(nlev):
-        lo = level_off[lev]
-        hi = level_off[lev + 1]
-        if hi - lo == 1:
-            continue
-        pts = orbit_pts[lo:hi]
-        k = int(np.argmin(z[pts]))
-        best = int(pts[k])
-        if best != base[lev]:
-            u = trans[lo + pos[lev, best]]
-            z[:] = z[u]
+    for lev in range(chain.num_levels):
+        lo = int(chain.level_off[lev])
+        hi = int(chain.level_off[lev + 1])
+        k = np.argmin(z[:, chain.orbit_pts[lo:hi]], axis=1)
+        moved = np.flatnonzero(k)
+        if moved.size:
+            z[moved] = np.take_along_axis(z[moved], chain.trans[lo + k[moved]], axis=1)
     return z
-
-
-def _cycle_row(arr, out_row):
-    """Add the cycle-length multiplicities of ``arr`` to ``out_row``."""
-    n = arr.shape[0]
-    seen = np.zeros(n, dtype=np.bool_)
-    for i in range(n):
-        if not seen[i]:
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = arr[j]
-                length += 1
-            out_row[length - 1] += 1
 
 
 def canon_into(z, chain):
     """Canonicalize the int32 image array ``z`` in place; returns ``z``."""
-    return _canon(z, chain.base, chain.level_off, chain.orbit_pts, chain.pos, chain.trans)
+    _canon_rows(z[None, :], chain)
+    return z
 
 
-def canon_batch(reps, g, chain, out=None):
+def canon_batch(reps, g, chain):
     """Canonical rep of coset(reps[r] * g) for every row r."""
-    if out is None:
-        out = np.empty_like(reps)
-    packed = (chain.base, chain.level_off, chain.orbit_pts, chain.pos, chain.trans)
-    for r in range(reps.shape[0]):
-        out[r] = _canon(g[reps[r]], *packed)
-    return out
+    return _canon_rows(g[reps], chain)
 
 
 def fix_count(reps, g, chain) -> int:
     """Number of rows r whose coset(reps[r] * g) has canonical rep reps[r]:
     for a table of canonical reps, the number of cosets that g fixes."""
-    packed = (chain.base, chain.level_off, chain.orbit_pts, chain.pos, chain.trans)
-    count = 0
-    for r in range(reps.shape[0]):
-        if np.array_equal(_canon(g[reps[r]], *packed), reps[r]):
-            count += 1
-    return count
+    return int(np.count_nonzero((_canon_rows(g[reps], chain) == reps).all(axis=1)))
+
+
+def _cycle_counts(block, out):
+    """Write the cycle-length multiplicities of each row of ``block`` to the
+    matching row of ``out``: column c counts the (c+1)-cycles.
+
+    Pointer doubling labels every point with the least point of its cycle
+    (as flat indices into the block); a cycle's length is the number of
+    points that share its label.
+    """
+    rows, n = block.shape
+    step = (block + np.arange(0, rows * n, n)[:, None]).ravel()
+    label = np.arange(rows * n)
+    span = 1
+    while span < n:
+        np.minimum(label, label[step], out=label)
+        span *= 2
+        if span < n:
+            step = step[step]
+    lengths = np.bincount(label, minlength=rows * n).reshape(rows, n)
+    lengths += np.arange(0, rows * (n + 1), n + 1)[:, None]
+    out[:] = np.bincount(lengths.ravel(), minlength=rows * (n + 1)).reshape(rows, n + 1)[:, 1:]
 
 
 def census_rows(chain, n: int, order: int):
@@ -81,7 +86,18 @@ def census_rows(chain, n: int, order: int):
     Row r holds, at column c, the number of (c+1)-cycles of the r-th element
     in chain enumeration order.
     """
-    out = np.zeros((order, n), dtype=np.int16)
-    for r, arr in enumerate(chain.elements()):
-        _cycle_row(arr, out[r])
+    out = np.empty((order, n), dtype=np.int16)
+    # inner levels 0..split-1 vary fastest in chain order, so they form one
+    # block matrix; each outer element P then gives the block inner[:, P]
+    inner = np.arange(n, dtype=np.int32)[None, :]
+    split = 0
+    for size in chain.level_sizes():
+        if inner.shape[0] * size * n > CENSUS_BLOCK:
+            break
+        lo = int(chain.level_off[split])
+        inner = inner[:, chain.trans[lo:lo + size]].swapaxes(0, 1).reshape(-1, n)
+        split += 1
+    rows = inner.shape[0]
+    for r, outer in enumerate(chain.elements(first_level=split)):
+        _cycle_counts(inner[:, outer], out[r * rows:(r + 1) * rows])
     return out

@@ -44,6 +44,7 @@ class CosetAction:
 
     def __post_init__(self):
         self._lookup = {self.reps[i].tobytes(): i for i in range(self.index)}
+        self._rank_report = None  # built on first use by rank_subdegrees
 
     def coset_of(self, x: Permutation) -> int:
         """Index of the coset H*x."""
@@ -220,8 +221,16 @@ def rank_subdegrees(ca: CosetAction) -> RankReport:
 
     The rank is computed two ways: counting orbits of H on X, and averaging
     fixed points over the elements of H (through the induced image group and
-    the kernel multiplicity).  The two must agree exactly.
+    the kernel multiplicity).  The two must agree exactly.  The report is
+    built once per action and kept on it; a failed cross-check raises and
+    keeps nothing.
     """
+    if ca._rank_report is None:
+        ca._rank_report = _build_rank_report(ca)
+    return ca._rank_report
+
+
+def _build_rank_report(ca: CosetAction) -> RankReport:
     H = ca.subgroup
     gen_images = [ca.induced_image(h) for h in H.generators]
     # suborbits: orbit partition of X under the induced generators

@@ -301,11 +301,15 @@ class PackedChain:
     def level_sizes(self) -> list:
         return [int(self.level_off[l + 1] - self.level_off[l]) for l in range(self.num_levels)]
 
-    def elements(self) -> Iterator[np.ndarray]:
-        """All group elements as image arrays, in deterministic chain order."""
+    def elements(self, first_level: int = 0) -> Iterator[np.ndarray]:
+        """All group elements as image arrays, in deterministic chain order.
+
+        With ``first_level`` = s only levels s, s+1, ... are walked, giving
+        the stabilizer of the first s base points, in chain order.
+        """
         idarr = np.arange(self.degree, dtype=np.int32)
         nlev = self.num_levels
-        if nlev == 0:
+        if nlev == first_level:
             yield idarr
             return
         sizes = self.level_sizes()
@@ -317,8 +321,8 @@ class PackedChain:
                 u = self.trans[int(self.level_off[lev]) + idx[lev]]
                 partial[lev] = u[partial[lev + 1]]
                 idx[lev] += 1
-                if lev == 0:
-                    yield partial[0]
+                if lev == first_level:
+                    yield partial[lev]
                 else:
                     lev -= 1
                     idx[lev] = 0
@@ -611,13 +615,18 @@ def class_profile(H: PermGroup, limit: int = ENUMERATION_LIMIT) -> ClassProfile:
         raise LimitExceeded("censuses support degrees up to 32000")
     n = H.degree
     rows = _kernels.census_rows(H.chain, n, H.order)
-    uniq, cnt = np.unique(rows, axis=0, return_counts=True)
-    counts = {}
-    for row, c in zip(uniq, cnt):
+    # group equal rows by sorting them in place as opaque byte strings
+    keys = rows.view(np.dtype((np.void, rows.itemsize * n))).ravel()
+    keys.sort()
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    sizes = np.diff(np.append(first, keys.size))
+    uniq = keys[first].view(rows.dtype).reshape(-1, n)
+    counts = {}  # types in ascending order of their multiplicity vectors
+    for row, c in sorted(zip(uniq.tolist(), sizes.tolist())):
         parts = []
         for length in range(n, 0, -1):
-            parts.extend([length] * int(row[length - 1]))
-        counts[tuple(parts)] = int(c)
+            parts.extend([length] * row[length - 1])
+        counts[tuple(parts)] = c
     return ClassProfile(n, counts)
 
 

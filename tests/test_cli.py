@@ -164,6 +164,26 @@ def test_coset_cmd(capsys):
     assert rep["class_identity_holds"] is True
 
 
+@pytest.mark.parametrize(
+    "argv", [("coset", "symmetric:6", "young:3+3"), ("coset", "alternating:6", "cyclic:3@6")]
+)
+def test_rank_report_built_once_per_coset_job(argv, capsys, monkeypatch):
+    # reference report: the rank report rebuilt on every use
+    monkeypatch.setattr(coset, "rank_subdegrees", coset._build_rank_report)
+    code, rebuilt, _ = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.undo()
+
+    builds = []
+    real = coset._build_rank_report
+    monkeypatch.setattr(coset, "_build_rank_report", lambda ca: builds.append(ca) or real(ca))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(builds) == 1
+    assert strip_wall_time(out) == strip_wall_time(rebuilt)
+    assert "fixpoint_bounds" in json.loads(out)
+
+
 def test_sweep_json_and_csv(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--family", "cyclic", "--start", "3", "--end", "6")
     assert code == 0

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hsplab import coset
 from hsplab.coset import (
     avg_subdegree_verdict,
     class_fixpoint_identity_holds,
@@ -103,6 +104,27 @@ def test_normal_subgroup_has_all_subdegrees_one():
     assert rr.subdegrees == (1, 1)
     rr = rank_subdegrees(coset_action(S4, KLEIN))
     assert set(rr.subdegrees) == {1}
+
+
+def test_rank_report_kept_on_the_action_after_the_frobenius_check(monkeypatch):
+    ca = coset_action(S4, KLEIN)
+    real = coset._image_group_fix_sum
+
+    def off_by_one(gen_images, index):
+        order, fix = real(gen_images, index)
+        return order, fix + 1
+
+    monkeypatch.setattr(coset, "_image_group_fix_sum", off_by_one)
+    for _ in range(2):  # a failed check keeps nothing, so it raises again
+        with pytest.raises(AssertionError, match="Frobenius identity violated"):
+            rank_subdegrees(ca)
+    monkeypatch.undo()
+
+    rr = rank_subdegrees(ca)
+    assert rr == coset._build_rank_report(coset_action(S4, KLEIN))
+    assert rank_subdegrees(ca) is rr
+    # a new action over the same groups builds its own report
+    assert rank_subdegrees(coset_action(S4, KLEIN)) is not rr
 
 
 def test_fixpoint_bounds_examples():

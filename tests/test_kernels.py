@@ -1,14 +1,18 @@
 """Kernel oracles: every kernel result equals a brute-force computation from
 the group elements."""
 
+import random
 from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import random_subgroup
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsplab import _kernels
 from hsplab.coset import coset_action, fix_in_X, rank_subdegrees
-from hsplab.perm import PermGroup, Permutation, cycle_type_of_array, parse_cycles
+from hsplab.perm import PermGroup, Permutation, cycle_type_of_array, inv_array, parse_cycles
 
 GROUPS = [
     PermGroup.from_cycles(["(1 2)", "(1 2 3)"], 3),
@@ -90,3 +94,83 @@ def test_coset_pipeline():
     assert fix_in_X(ca, parse_cycles("(1 2)", 6)) == fix_in_X(ca, parse_cycles("(5 6)", 6))
     rr = rank_subdegrees(ca)
     assert sum(rr.subdegrees) == 120
+
+
+def _coset_min(x, h_elems):
+    """Lex-minimal member x[h] of the right coset Hx, by brute force."""
+    members = x[h_elems]
+    return members[np.lexsort(members.T[::-1])[0]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=2, max_value=8), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_canon_rows_match_brute_force_on_random_subgroups(n, seed):
+    rng = random.Random(seed)
+    Sn = PermGroup.symmetric(n)
+    H = random_subgroup(rng, Sn)
+    h_elems = np.stack(list(H.element_arrays()))
+    xs = np.stack([Sn.random_element(rng).array for _ in range(12)])
+    reps = np.stack([_coset_min(x, h_elems) for x in xs])
+    # g = x^-1 h x fixes the coset Hx, so some fix counts are non-zero
+    x0 = reps[0]
+    conj = x0[h_elems[rng.randrange(len(h_elems))][inv_array(x0)]]
+    for g in (np.arange(n, dtype=np.int32), Sn.random_element(rng).array, conj):
+        expected = np.stack([_coset_min(g[x], h_elems) for x in reps])
+        assert np.array_equal(_kernels.canon_batch(reps, g, H.chain), expected)
+        fixed = int(np.count_nonzero((expected == reps).all(axis=1)))
+        assert _kernels.fix_count(reps, g, H.chain) == fixed
+    assert _kernels.fix_count(reps, conj, H.chain) >= 1
+    for x in xs:
+        z = x.copy()
+        assert _kernels.canon_into(z, H.chain) is z
+        assert np.array_equal(z, _coset_min(x, h_elems))
+
+
+def _census_groups():
+    rng = random.Random(11)
+    yield from GROUPS
+    yield PermGroup.from_cycles(["(1 3)(2 4)", "(1 3 5 7 9 11)(2 4 6 8 10 12)"], 12)
+    for n in (5, 7, 8):
+        yield random_subgroup(rng, PermGroup.symmetric(n))
+
+
+@pytest.mark.parametrize("G", list(_census_groups()), ids=repr)
+def test_census_rows_follow_chain_order(G):
+    rows = _kernels.census_rows(G.chain, G.degree, G.order)
+    assert rows.dtype == np.int16
+    expected = [cycle_type_of_array(a) for a in G.chain.elements()]
+    assert [_row_type(row) for row in rows] == expected
+
+
+@pytest.mark.parametrize(
+    "G",
+    [
+        PermGroup.symmetric(6),
+        PermGroup.from_cycles(["(1 3)(2 4)", "(1 3 5 7 9 11)(2 4 6 8 10 12)"], 12),
+    ],
+    ids=repr,
+)
+def test_census_rows_do_not_depend_on_the_block_size(G, monkeypatch):
+    reference = _kernels.census_rows(G.chain, G.degree, G.order)
+    sizes = G.chain.level_sizes()
+    assert len(sizes) > 2
+    # one row per block, then a block made of the first two levels only
+    for block in (1, G.degree * sizes[0] * sizes[1]):
+        monkeypatch.setattr(_kernels, "CENSUS_BLOCK", block)
+        assert np.array_equal(_kernels.census_rows(G.chain, G.degree, G.order), reference)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_kernels_on_the_trivial_group(n):
+    T = PermGroup([], degree=n)
+    assert T.chain.num_levels == 0
+    rows = _kernels.census_rows(T.chain, n, 1)
+    assert rows.tolist() == [[n] + [0] * (n - 1)]
+    reps = np.stack([np.roll(np.arange(n, dtype=np.int32), k) for k in range(n)])
+    g = np.roll(np.arange(n, dtype=np.int32), 1)
+    # every coset of the trivial group is a single element
+    assert np.array_equal(_kernels.canon_batch(reps, g, T.chain), g[reps])
+    assert _kernels.fix_count(reps, g, T.chain) == (n if n == 1 else 0)
+    assert _kernels.fix_count(reps, np.arange(n, dtype=np.int32), T.chain) == n
+    z = g.copy()
+    assert np.array_equal(_kernels.canon_into(z, T.chain), g)

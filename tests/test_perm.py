@@ -251,6 +251,17 @@ def test_class_profile_examples():
     }
 
 
+def test_class_profile_orders_types_by_multiplicity_vector():
+    # types come in ascending order of their multiplicity vectors (m_1, m_2, ...)
+    assert list(class_profile(PermGroup.symmetric(4)).counts) == [
+        (4,), (2, 2), (3, 1), (2, 1, 1), (1, 1, 1, 1)
+    ]
+    # m_1 = 255 < 257, although 257 sorts first as little-endian int16 bytes
+    assert list(class_profile(PermGroup.from_cycles(["(1 2)"], 257)).counts) == [
+        (2,) + (1,) * 255, (1,) * 257
+    ]
+
+
 def test_class_profile_invariants_random_groups():
     rng = random.Random(5)
     for n in (4, 5, 6):
