@@ -19,7 +19,7 @@ from .coset import (
     permutation_character,
     rank_subdegrees,
 )
-from .errors import HspError, LimitExceeded, ParseError, PreconditionError
+from .errors import HspError, InvariantError, LimitExceeded, ParseError, PreconditionError
 from .lab import (
     block_group_profile,
     babai_check,

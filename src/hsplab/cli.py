@@ -27,7 +27,7 @@ from fractions import Fraction
 from . import coset as coset_mod
 from . import lab, qfs
 from .coset import INDEX_LIMIT
-from .errors import HspError, LimitExceeded, ParseError, PreconditionError
+from .errors import HspError, InvariantError, LimitExceeded, ParseError, PreconditionError
 from .lab import DEGREE_LIMIT
 from .perm import ENUMERATION_LIMIT, ClassProfile, PermGroup, class_profile, load_group_file
 from .qfs import DECIMAL_DIGITS
@@ -117,7 +117,6 @@ def cmd_analyze(args) -> dict:
             f"to the Plancherel distribution gives {_frac(dh_l1)}"
         )
     cmin = qfs.cmin_bounds(n, prof, with_exact=False)
-    upper_prop = qfs.prop_upper(n, prof)
     census = lab.support_census(prof)
     mass = sorted(dist.probs.items(), key=lambda kv: (kv[1], kv[0]), reverse=True)
     report = {
@@ -140,7 +139,7 @@ def cmd_analyze(args) -> dict:
         "routes_agree": dh == dh_l1,
         "thm1_bounds": thm1.serialize(),
         "cmin_bounds": cmin.serialize(),
-        "prop_upper": upper_prop.serialize(DECIMAL_DIGITS),
+        "prop_upper": thm1.upper.serialize(DECIMAL_DIGITS),
         "verdict": {
             "log_base": 2,
             "c": args.c,
@@ -373,7 +372,7 @@ def _check_frobenius(args) -> dict:
             coset_mod.rank_subdegrees(ca)  # raises if the Frobenius identity fails
             if not coset_mod.class_fixpoint_identity_holds(ca):
                 failures.append({"parent_order": str(G.order), "subgroup_order": str(H.order)})
-        except AssertionError:
+        except InvariantError:
             failures.append({"parent_order": str(G.order), "subgroup_order": str(H.order)})
         actions += 1
     return {

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .errors import LimitExceeded, PreconditionError
+from .errors import InvariantError, LimitExceeded, PreconditionError
 from .perm import (
     PermGroup,
     Permutation,
@@ -97,11 +97,11 @@ def coset_action(G: PermGroup, H: PermGroup, limit: int = INDEX_LIMIT) -> CosetA
                 key = out[i].tobytes()
                 if key not in lookup:
                     if len(reps) >= index:
-                        raise AssertionError("coset table exceeded |G:H|")
+                        raise InvariantError("coset table exceeded |G:H|")
                     lookup[key] = len(reps)
                     reps.append(out[i].copy())
     if len(reps) != index:
-        raise AssertionError("coset table is incomplete")
+        raise InvariantError("coset table is incomplete")
     return CosetAction(G, H, index, np.stack(reps))
 
 
@@ -254,10 +254,10 @@ def _build_rank_report(ca: CosetAction) -> RankReport:
     rank = len(subdegrees)
     image_order, image_fix = _image_group_fix_sum(gen_images, ca.index)
     if H.order % image_order:
-        raise AssertionError("image order does not divide |H|")
+        raise InvariantError("image order does not divide |H|")
     total_fix = (H.order // image_order) * image_fix
     if total_fix != rank * H.order:
-        raise AssertionError(
+        raise InvariantError(
             "Frobenius identity violated: orbit count and fixed-point average disagree"
         )
     return RankReport(rank, tuple(sorted(subdegrees)), total_fix, image_order)
@@ -308,7 +308,7 @@ def fixpoint_bounds(ca: CosetAction) -> tuple:
     bound_i = Fraction(rr.total_fix - ca.index, ca.group.order)
     bound_ii = Fraction(rr.rank, ca.index) - Fraction(1, ca.subgroup.order)
     if bound_i != bound_ii:
-        raise AssertionError("fixed-point bound identity violated")
+        raise InvariantError("fixed-point bound identity violated")
     return bound_i, bound_ii
 
 

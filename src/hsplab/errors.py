@@ -2,7 +2,7 @@
 
 The CLI maps these onto exit codes: ParseError -> 2, LimitExceeded -> 3,
 PreconditionError -> 4, and any other HspError (such as two routes to one
-value that disagree) -> 1.
+value that disagree, or a violated InvariantError) -> 1.
 """
 
 
@@ -21,3 +21,10 @@ class LimitExceeded(HspError):
 class PreconditionError(HspError):
     """A mathematical precondition is violated (trivial subgroup, intransitive
     group, mismatched degrees, ...)."""
+
+
+class InvariantError(HspError):
+    """An internal invariant failed: an exact identity that must hold for any
+    valid input (a coset table, a Frobenius count, a unit-mass distribution)
+    does not.  It is raised, not asserted, so it still runs under
+    ``python -O``."""

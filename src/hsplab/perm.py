@@ -7,8 +7,10 @@ internally permutations are 0-based int32 image arrays.  The product
 
 Groups carry a deterministic stabilizer chain with base points in increasing
 smallest-moved-point order, giving exact arbitrary-precision orders,
-membership tests, and element enumeration.  Cycle types are plain tuples:
-the partition of the degree with parts descending, fixed points included as 1s.
+membership tests, and element enumeration.  Its strong generators come from
+``_schreier_sims``, an in-house incremental Schreier–Sims on image arrays.
+Cycle types are plain tuples: the partition of the degree with parts
+descending, fixed points included as 1s.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from . import _kernels
-from .errors import LimitExceeded, ParseError, PreconditionError
+from .errors import InvariantError, LimitExceeded, ParseError, PreconditionError
 
 #: Hard cap on element enumeration; beyond it callers must use an analytic
 #: class profile (see hsplab.lab).  Keeps worst-case memory in the tens of MB.
@@ -332,45 +334,196 @@ class PackedChain:
                     return
 
 
-def _strong_generators(gen_arrays: list, degree: int) -> list:
-    """Deterministic strong generating set w.r.t. the base (0, 1, ..., n-1)."""
-    from sympy.combinatorics import Permutation as SymPerm
-    from sympy.combinatorics import PermutationGroup as SymGroup
+class _Level:
+    """One level of the incremental Schreier–Sims: a base point, the strong
+    generators that fix every earlier base point, and the BFS transversal of
+    the point's orbit under them.
 
-    sym_gens = [SymPerm(list(map(int, a))) for a in gen_arrays]
-    group = SymGroup(sym_gens)
-    _, strong = group.schreier_sims_incremental(base=list(range(degree)))
-    out = []
+    Generators are kept both as image arrays and as Python lists (for the
+    point-by-point orbit walk).  ``refresh`` rebuilds the transversal; the
+    row keys, the inverse rows, the generator matrix and the point-to-row map
+    are built on first use after it.
+    """
+
+    __slots__ = ("point", "gens", "lists", "orbit", "index", "rows", "_keys", "_inv", "_mats")
+
+    def __init__(self, point: int):
+        self.point = point
+        self.gens = []
+        self.lists = []
+
+    def add(self, g: np.ndarray, g_list: list, idarr: np.ndarray) -> None:
+        self.gens.append(g)
+        self.lists.append(g_list)
+        self.refresh(idarr)
+
+    def refresh(self, idarr: np.ndarray) -> None:
+        orbit = [self.point]
+        rows = [idarr]
+        index = {self.point: 0}
+        for r, x in enumerate(orbit):
+            for g_list, g in zip(self.lists, self.gens):
+                q = g_list[x]
+                if q not in index:
+                    index[q] = len(orbit)
+                    orbit.append(q)
+                    rows.append(g[rows[r]])
+        self.orbit = orbit
+        self.index = index
+        self.rows = np.array(rows) if len(rows) > 1 else idarr[None, :]
+        self._keys = self._inv = self._mats = None
+
+    def keys(self) -> list:
+        if self._keys is None:
+            self._keys = [r.tobytes() for r in self.rows]
+        return self._keys
+
+    def inverses(self) -> np.ndarray:
+        if self._inv is None:
+            inv = np.empty_like(self.rows)  # row 0 is the identity
+            inv[np.arange(inv.shape[0])[:, None], self.rows] = self.rows[0]
+            self._inv = inv
+        return self._inv
+
+    def matrices(self, degree: int) -> tuple:
+        """(generator matrix, point -> transversal row or -1)."""
+        if self._mats is None:
+            pos = np.full(degree, -1, dtype=np.int64)
+            pos[self.orbit] = np.arange(len(self.orbit))
+            self._mats = (np.array(self.gens), pos)
+        return self._mats
+
+
+#: Matrix entries per block of Schreier generators tested at once.
+_SCHREIER_BLOCK = 1 << 16
+
+
+def _schreier_sims(gens: list, base) -> list:
+    """Strong generators of <gens> relative to ``base``, which lists every point.
+
+    The incremental Schreier–Sims algorithm (Seress, pp. 90-93; Holt, Eick
+    and O'Brien, §4.4), fully deterministic: the result is the distinct
+    non-identity ``gens`` in their given order, then each residue of a
+    Schreier generator that failed to strip, in the order found.  Level k's
+    Schreier generators are tested in (orbit point in BFS order, generator)
+    order, a block at a time; the first failure adds its residue to the
+    levels it fixes and the loop restarts at the highest of them.
+    """
+    base_arr = np.asarray(base, dtype=np.int64)
+    base = base_arr.tolist()
+    degree = nlev = len(base)
+    idarr = np.arange(degree, dtype=np.int32)
+    strong, seen = [], {idarr.tobytes()}
+    for g in gens:
+        key = g.tobytes()
+        if key not in seen:
+            seen.add(key)
+            strong.append(g)
+    if not strong:
+        return []
+
+    # level k starts with the generators fixing base[:k]; levels above the
+    # highest one reached hold the identity as a placeholder
+    levels = [_Level(b) for b in base]
+    top = 0
     for g in strong:
-        imgs = g.array_form + list(range(len(g.array_form), degree))
-        out.append(np.array(imgs, dtype=np.int32))
-    return out
+        g_list = g.tolist()
+        j = 0
+        while j < nlev - 1 and g_list[base[j]] == base[j]:
+            j += 1
+        top = max(top, j)
+        for level in levels[:j + 1]:
+            level.gens.append(g)
+            level.lists.append(g_list)
+    id_list = idarr.tolist()
+    for level in levels[top + 1:]:
+        level.gens.append(idarr)
+        level.lists.append(id_list)
+    for level in levels:
+        level.refresh(idarr)
+
+    def strip(h: np.ndarray, k: int):
+        """Sift h, which moves base[k] and fixes every earlier base point:
+        None if it reduces to the identity, else (failing level + 1, residue)."""
+        while True:
+            if k == nlev:
+                raise InvariantError("strip left a non-identity element fixing the whole base")
+            level = levels[k]
+            p = level.index.get(int(h[level.point]))
+            if p is None:
+                return k + 1, h
+            if h.tobytes() == level.keys()[p]:
+                return None
+            h = level.inverses()[p][h]
+            moved = np.flatnonzero(h[base_arr[k + 1:]] != base_arr[k + 1:])
+            k = k + 1 + int(moved[0]) if moved.size else nlev
+
+    added = []
+    i = nlev - 1
+    while i >= 0:
+        level = levels[i]
+        if level.gens[-1] is idarr:  # only the placeholder: nothing to test
+            i -= 1
+            continue
+        gmat, pos = level.matrices(degree)
+        ngens = gmat.shape[0]
+        gsel = np.arange(ngens)[None, :, None]
+        tail = base_arr[i + 1:]
+        step = max(1, _SCHREIER_BLOCK // (ngens * degree))
+        found = None
+        for lo in range(0, len(level.orbit), step):
+            # row (beta, g) of g1, beta-major: u_beta then g.  It differs from
+            # u_{g(beta)} exactly when the Schreier generator is not the identity.
+            u_beta = level.rows[lo:lo + step]
+            g1 = gmat[gsel, u_beta[:, None, :]].reshape(-1, degree)
+            gb = pos[gmat[:, level.orbit[lo:lo + step]].T.ravel()]
+            cand = np.flatnonzero((g1 != level.rows[gb]).any(axis=1))
+            if not cand.size:
+                continue
+            schreier = level.inverses()[gb[cand][:, None], g1[cand]]
+            moved = schreier[:, tail] != tail
+            first = np.where(moved.any(axis=1), moved.argmax(axis=1) + i + 1, nlev)
+            for r, k in enumerate(first.tolist()):
+                found = strip(schreier[r], k)
+                if found is not None:
+                    break
+            if found is not None:
+                break
+        if found is None:
+            i -= 1
+            continue
+        j, h = found
+        h = h.copy()
+        added.append(h)
+        h_list = h.tolist()
+        for l in range(i + 1, j):
+            levels[l].add(h, h_list, idarr)
+        i = j - 1
+    return strong + added
 
 
 def _build_chain(gen_arrays: list, degree: int) -> PackedChain:
     idarr = np.arange(degree, dtype=np.int32)
-    gens = [a for a in gen_arrays if not np.array_equal(a, idarr)]
+    strong = _schreier_sims(gen_arrays, range(degree))
     levels = []  # (base point, [(orbit point, transversal array)])
     order = 1
-    if gens:
-        strong = _strong_generators(gens, degree)
-        for b in range(degree):
-            eff = [g for g in strong if all(int(g[x]) == x for x in range(b))]
-            if not eff:
-                break
-            orbit: dict[int, np.ndarray] = {b: idarr}
-            queue = deque([b])
-            while queue:
-                p = queue.popleft()
-                up = orbit[p]
-                for g in eff:
-                    q = int(g[p])
-                    if q not in orbit:
-                        orbit[q] = g[up]
-                        queue.append(q)
-            order *= len(orbit)
-            if len(orbit) > 1:
-                levels.append((b, list(orbit.items())))
+    for b in range(degree):
+        eff = [g for g in strong if all(int(g[x]) == x for x in range(b))]
+        if not eff:
+            break
+        orbit: dict[int, np.ndarray] = {b: idarr}
+        queue = deque([b])
+        while queue:
+            p = queue.popleft()
+            up = orbit[p]
+            for g in eff:
+                q = int(g[p])
+                if q not in orbit:
+                    orbit[q] = g[up]
+                    queue.append(q)
+        order *= len(orbit)
+        if len(orbit) > 1:
+            levels.append((b, list(orbit.items())))
 
     nlev = len(levels)
     total = sum(len(items) for _, items in levels)
@@ -484,22 +637,10 @@ class PermGroup:
         """The stabilizer of a (1-based) point, as a new group."""
         if not 1 <= point <= self.degree:
             raise ValueError(f"point {point} out of range 1..{self.degree}")
-        from sympy.combinatorics import Permutation as SymPerm
-        from sympy.combinatorics import PermutationGroup as SymGroup
-
         p0 = point - 1
-        idarr = np.arange(self.degree, dtype=np.int32)
-        gens = [g.array for g in self.generators if not np.array_equal(g.array, idarr)]
-        if not gens:
-            return PermGroup([], degree=self.degree)
-        base_hint = [p0] + [x for x in range(self.degree) if x != p0]
-        group = SymGroup([SymPerm(list(map(int, a))) for a in gens])
-        _, strong = group.schreier_sims_incremental(base=base_hint)
-        stab = []
-        for g in strong:
-            imgs = g.array_form + list(range(len(g.array_form), self.degree))
-            if imgs[p0] == p0:
-                stab.append(Permutation(np.array(imgs, dtype=np.int32)))
+        base = [p0] + [x for x in range(self.degree) if x != p0]
+        strong = _schreier_sims([g.array for g in self.generators], base)
+        stab = [Permutation(g) for g in strong if g[p0] == p0]
         return PermGroup(stab, degree=self.degree)
 
     def __repr__(self) -> str:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .characters import Partition, class_sums, dimension, partitions
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 from .perm import ClassProfile, PermGroup, Permutation, element_class_map, sn_class_size
 from .radical import SqrtSum
 
@@ -75,10 +75,10 @@ def weak_distribution(n: int, prof: ClassProfile) -> IrrepDistribution:
     }
     for lam, p in probs.items():
         if p < 0:
-            raise ValueError(f"negative mass at {lam}: profile is not a subgroup census")
+            raise InvariantError(f"negative mass at {lam}: profile is not a subgroup census")
     mass = sum(probs.values())
     if mass != 1:
-        raise ValueError(f"total mass {mass} is not 1: profile is not a subgroup census")
+        raise InvariantError(f"total mass {mass} is not 1: profile is not a subgroup census")
     return IrrepDistribution(n, prof.order, probs)
 
 

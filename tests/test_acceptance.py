@@ -44,7 +44,7 @@ def report(num: int, message: str) -> None:
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # pay the one-time sympy import and first-call costs outside the timers
+    # pay the one-time first-call costs outside the timers
     G = PermGroup.from_cycles(["(1 2)", "(1 2 3)"], 3)
     class_profile(G)
     coset_action(PermGroup.symmetric(3), G)

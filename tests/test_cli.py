@@ -235,6 +235,24 @@ def test_check_suites(capsys):
     assert code == 0 and json.loads(out)["all_passed"] is True
 
 
+def test_failed_invariant_exits_1_and_fails_the_frobenius_check(capsys, monkeypatch):
+    real = coset._image_group_fix_sum
+
+    def off_by_one(gen_images, index):
+        order, fix = real(gen_images, index)
+        return order, fix + 1
+
+    monkeypatch.setattr(coset, "_image_group_fix_sum", off_by_one)
+    code, out, err = run_cli(capsys, "coset", "symmetric:4", "young:3+1")
+    assert code == 1 and out == ""
+    assert "Frobenius identity violated" in err
+    code, out, _ = run_cli(
+        capsys, "check", "--suite", "frobenius", "--actions", "5", "--seed", "3"
+    )
+    rep = json.loads(out)
+    assert code == 0 and rep["all_passed"] is False and len(rep["failures"]) == 5
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "analyze", "cyclic:2@3", "--output", str(target))

@@ -15,7 +15,7 @@ from hsplab.coset import (
     rank_subdegrees,
     subdegree_form_spot_check,
 )
-from hsplab.errors import LimitExceeded, PreconditionError
+from hsplab.errors import InvariantError, LimitExceeded, PreconditionError
 from hsplab.perm import PermGroup, Permutation, class_profile, parse_cycles
 from hsplab.qfs import dh_exact
 
@@ -116,7 +116,7 @@ def test_rank_report_kept_on_the_action_after_the_frobenius_check(monkeypatch):
 
     monkeypatch.setattr(coset, "_image_group_fix_sum", off_by_one)
     for _ in range(2):  # a failed check keeps nothing, so it raises again
-        with pytest.raises(AssertionError, match="Frobenius identity violated"):
+        with pytest.raises(InvariantError, match="Frobenius identity violated"):
             rank_subdegrees(ca)
     monkeypatch.undo()
 

@@ -1,11 +1,16 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsplab.errors import LimitExceeded, ParseError, PreconditionError
+from hsplab.lab import resolve_catalog
 from hsplab.perm import (
     ClassProfile,
     PermGroup,
@@ -20,6 +25,7 @@ from hsplab.perm import (
     parse_cycles,
     parse_group_file,
     sn_class_size,
+    _schreier_sims,
 )
 
 
@@ -172,6 +178,84 @@ def test_point_stabilizer():
     assert stab.order == 6
     assert all(g(4) == 4 for g in stab.generators)
     assert stab.is_subgroup_of(S4)
+
+
+def test_long_cycle_chain_has_one_level():
+    n = 2000
+    G = PermGroup([Permutation(np.roll(np.arange(n, dtype=np.int32), -1))], n)
+    assert G.order == n
+    assert G.chain.num_levels == 1
+
+
+# ---------------------------------------------------------------------------
+# strong generating sets
+# ---------------------------------------------------------------------------
+
+
+def _random_generators(rng: random.Random, degree: int) -> list:
+    """One to four cycles or random permutations; sometimes a duplicate of
+    the first and sometimes the identity."""
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.4:
+            img = list(range(degree))
+            pts = rng.sample(range(degree), rng.randint(1, degree))
+            for a, b in zip(pts, pts[1:] + pts[:1]):
+                img[a] = b
+        else:
+            img = rng.sample(range(degree), degree)
+        gens.append(np.array(img, dtype=np.int32))
+    if rng.random() < 0.2:
+        gens.append(gens[0].copy())
+    if rng.random() < 0.1:
+        gens.insert(rng.randrange(len(gens) + 1), np.arange(degree, dtype=np.int32))
+    return gens
+
+
+def test_schreier_sims_matches_sympy_strong_generators():
+    # sympy's schreier_sims_incremental is the oracle: the same strong
+    # generators in the same order give the same chain, and so the same
+    # element order, class representatives and random draws.
+    sympy_comb = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(2000)
+    gen_sets = [_random_generators(rng, rng.randint(1, 12)) for _ in range(300)]
+    gen_sets += [
+        [g.array for g in resolve_catalog(spec).group.generators]
+        for spec in ("symmetric:21", "block:7x3", "young:15+2", "alternating:9", "gl32", "gl32-plane")
+    ]
+    for gens in gen_sets:
+        degree = gens[0].shape[0]
+        p0 = rng.randrange(degree)
+        moved = [g for g in gens if not np.array_equal(g, np.arange(degree))]
+        for base in (list(range(degree)), [p0] + [x for x in range(degree) if x != p0]):
+            expected = []
+            if moved:
+                oracle = sympy_comb.PermutationGroup([sympy_comb.Permutation(g.tolist()) for g in moved])
+                expected = [g.array_form for g in oracle.schreier_sims_incremental(base=base)[1]]
+            got = [g.tolist() for g in _schreier_sims(gens, base)]
+            assert got == expected, (degree, [g.tolist() for g in gens], base)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "block:4x2"],
+        ["coset", "gl32", "gl32-point"],
+        ["check", "--suite", "frobenius", "--actions", "4", "--seed", "1"],
+    ],
+)
+def test_cli_runs_without_sympy(argv):
+    # the child inherits this environment, so it finds hsplab the same way
+    code = (
+        "import sys\n"
+        "sys.modules['sympy'] = None\n"
+        "from hsplab.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ}, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsplab.characters import class_sums, dimension, mn_character, partitions
-from hsplab.errors import PreconditionError
+from hsplab.errors import InvariantError, PreconditionError
 from hsplab.perm import ClassProfile, PermGroup, class_profile, sn_class_size
 from hsplab.qfs import (
     cmin_bounds,
@@ -65,7 +65,7 @@ def test_distribution_normalization_and_integrality(s4_subgroups):
 
 def test_negative_mass_detected():
     bogus = ClassProfile(3, {(1, 1, 1): 1, (2, 1): 5})
-    with pytest.raises(ValueError, match="negative mass"):
+    with pytest.raises(InvariantError, match="negative mass"):
         weak_distribution(3, bogus)
 
 
@@ -167,7 +167,7 @@ def test_unit_mass_check_runs_under_python_O():
     )
     assert proc.stdout.strip() == "False", proc.stderr
     assert proc.returncode != 0
-    assert "ValueError" in proc.stderr and "total mass 2" in proc.stderr
+    assert "InvariantError" in proc.stderr and "total mass 2" in proc.stderr
 
 
 # ---------------------------------------------------------------------------
