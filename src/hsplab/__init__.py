@@ -6,68 +6,102 @@ All probabilities and distances are exact rationals; class-size square-root
 bounds are carried symbolically and compared by certified interval
 arithmetic.  Hot enumeration loops run on numpy kernels over a packed
 stabilizer chain.
+
+The names below are resolved on first access (PEP 562), so ``import hsplab``
+loads no submodule, and numpy is imported only once a group is built.
 """
 
-from .coset import (
-    CosetAction,
-    GassmannReport,
-    avg_subdegree_verdict,
-    coset_action,
-    fix_in_X,
-    fixpoint_bounds,
-    gassmann_test,
-    permutation_character,
-    rank_subdegrees,
-)
-from .errors import HspError, InvariantError, LimitExceeded, ParseError, PreconditionError
-from .lab import (
-    block_group_profile,
-    babai_check,
-    class_sandwich_check,
-    club_check,
-    liebeck_report,
-    product_profile,
-    resolve_catalog,
-    support_census,
-    symmetric_profile,
-    young_profile,
-)
-from .characters import (
-    class_sums,
-    dimension,
-    mn_character,
-    orthogonality_check,
-    partitions,
-)
-from .perm import (
-    ClassProfile,
-    PermGroup,
-    Permutation,
-    class_profile,
-    element_class_map,
-    is_primitive,
-    is_transitive,
-    load_group_file,
-    minimal_blocks,
-    minimal_degree,
-    orbits,
-    parse_cycles,
-    parse_group_file,
-    sn_class_size,
-)
-from .qfs import (
-    BoundsReport,
-    IrrepDistribution,
-    cmin_bounds,
-    d_between,
-    dh_exact,
-    plancherel,
-    poly_subgroup_verdict,
-    prop_upper,
-    thm1_bounds,
-    verdict,
-    weak_distribution,
-)
-from .radical import SqrtSum
+import importlib
 
 __version__ = "0.1.0"
+
+# exported name -> home module
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "CosetAction",
+            "GassmannReport",
+            "avg_subdegree_verdict",
+            "coset_action",
+            "fix_in_X",
+            "fixpoint_bounds",
+            "gassmann_test",
+            "permutation_character",
+            "rank_subdegrees",
+        ),
+        "coset",
+    ),
+    **dict.fromkeys(
+        ("HspError", "InvariantError", "LimitExceeded", "ParseError", "PreconditionError"),
+        "errors",
+    ),
+    **dict.fromkeys(
+        (
+            "block_group_profile",
+            "babai_check",
+            "class_sandwich_check",
+            "club_check",
+            "liebeck_report",
+            "product_profile",
+            "resolve_catalog",
+            "support_census",
+            "symmetric_profile",
+            "young_profile",
+        ),
+        "lab",
+    ),
+    **dict.fromkeys(
+        ("class_sums", "dimension", "mn_character", "orthogonality_check", "partitions"),
+        "characters",
+    ),
+    **dict.fromkeys(("ClassProfile", "sn_class_size"), "profile"),
+    **dict.fromkeys(
+        (
+            "PermGroup",
+            "Permutation",
+            "class_profile",
+            "element_class_map",
+            "is_primitive",
+            "is_transitive",
+            "load_group_file",
+            "minimal_blocks",
+            "minimal_degree",
+            "orbits",
+            "parse_cycles",
+            "parse_group_file",
+        ),
+        "perm",
+    ),
+    **dict.fromkeys(
+        (
+            "BoundsReport",
+            "IrrepDistribution",
+            "cmin_bounds",
+            "d_between",
+            "dh_exact",
+            "plancherel",
+            "poly_subgroup_verdict",
+            "prop_upper",
+            "thm1_bounds",
+            "verdict",
+            "weak_distribution",
+        ),
+        "qfs",
+    ),
+    "SqrtSum": "radical",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    home = _EXPORTS.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .errors import LimitExceeded, PreconditionError
-from .perm import sn_class_size
+from .profile import sn_class_size
 
 Partition = tuple
 

@@ -23,15 +23,17 @@ import random
 import sys
 import time
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import coset as coset_mod
 from . import lab, qfs
-from .coset import INDEX_LIMIT
 from .errors import HspError, InvariantError, LimitExceeded, ParseError, PreconditionError
 from .lab import DEGREE_LIMIT
-from .perm import ENUMERATION_LIMIT, ClassProfile, PermGroup, class_profile, load_group_file
+from .profile import ENUMERATION_LIMIT, INDEX_LIMIT, ClassProfile
 from .qfs import DECIMAL_DIGITS
 from .radical import _round_sig
+
+if TYPE_CHECKING:
+    from .perm import PermGroup
 
 
 def _frac(x: Fraction) -> str:
@@ -43,13 +45,20 @@ def _frac_decimal(x: Fraction, digits: int = DECIMAL_DIGITS) -> str:
 
 
 class _Source:
-    """A group input: catalog name or group file."""
+    """A group input: catalog name or group file.
+
+    A group file is parsed, and its chain built, at once.  A catalog entry
+    builds its group on first use, so `degree` and `order` of a catalog
+    input cost no chain.
+    """
 
     def __init__(self, spec: str):
         self.spec = spec
         self.entry = None
         if os.path.exists(spec):
-            self.group = load_group_file(spec)
+            from .perm import load_group_file
+
+            self._group = load_group_file(spec)
             with open(spec, "rb") as fh:
                 self.digest = hashlib.sha256(fh.read()).hexdigest()
             self.kind = "file"
@@ -60,13 +69,26 @@ class _Source:
                 raise ParseError(
                     f"{spec!r} is neither an existing group file nor a catalog name"
                 ) from None
-            self.group = self.entry.group
             self.digest = hashlib.sha256(f"catalog:{spec}".encode()).hexdigest()
             self.kind = "catalog"
+
+    @property
+    def group(self) -> PermGroup:
+        return self._group if self.entry is None else self.entry.group
+
+    @property
+    def degree(self) -> int:
+        return self._group.degree if self.entry is None else self.entry.degree
+
+    @property
+    def order(self) -> int:
+        return self._group.order if self.entry is None else self.entry.order
 
     def profile(self, limit: int = ENUMERATION_LIMIT) -> ClassProfile:
         if self.entry is not None:
             return lab.profile_of(self.entry, limit)
+        from .perm import class_profile
+
         return class_profile(self.group, limit)
 
     def describe(self) -> dict:
@@ -74,8 +96,8 @@ class _Source:
             "spec": self.spec,
             "kind": self.kind,
             "digest": self.digest,
-            "degree": self.group.degree,
-            "order": str(self.group.order),
+            "degree": self.degree,
+            "order": str(self.order),
         }
 
 
@@ -96,7 +118,7 @@ def _emit(report: dict, args) -> None:
 def cmd_analyze(args) -> dict:
     t0 = time.perf_counter()
     src = _Source(args.source)
-    n = src.group.degree
+    n = src.degree
     if n > args.degree_limit:
         raise LimitExceeded(
             f"degree {n} exceeds the character-analysis limit {args.degree_limit}"
@@ -168,12 +190,15 @@ def _same_group(a: PermGroup, b: PermGroup) -> bool:
 
 
 def cmd_compare(args) -> dict:
+    from . import coset as coset_mod
+    from .perm import PermGroup
+
     t0 = time.perf_counter()
     src_a = _Source(args.a)
     src_b = _Source(args.b)
-    if src_a.group.degree != src_b.group.degree:
+    if src_a.degree != src_b.degree:
         raise PreconditionError("subgroups act on different degrees")
-    n = src_a.group.degree
+    n = src_a.degree
     if args.parent:
         parent = _Source(args.parent)
         parent_group = parent.group
@@ -219,6 +244,8 @@ def cmd_compare(args) -> dict:
 
 
 def cmd_coset(args) -> dict:
+    from . import coset as coset_mod
+
     t0 = time.perf_counter()
     parent = _Source(args.parent)
     sub = _Source(args.subgroup)
@@ -233,7 +260,7 @@ def cmd_coset(args) -> dict:
         "class_identity_holds": coset_mod.class_fixpoint_identity_holds(ca),
         "avg_subdegree": coset_mod.avg_subdegree_verdict(ca, args.c).serialize(),
     }
-    if sub.group.order >= 2:
+    if sub.order >= 2:
         b1, b2 = coset_mod.fixpoint_bounds(ca)
         report["fixpoint_bounds"] = {"bound_i": _frac(b1), "bound_ii": _frac(b2)}
     report["wall_time_s"] = round(time.perf_counter() - t0, 6)
@@ -265,15 +292,16 @@ def cmd_sweep(args) -> dict | list:
     if args.end < args.start:
         rows = []
     else:
-        specs = list(_sweep_entries(args))
-
-        def one(spec: str) -> dict:
-            entry = lab.resolve_catalog(spec)
-            n = entry.group.degree
-            if n > args.degree_limit:
+        entries = [lab.resolve_catalog(spec) for spec in _sweep_entries(args)]
+        for entry in entries:  # refuse before any row is computed
+            if entry.degree > args.degree_limit:
                 raise LimitExceeded(
-                    f"sweep row {spec}: degree {n} exceeds limit {args.degree_limit}"
+                    f"sweep row {entry.name}: degree {entry.degree} exceeds limit "
+                    f"{args.degree_limit}"
                 )
+
+        def one(entry: lab.CatalogEntry) -> dict:
+            spec, n = entry.name, entry.degree
             prof = lab.profile_of(entry, args.order_limit)
             if prof.order < 2:
                 raise PreconditionError(f"sweep row {spec}: trivial subgroup")
@@ -290,7 +318,7 @@ def cmd_sweep(args) -> dict | list:
                 "upper_decimal": bounds.upper.decimal(12),
             }
 
-        rows = [one(spec) for spec in specs]
+        rows = [one(entry) for entry in entries]
     if args.format == "csv":
         return rows
     return {
@@ -349,12 +377,17 @@ def _check_sandwich(args) -> dict:
 
 
 def _random_subgroup(rng: random.Random, G: PermGroup) -> PermGroup:
+    from .perm import PermGroup
+
     k = rng.randint(1, 3)
     gens = [G.random_element(rng) for _ in range(k)]
     return PermGroup(gens, G.degree)
 
 
 def _check_frobenius(args) -> dict:
+    from . import coset as coset_mod
+    from .perm import PermGroup
+
     rng = random.Random(args.seed)
     parents = [PermGroup.symmetric(n) for n in (5, 6, 7, 8)] + [lab.gl32_group(), lab.agl15_group()]
     actions = 0

@@ -19,18 +19,9 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvariantError, LimitExceeded, PreconditionError
-from .perm import (
-    PermGroup,
-    Permutation,
-    class_profile,
-    element_class_map,
-    inv_array,
-    sn_class_size,
-)
+from .perm import PermGroup, Permutation, class_profile, element_class_map, inv_array
+from .profile import INDEX_LIMIT, sn_class_size
 from .qfs import d_between, distinguishability_threshold
-
-#: Default bound on |G:H| for coset tables.
-INDEX_LIMIT = 10**5
 
 
 @dataclass

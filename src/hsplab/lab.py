@@ -13,23 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-
-import numpy as np
+from functools import cache, cached_property, partial
+from typing import TYPE_CHECKING, Callable
 
 from .errors import LimitExceeded, ParseError, PreconditionError
-from .perm import (
-    ENUMERATION_LIMIT,
-    ClassProfile,
-    PermGroup,
-    Permutation,
-    class_profile,
-    is_primitive,
-    is_transitive,
-    minimal_degree,
-    parse_cycles,
-    sn_class_size,
-)
+from .profile import ENUMERATION_LIMIT, ClassProfile, sn_class_size
+
+if TYPE_CHECKING:
+    from .perm import PermGroup, Permutation
 
 #: Degree cap for partition scans (class-size sandwich, Liebeck report) and
 #: the CLI's default character-analysis limit.
@@ -299,6 +290,8 @@ def babai_check(G: PermGroup, limit: int = ENUMERATION_LIMIT) -> BabaiReport:
     bound is not claimed for them.  The satisfaction flag is exact:
     m >= (sqrt(n)-1)/2 iff (2m+1)^2 >= n.
     """
+    from .perm import is_primitive, is_transitive, minimal_degree
+
     if not is_transitive(G):
         raise PreconditionError("the minimal-degree bound concerns transitive groups")
     n = G.degree
@@ -353,6 +346,10 @@ def block_group_gens(m: int, r: int) -> list:
     cyclic shift of all m blocks (blocks are consecutive runs of r points)."""
     if m < 2 or r < 1:
         raise PreconditionError("need m >= 2 blocks of size r >= 1")
+    import numpy as np
+
+    from .perm import Permutation
+
     n = m * r
     swap = np.arange(n, dtype=np.int32)
     swap[0:r], swap[r : 2 * r] = np.arange(r, 2 * r), np.arange(0, r)
@@ -396,6 +393,8 @@ def young_profile(parts) -> ClassProfile:
 
 def young_gens(parts) -> list:
     """Generators of the Young subgroup on consecutive blocks."""
+    from .perm import parse_cycles
+
     parts = list(parts)
     n = sum(parts)
     gens = []
@@ -421,6 +420,10 @@ def _gl32_perm(mat) -> Permutation:
     Vector v in {1..7} has bits (v&1, v>>1&1, v>>2&1); matrices act on column
     vectors mod 2.
     """
+    import numpy as np
+
+    from .perm import Permutation
+
     arr = np.empty(7, dtype=np.int32)
     for v in range(1, 8):
         x = (v & 1, (v >> 1) & 1, (v >> 2) & 1)
@@ -435,6 +438,8 @@ def _gl32_perm(mat) -> Permutation:
 @cache
 def gl32_group() -> PermGroup:
     """GL(3,2) of order 168 acting on the 7 points of the Fano plane."""
+    from .perm import PermGroup
+
     transvection = _gl32_perm(((1, 1, 0), (0, 1, 0), (0, 0, 1)))
     rotation = _gl32_perm(((0, 0, 1), (1, 0, 0), (0, 1, 0)))
     return PermGroup([transvection, rotation], degree=7)
@@ -449,6 +454,8 @@ def gl32_point_stabilizer() -> PermGroup:
 @cache
 def gl32_plane_stabilizer() -> PermGroup:
     """Setwise stabilizer of the plane {1, 2, 3} (the span of 001 and 010)."""
+    from .perm import PermGroup, Permutation
+
     G = gl32_group()
     plane = {0, 1, 2}
     members = [
@@ -461,15 +468,44 @@ def gl32_plane_stabilizer() -> PermGroup:
 
 def agl15_group() -> PermGroup:
     """AGL(1,5): x -> ax+b on F_5, order 20, primitive on 5 points."""
+    from .perm import PermGroup
+
     return PermGroup.from_cycles(["(1 2 3 4 5)", "(2 3 5 4)"], 5)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CatalogEntry:
+    """A resolved catalog name.
+
+    `degree` is read off the name.  `order`, `group` (generators and their
+    stabilizer chain), `profile` (the analytic census, None when the entry
+    has none) and `parent` (the implied parent for comparisons, or None) are
+    built on first use, so a job that reads only the census never builds a
+    chain or imports numpy, and a degree check runs before any of them.
+    """
+
     name: str
-    group: PermGroup
-    profile: ClassProfile | None  # analytic census, when one is available
-    parent: PermGroup | None  # implied parent for comparisons
+    degree: int
+    build_order: Callable[[], int]
+    build_group: Callable[[], PermGroup]
+    build_profile: Callable[[], ClassProfile] | None = None
+    build_parent: Callable[[], PermGroup] | None = None
+
+    @cached_property
+    def order(self) -> int:
+        return self.build_order()
+
+    @cached_property
+    def group(self) -> PermGroup:
+        return self.build_group()
+
+    @cached_property
+    def profile(self) -> ClassProfile | None:
+        return None if self.build_profile is None else self.build_profile()
+
+    @cached_property
+    def parent(self) -> PermGroup | None:
+        return None if self.build_parent is None else self.build_parent()
 
 
 #: Analytic catalog profiles are only materialized up to this degree; the
@@ -478,10 +514,46 @@ class CatalogEntry:
 PROFILE_DEGREE_CAP = 48
 
 
+def _capped(degree: int, build: Callable[[], ClassProfile]) -> Callable[[], ClassProfile] | None:
+    return build if degree <= PROFILE_DEGREE_CAP else None
+
+
+def _symmetric_group(n: int) -> PermGroup:
+    from .perm import PermGroup
+
+    return PermGroup.symmetric(n)
+
+
+def _alternating_group(n: int) -> PermGroup:
+    from .perm import PermGroup
+
+    return PermGroup.alternating(n)
+
+
+def _cyclic_group(k: int, n: int) -> PermGroup:
+    from .perm import PermGroup
+
+    if k < 2:
+        return PermGroup([], degree=n)
+    return PermGroup.from_cycles(["(" + " ".join(str(i) for i in range(1, k + 1)) + ")"], n)
+
+
+def _young_group(parts: list) -> PermGroup:
+    from .perm import PermGroup
+
+    return PermGroup(young_gens(parts), sum(parts))
+
+
+def _block_group(m: int, r: int) -> PermGroup:
+    from .perm import PermGroup
+
+    return PermGroup(block_group_gens(m, r), m * r)
+
+
 def resolve_catalog(name: str) -> CatalogEntry:
-    """Resolve a catalog name to generators and, where available, an analytic
-    profile.  Grammar: cyclic:k@n, young:a+b+..., block:mxr, alternating:n,
-    symmetric:n, agl15, gl32, gl32-point, gl32-plane."""
+    """Resolve a catalog name to a lazily built group and, where available,
+    an analytic profile.  Grammar: cyclic:k@n, young:a+b+..., block:mxr,
+    alternating:n, symmetric:n, agl15, gl32, gl32-point, gl32-plane."""
     import re
 
     m = re.fullmatch(r"cyclic:(\d+)@(\d+)", name)
@@ -489,45 +561,63 @@ def resolve_catalog(name: str) -> CatalogEntry:
         k, n = int(m.group(1)), int(m.group(2))
         if n < 1 or k > n:
             raise ParseError(f"cyclic:{k}@{n}: need 1 <= k <= n")
-        if k < 2:
-            return CatalogEntry(name, PermGroup([], degree=n), None, None)
-        cyc = "(" + " ".join(str(i) for i in range(1, k + 1)) + ")"
-        return CatalogEntry(name, PermGroup.from_cycles([cyc], n), None, None)
+        return CatalogEntry(name, n, lambda: max(k, 1), partial(_cyclic_group, k, n))
     m = re.fullmatch(r"young:(\d+(?:\+\d+)*)", name)
     if m:
         parts = [int(x) for x in m.group(1).split("+")]
         if any(p < 1 for p in parts):
             raise ParseError(f"{name}: parts must be positive")
-        prof = young_profile(parts) if sum(parts) <= PROFILE_DEGREE_CAP else None
-        return CatalogEntry(name, PermGroup(young_gens(parts), sum(parts)), prof, None)
+        n = sum(parts)
+        return CatalogEntry(
+            name,
+            n,
+            lambda: math.prod(math.factorial(p) for p in parts),
+            partial(_young_group, parts),
+            _capped(n, partial(young_profile, parts)),
+        )
     m = re.fullmatch(r"block:(\d+)x(\d+)", name)
     if m:
         mm, r = int(m.group(1)), int(m.group(2))
         if mm < 2 or r < 1:
             raise ParseError(f"{name}: need m >= 2 and r >= 1")
-        prof = block_group_profile(mm, r) if mm * r <= PROFILE_DEGREE_CAP else None
-        return CatalogEntry(name, PermGroup(block_group_gens(mm, r), mm * r), prof, None)
+        return CatalogEntry(
+            name,
+            mm * r,
+            partial(math.factorial, mm),
+            partial(_block_group, mm, r),
+            _capped(mm * r, partial(block_group_profile, mm, r)),
+        )
     m = re.fullmatch(r"alternating:(\d+)", name)
     if m:
         n = int(m.group(1))
         if n < 1:
             raise ParseError(f"{name}: degree must be positive")
-        return CatalogEntry(name, PermGroup.alternating(n), None, None)
+        return CatalogEntry(
+            name,
+            n,
+            lambda: math.factorial(n) // 2 if n >= 3 else 1,
+            partial(_alternating_group, n),
+        )
     m = re.fullmatch(r"symmetric:(\d+)", name)
     if m:
         n = int(m.group(1))
         if n < 1:
             raise ParseError(f"{name}: degree must be positive")
-        prof = symmetric_profile(n) if n <= PROFILE_DEGREE_CAP else None
-        return CatalogEntry(name, PermGroup.symmetric(n), prof, None)
+        return CatalogEntry(
+            name,
+            n,
+            partial(math.factorial, n),
+            partial(_symmetric_group, n),
+            _capped(n, partial(symmetric_profile, n)),
+        )
     if name == "agl15":
-        return CatalogEntry(name, agl15_group(), None, None)
+        return CatalogEntry(name, 5, lambda: 20, agl15_group)
     if name == "gl32":
-        return CatalogEntry(name, gl32_group(), None, None)
+        return CatalogEntry(name, 7, lambda: 168, gl32_group)
     if name == "gl32-point":
-        return CatalogEntry(name, gl32_point_stabilizer(), None, gl32_group())
+        return CatalogEntry(name, 7, lambda: 24, gl32_point_stabilizer, build_parent=gl32_group)
     if name == "gl32-plane":
-        return CatalogEntry(name, gl32_plane_stabilizer(), None, gl32_group())
+        return CatalogEntry(name, 7, lambda: 24, gl32_plane_stabilizer, build_parent=gl32_group)
     raise ParseError(f"unknown catalog name: {name!r}")
 
 
@@ -535,4 +625,6 @@ def profile_of(entry: CatalogEntry, limit: int = ENUMERATION_LIMIT) -> ClassProf
     """Analytic profile when available, else an enumeration census."""
     if entry.profile is not None:
         return entry.profile
+    from .perm import class_profile
+
     return class_profile(entry.group, limit)

@@ -11,12 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .characters import Partition, class_sums, dimension, partitions
 from .errors import InvariantError, PreconditionError
-from .perm import ClassProfile, PermGroup, Permutation, element_class_map, sn_class_size
+from .profile import ClassProfile, sn_class_size
 from .radical import SqrtSum
+
+if TYPE_CHECKING:
+    from .perm import PermGroup, Permutation
 
 DECIMAL_DIGITS = 40
 
@@ -288,6 +291,8 @@ def poly_subgroup_verdict(
     Inapplicability (trivial H, or |H| above the polylog size bound) is a
     verdict, not an error.
     """
+    from .perm import Permutation, element_class_map
+
     if not H.is_subgroup_of(G):
         raise PreconditionError("H is not a subgroup of G")
     base_kwargs = dict(

@@ -17,7 +17,7 @@ from hsplab.characters import (
 )
 from hsplab.errors import PreconditionError
 from hsplab.lab import block_group_profile, symmetric_profile, young_profile
-from hsplab.perm import sn_class_size
+from hsplab.profile import sn_class_size
 
 
 @cache

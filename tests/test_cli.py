@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -121,6 +122,41 @@ def test_analyze_trivial_rejected(capsys):
 def test_analyze_degree_limit(capsys):
     code, _, err = run_cli(capsys, "analyze", "symmetric:41")
     assert code == 3 and "degree" in err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("symmetric:48", "degree 48 exceeds the character-analysis limit 40"),
+        ("young:40+8", "degree 48 exceeds the character-analysis limit 40"),
+        ("block:30x2", "degree 60 exceeds the character-analysis limit 40"),
+    ],
+)
+def test_analyze_refuses_over_limit_catalog_input_before_building(
+    spec, message, capsys, monkeypatch
+):
+    # the degree comes from the name: neither the census nor a chain is built
+    def unbuildable(*args, **kwargs):
+        raise AssertionError("built a profile or a group of a refused input")
+
+    monkeypatch.setattr(lab, "symmetric_profile", unbuildable)
+    monkeypatch.setattr(lab, "block_group_profile", unbuildable)
+    monkeypatch.setattr(perm.PermGroup, "__init__", unbuildable)
+    code, out, err = run_cli(capsys, "analyze", spec)
+    assert code == 3 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_sweep_refuses_before_computing_any_row(capsys, monkeypatch):
+    def unbuildable(*args, **kwargs):
+        raise AssertionError("computed a row of a refused sweep")
+
+    monkeypatch.setattr(qfs, "class_sums", unbuildable)
+    monkeypatch.setattr(lab, "symmetric_profile", unbuildable)
+    monkeypatch.setattr(perm.PermGroup, "__init__", unbuildable)
+    code, out, err = run_cli(capsys, "sweep", "--family", "young", "--start", "38", "--end", "44")
+    assert code == 3 and out == ""
+    assert err == "error: sweep row young:39+2: degree 41 exceeds limit 40\n"
 
 
 def test_unknown_source(capsys):
@@ -268,3 +304,44 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dh"] == "1/3"
+
+
+# The analytic path (catalog profiles through the character engine) imports
+# no numpy: each child runs with numpy blocked and must print the report of an
+# unrestricted run.  The child inherits this environment, so it finds hsplab
+# the same way this process did.
+_NUMPY_BLOCKED = "import sys\nsys.modules['numpy'] = None\n"
+
+
+def _child(prelude: str, argv: list) -> subprocess.CompletedProcess:
+    code = f"{prelude}import sys\nfrom hsplab.cli import main\nsys.exit(main({argv!r}))\n"
+    return subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ}, capture_output=True, text=True
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "block:4x2"],
+        ["analyze", "young:5+3"],
+        ["sweep", "--family", "block", "--r", "2", "--start", "2", "--end", "5"],
+        ["check", "--suite", "sandwich", "--max-n", "8"],
+        ["check", "--suite", "orthogonality", "--max-n", "6"],
+    ],
+)
+def test_analytic_cli_runs_without_numpy(argv):
+    blocked = _child(_NUMPY_BLOCKED, argv)
+    assert blocked.returncode == 0, blocked.stderr
+    free = _child("", argv)
+    assert free.returncode == 0, free.stderr
+    assert strip_wall_time(blocked.stdout) == strip_wall_time(free.stdout)
+
+
+def test_importing_the_package_and_cli_loads_no_numpy():
+    code = "import sys\nimport hsplab, hsplab.cli\nprint('numpy' in sys.modules)\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ}, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -125,7 +125,7 @@ def test_liebeck_full_scan_oracle():
     import math as _math
 
     from hsplab.characters import partitions
-    from hsplab.perm import sn_class_size
+    from hsplab.profile import sn_class_size
 
     n, a = 5, 0.2
     rep = liebeck_report(n, a)
@@ -288,6 +288,39 @@ def test_catalog_names():
     assert resolve_catalog("young:3+2").group.order == 12
     entry = resolve_catalog("gl32-point")
     assert entry.parent is not None and entry.parent.order == 168
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"cyclic:{k}@{n}" for k, n in ((1, 1), (1, 4), (2, 2), (3, 7), (9, 9))]
+    + ["young:1", "young:3+2", "young:2+2+1+1", "young:5+1+3"]
+    + ["block:2x1", "block:3x2", "block:4x3", "block:5x2"]
+    + [f"symmetric:{n}" for n in (1, 2, 3, 6, 9)]
+    + [f"alternating:{n}" for n in (1, 2, 3, 4, 7, 9)]
+    + ["agl15", "gl32", "gl32-point", "gl32-plane"],
+)
+def test_catalog_degree_and_order_match_the_chain(name):
+    # closed forms read off the name against the Schreier-Sims chain
+    entry = resolve_catalog(name)
+    assert entry.degree == entry.group.degree
+    assert entry.order == entry.group.order
+    if entry.profile is not None:
+        assert entry.profile.degree == entry.degree
+        assert entry.profile.order == entry.order
+
+
+def test_package_exports_resolve_to_their_home_modules():
+    import importlib
+
+    import hsplab
+
+    assert len(hsplab.__all__) == len(set(hsplab.__all__)) == 55
+    for name in hsplab.__all__:
+        home = importlib.import_module(f"hsplab.{hsplab._EXPORTS[name]}")
+        assert getattr(hsplab, name) is getattr(home, name), name
+        assert getattr(home, name).__module__ == home.__name__, name
+    with pytest.raises(AttributeError):
+        hsplab.no_such_name
 
 
 def test_catalog_profiles_match_groups():

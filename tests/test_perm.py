@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from hsplab.errors import LimitExceeded, ParseError, PreconditionError
 from hsplab.lab import resolve_catalog
 from hsplab.perm import (
-    ClassProfile,
     PermGroup,
     Permutation,
     class_profile,
@@ -24,9 +23,9 @@ from hsplab.perm import (
     orbits,
     parse_cycles,
     parse_group_file,
-    sn_class_size,
     _schreier_sims,
 )
+from hsplab.profile import ClassProfile, sn_class_size
 
 
 def brute_force_elements(gens, degree):

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from hsplab.characters import class_sums, dimension, mn_character, partitions
 from hsplab.errors import InvariantError, PreconditionError
-from hsplab.perm import ClassProfile, PermGroup, class_profile, sn_class_size
+from hsplab.perm import PermGroup, class_profile
+from hsplab.profile import ClassProfile, sn_class_size
 from hsplab.qfs import (
     cmin_bounds,
     d_between,
