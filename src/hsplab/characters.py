@@ -15,8 +15,8 @@ orthogonality check reads the full character table through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, lru_cache
+from typing import NamedTuple
 
 from .errors import LimitExceeded, PreconditionError
 from .profile import sn_class_size
@@ -235,8 +235,7 @@ def class_sums(n: int, counts) -> dict:
     return dict(zip(partitions(n), _class_sum_vector(n, items)))
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
+class OrthogonalityReport(NamedTuple):
     n: int
     num_irreps: int
     passed: bool

@@ -28,12 +28,15 @@ from typing import TYPE_CHECKING
 from . import lab, qfs
 from .errors import HspError, InvariantError, LimitExceeded, ParseError, PreconditionError
 from .lab import DEGREE_LIMIT
-from .profile import ENUMERATION_LIMIT, INDEX_LIMIT, ClassProfile
+from .profile import ENUMERATION_LIMIT, INDEX_LIMIT, ClassProfile, check_index
 from .qfs import DECIMAL_DIGITS
 from .radical import _round_sig
 
 if TYPE_CHECKING:
     from .perm import PermGroup
+
+# hsplab calls no BLAS routine, so numpy need not start an OpenBLAS worker pool.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 def _frac(x: Fraction) -> str:
@@ -181,17 +184,8 @@ def cmd_analyze(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _same_group(a: PermGroup, b: PermGroup) -> bool:
-    return (
-        a.degree == b.degree
-        and a.order == b.order
-        and all(g in b for g in a.generators)
-    )
-
-
 def cmd_compare(args) -> dict:
     from . import coset as coset_mod
-    from .perm import PermGroup
 
     t0 = time.perf_counter()
     src_a = _Source(args.a)
@@ -201,19 +195,21 @@ def cmd_compare(args) -> dict:
     n = src_a.degree
     if args.parent:
         parent = _Source(args.parent)
-        parent_group = parent.group
         parent_desc = parent.describe()
     else:
         implied_a = src_a.entry.parent if src_a.entry else None
         implied_b = src_b.entry.parent if src_b.entry else None
-        if implied_a is not None and implied_b is not None and _same_group(implied_a, implied_b):
-            parent_group = implied_a
-            parent_desc = {"spec": "(implied by catalog)", "degree": n, "order": str(parent_group.order)}
+        if implied_a is not None and implied_b is not None and implied_a.name == implied_b.name:
+            parent, spec = implied_a, "(implied by catalog)"
         else:
-            parent_group = PermGroup.symmetric(n)
-            parent_desc = {"spec": f"symmetric:{n}", "degree": n, "order": str(parent_group.order)}
+            parent, spec = lab.resolve_catalog(f"symmetric:{n}"), f"symmetric:{n}"
+        parent_desc = {"spec": spec, "degree": n, "order": str(parent.order)}
+    # refuse before any chain is built; a mismatch, or an order that does not
+    # divide |G|, is left to gassmann_test to report
+    if parent.degree == n and all(parent.order % s.order == 0 for s in (src_a, src_b)):
+        coset_mod.check_gassmann_bounds(n, parent.order, src_a.order, src_b.order, args.index_limit)
     report_g = coset_mod.gassmann_test(
-        parent_group,
+        parent.group,
         src_a.group,
         src_b.group,
         conjugacy_limit=args.order_limit,
@@ -249,6 +245,10 @@ def cmd_coset(args) -> dict:
     t0 = time.perf_counter()
     parent = _Source(args.parent)
     sub = _Source(args.subgroup)
+    # refuse before any chain is built; a mismatch, or an order that does not
+    # divide |G|, is left to coset_action to report
+    if parent.degree == sub.degree and parent.order % sub.order == 0:
+        check_index(parent.order // sub.order, args.index_limit)
     ca = coset_mod.coset_action(parent.group, sub.group, args.index_limit)
     rr = coset_mod.rank_subdegrees(ca)
     report = {

@@ -12,29 +12,27 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
 from .errors import InvariantError, LimitExceeded, PreconditionError
 from .perm import PermGroup, Permutation, class_profile, element_class_map, inv_array
-from .profile import INDEX_LIMIT, sn_class_size
+from .profile import INDEX_LIMIT, check_enumeration, check_index, sn_class_size
 from .qfs import d_between, distinguishability_threshold
 
 
-@dataclass
 class CosetAction:
     """The permutation action of G on X = G/H by right multiplication."""
 
-    group: PermGroup
-    subgroup: PermGroup
-    index: int
-    reps: np.ndarray  # (index, degree) canonical representatives, BFS order
-
-    def __post_init__(self):
-        self._lookup = {self.reps[i].tobytes(): i for i in range(self.index)}
+    def __init__(self, group: PermGroup, subgroup: PermGroup, index: int, reps: np.ndarray):
+        self.group = group
+        self.subgroup = subgroup
+        self.index = index
+        self.reps = reps  # (index, degree) canonical representatives, BFS order
+        self._lookup = {reps[i].tobytes(): i for i in range(index)}
         self._rank_report = None  # built on first use by rank_subdegrees
 
     def coset_of(self, x: Permutation) -> int:
@@ -69,8 +67,7 @@ def coset_action(G: PermGroup, H: PermGroup, limit: int = INDEX_LIMIT) -> CosetA
     if not H.is_subgroup_of(G):
         raise PreconditionError("H is not a subgroup of G")
     index = G.order // H.order
-    if index > limit:
-        raise LimitExceeded(f"index {index} exceeds the coset table bound {limit}")
+    check_index(index, limit)
     chain = H.chain
     n = G.degree
     start = np.arange(n, dtype=np.int32)
@@ -113,8 +110,7 @@ def _sn_type_rep(t: tuple, n: int) -> Permutation:
     return Permutation(arr)
 
 
-@dataclass(frozen=True)
-class PermutationCharacter:
+class PermutationCharacter(NamedTuple):
     """fix_X on one representative per conjugacy class of G."""
 
     index: int
@@ -171,8 +167,7 @@ def class_fixpoint_identity_holds(ca: CosetAction) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     rank: int
     subdegrees: tuple
     total_fix: int  # sum of fix_X(h) over all h in H, identity included
@@ -303,8 +298,7 @@ def fixpoint_bounds(ca: CosetAction) -> tuple:
     return bound_i, bound_ii
 
 
-@dataclass(frozen=True)
-class AvgSubdegreeVerdict:
+class AvgSubdegreeVerdict(NamedTuple):
     average_subdegree: Fraction
     rank: int
     index: int
@@ -370,8 +364,7 @@ def avg_subdegree_verdict(ca: CosetAction, c: float) -> AvgSubdegreeVerdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GassmannReport:
+class GassmannReport(NamedTuple):
     """Verdicts for the three equivalent conditions plus conjugacy.
 
     class_counts_equal (ii), perm_chars_equal (iii) and distance (i, when the
@@ -448,6 +441,21 @@ def _conjugacy_search(G: PermGroup, H: PermGroup, K: PermGroup, limit: int):
     return False, None
 
 
+def check_gassmann_bounds(
+    degree: int, order_g: int, order_h: int, order_k: int, index_limit: int = INDEX_LIMIT
+) -> None:
+    """Refuse, from the orders alone, a Gassmann test whose class censuses or
+    coset tables are over their bounds, in the order gassmann_test meets them.
+    """
+    if order_g == math.factorial(degree):  # _class_counts takes censuses of H and K
+        for order in (order_h, order_k):
+            check_enumeration(order, census=True)
+    else:  # _class_counts maps the classes of G
+        check_enumeration(order_g)
+    for order in (order_h, order_k):
+        check_index(order_g // order, index_limit)
+
+
 def gassmann_test(
     G: PermGroup,
     H: PermGroup,
@@ -466,6 +474,7 @@ def gassmann_test(
     for sub in (H, K):
         if not sub.is_subgroup_of(G):
             raise PreconditionError("H and K must be subgroups of G")
+    check_gassmann_bounds(G.degree, G.order, H.order, K.order, index_limit)
     counts_h = _class_counts(G, H)
     counts_k = _class_counts(G, K)
     mismatch = None

@@ -11,13 +11,12 @@ columns are for reading, not for verdicts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import LimitExceeded, ParseError, PreconditionError
-from .profile import ENUMERATION_LIMIT, ClassProfile, sn_class_size
+from .profile import ENUMERATION_LIMIT, ClassProfile, check_enumeration, sn_class_size
 
 if TYPE_CHECKING:
     from .perm import PermGroup, Permutation
@@ -35,8 +34,7 @@ SUPPORT_EXPONENT = Fraction(1, 7)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SupportCensus:
+class SupportCensus(NamedTuple):
     """counts[k] = number of subgroup elements of support exactly k."""
 
     degree: int
@@ -63,8 +61,7 @@ def support_census(prof: ClassProfile) -> SupportCensus:
     return SupportCensus(prof.degree, counts)
 
 
-@dataclass(frozen=True)
-class ClubRow:
+class ClubRow(NamedTuple):
     support: int
     count: int
     log2_count: float
@@ -72,8 +69,7 @@ class ClubRow:
     satisfied: bool
 
 
-@dataclass(frozen=True)
-class ClubReport:
+class ClubReport(NamedTuple):
     degree: int
     exponent: Fraction
     minimal_support: int | None
@@ -131,8 +127,7 @@ def club_check(prof: ClassProfile, exponent: Fraction = SUPPORT_EXPONENT) -> Clu
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SandwichWitness:
+class SandwichWitness(NamedTuple):
     cycle_type: tuple
     support: int
     class_size: int
@@ -140,8 +135,7 @@ class SandwichWitness:
     upper: int
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(NamedTuple):
     n: int
     num_types: int
     passed: bool
@@ -197,8 +191,7 @@ def class_sandwich_check(n: int, limit: int = DEGREE_LIMIT) -> SandwichReport:
     return SandwichReport(n, count, passed, best_lo[2], best_hi[2])
 
 
-@dataclass(frozen=True)
-class LiebeckReport:
+class LiebeckReport(NamedTuple):
     """Empirical check of |C| > n^(a*k) at a fixed n; the cited class-size
     growth is asymptotic, so failures at small n are expected and honest."""
 
@@ -253,8 +246,7 @@ def liebeck_report(n: int, a: float, limit: int = DEGREE_LIMIT) -> LiebeckReport
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BabaiReport:
+class BabaiReport(NamedTuple):
     degree: int
     order: int
     transitive: bool
@@ -473,23 +465,32 @@ def agl15_group() -> PermGroup:
     return PermGroup.from_cycles(["(1 2 3 4 5)", "(2 3 5 4)"], 5)
 
 
-@dataclass(frozen=True, eq=False)
 class CatalogEntry:
     """A resolved catalog name.
 
     `degree` is read off the name.  `order`, `group` (generators and their
     stabilizer chain), `profile` (the analytic census, None when the entry
-    has none) and `parent` (the implied parent for comparisons, or None) are
-    built on first use, so a job that reads only the census never builds a
-    chain or imports numpy, and a degree check runs before any of them.
+    has none) and `parent` (the catalog entry of the implied parent for
+    comparisons, or None) are built on first use, so a job that reads only
+    the census never builds a chain or imports numpy, and a degree or order
+    check runs before any of them.
     """
 
-    name: str
-    degree: int
-    build_order: Callable[[], int]
-    build_group: Callable[[], PermGroup]
-    build_profile: Callable[[], ClassProfile] | None = None
-    build_parent: Callable[[], PermGroup] | None = None
+    def __init__(
+        self,
+        name: str,
+        degree: int,
+        build_order: Callable[[], int],
+        build_group: Callable[[], PermGroup],
+        build_profile: Callable[[], ClassProfile] | None = None,
+        parent_name: str | None = None,
+    ):
+        self.name = name
+        self.degree = degree
+        self.build_order = build_order
+        self.build_group = build_group
+        self.build_profile = build_profile
+        self.parent_name = parent_name
 
     @cached_property
     def order(self) -> int:
@@ -504,8 +505,8 @@ class CatalogEntry:
         return None if self.build_profile is None else self.build_profile()
 
     @cached_property
-    def parent(self) -> PermGroup | None:
-        return None if self.build_parent is None else self.build_parent()
+    def parent(self) -> CatalogEntry | None:
+        return None if self.parent_name is None else resolve_catalog(self.parent_name)
 
 
 #: Analytic catalog profiles are only materialized up to this degree; the
@@ -615,9 +616,9 @@ def resolve_catalog(name: str) -> CatalogEntry:
     if name == "gl32":
         return CatalogEntry(name, 7, lambda: 168, gl32_group)
     if name == "gl32-point":
-        return CatalogEntry(name, 7, lambda: 24, gl32_point_stabilizer, build_parent=gl32_group)
+        return CatalogEntry(name, 7, lambda: 24, gl32_point_stabilizer, parent_name="gl32")
     if name == "gl32-plane":
-        return CatalogEntry(name, 7, lambda: 24, gl32_plane_stabilizer, build_parent=gl32_group)
+        return CatalogEntry(name, 7, lambda: 24, gl32_plane_stabilizer, parent_name="gl32")
     raise ParseError(f"unknown catalog name: {name!r}")
 
 
@@ -625,6 +626,7 @@ def profile_of(entry: CatalogEntry, limit: int = ENUMERATION_LIMIT) -> ClassProf
     """Analytic profile when available, else an enumeration census."""
     if entry.profile is not None:
         return entry.profile
+    check_enumeration(entry.order, limit, census=True)  # before any chain is built
     from .perm import class_profile
 
     return class_profile(entry.group, limit)

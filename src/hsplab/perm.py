@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from . import _kernels
 from .errors import InvariantError, LimitExceeded, ParseError, PreconditionError
-from .profile import ENUMERATION_LIMIT, ClassProfile, CycleType
+from .profile import ENUMERATION_LIMIT, ClassProfile, CycleType, check_enumeration
 
 
 def mult_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -205,8 +204,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PackedChain:
+class PackedChain(NamedTuple):
     """Flat-array stabilizer chain consumed by the kernels.
 
     Non-singleton levels only, base strictly increasing; level ``l`` owns
@@ -540,10 +538,7 @@ class PermGroup:
 
     def element_arrays(self, limit: int = ENUMERATION_LIMIT) -> Iterator[np.ndarray]:
         """All elements as image arrays, in deterministic chain order."""
-        if self.order > limit:
-            raise LimitExceeded(
-                f"group order {self.order} exceeds the enumeration bound {limit}"
-            )
+        check_enumeration(self.order, limit)
         yield from self._chain.elements()
 
     def elements(self, limit: int = ENUMERATION_LIMIT) -> Iterator[Permutation]:
@@ -674,11 +669,7 @@ def is_primitive(G: PermGroup) -> bool:
 
 def class_profile(H: PermGroup, limit: int = ENUMERATION_LIMIT) -> ClassProfile:
     """Exact census of H by S_n cycle type via chain enumeration."""
-    if H.order > limit:
-        raise LimitExceeded(
-            f"group order {H.order} exceeds the enumeration bound {limit}; "
-            "use an analytic profile constructor instead"
-        )
+    check_enumeration(H.order, limit, census=True)
     if H.degree > 32000:  # census rows are int16 multiplicity vectors
         raise LimitExceeded("censuses support degrees up to 32000")
     n = H.degree
@@ -715,10 +706,7 @@ def element_class_map(G: PermGroup, limit: int = ENUMERATION_LIMIT):
     once per group and kept on it; callers must not modify it.  The
     enumeration bound is checked on every call.
     """
-    if G.order > limit:
-        raise LimitExceeded(
-            f"group order {G.order} exceeds the enumeration bound {limit}"
-        )
+    check_enumeration(G.order, limit)
     if G._class_map is None:
         G._class_map = _build_class_map(G)
     return G._class_map

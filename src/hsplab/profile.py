@@ -10,10 +10,9 @@ points included as 1s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .errors import PreconditionError
+from .errors import LimitExceeded, PreconditionError
 
 #: Hard cap on element enumeration; beyond it callers must use an analytic
 #: class profile (see hsplab.lab).  Keeps worst-case memory in the tens of MB.
@@ -25,8 +24,21 @@ INDEX_LIMIT = 10**5
 CycleType = tuple  # partition of the degree, descending, 1s included
 
 
-@dataclass(frozen=True)
-class ClassProfile:
+def check_enumeration(order: int, limit: int = ENUMERATION_LIMIT, census: bool = False) -> None:
+    """Refuse to enumerate a group of `order` elements when that is over
+    `limit`; a refused census also points at the analytic constructors."""
+    if order > limit:
+        advice = "; use an analytic profile constructor instead" if census else ""
+        raise LimitExceeded(f"group order {order} exceeds the enumeration bound {limit}{advice}")
+
+
+def check_index(index: int, limit: int = INDEX_LIMIT) -> None:
+    """Refuse a coset table of `index` cosets when that is over `limit`."""
+    if index > limit:
+        raise LimitExceeded(f"index {index} exceeds the coset table bound {limit}")
+
+
+class ClassProfile(NamedTuple):
     """Exact census of a subgroup of S_n by cycle type.
 
     This is the only data the analytic machinery needs about a subgroup:

@@ -9,9 +9,8 @@ shifts the constant c).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .characters import Partition, class_sums, dimension, partitions
 from .errors import InvariantError, PreconditionError
@@ -29,8 +28,7 @@ def _check_profile(n: int, prof: ClassProfile) -> None:
         raise PreconditionError(f"profile degree {prof.degree} does not match n={n}")
 
 
-@dataclass(frozen=True)
-class IrrepDistribution:
+class IrrepDistribution(NamedTuple):
     """Exact distribution on Irr(S_n), indexed by partition."""
 
     degree: int
@@ -124,8 +122,7 @@ def d_between(n: int, prof_a: ClassProfile, prof_b: ClassProfile) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Lower/upper bracket for D_H from class intersection data.
 
     upper_sq is the exact rational square of the upper bound when one exists
@@ -189,8 +186,7 @@ def thm1_bounds(n: int, prof: ClassProfile, with_exact: bool = True) -> BoundsRe
     return _bounds_report(lower, upper, exact)
 
 
-@dataclass(frozen=True)
-class CminBounds:
+class CminBounds(NamedTuple):
     """Single-class corollary bounds, with the minimal class identified."""
 
     report: BoundsReport
@@ -248,8 +244,7 @@ def verdict(D: Fraction, group_order: int, c: float) -> bool:
     return bool(D >= distinguishability_threshold(group_order, c))
 
 
-@dataclass(frozen=True)
-class PolyVerdict:
+class PolyVerdict(NamedTuple):
     applicable: bool
     reason: str | None
     group_order: int

@@ -159,6 +159,81 @@ def test_sweep_refuses_before_computing_any_row(capsys, monkeypatch):
     assert err == "error: sweep row young:39+2: degree 41 exceeds limit 40\n"
 
 
+_BIG_A120 = math.factorial(120) // 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["coset", "symmetric:120", "cyclic:2@120"],
+            f"index {_BIG_A120} exceeds the coset table bound 100000",
+        ),
+        (
+            ["analyze", "alternating:120", "--degree-limit", "300"],
+            f"group order {_BIG_A120} exceeds the enumeration bound 1000000; "
+            "use an analytic profile constructor instead",
+        ),
+        (
+            ["compare", "symmetric:50", "symmetric:50"],
+            f"group order {math.factorial(50)} exceeds the enumeration bound 1000000; "
+            "use an analytic profile constructor instead",
+        ),
+        (
+            ["compare", "symmetric:9", "cyclic:2@9"],
+            "index 181440 exceeds the coset table bound 100000",
+        ),
+    ],
+    ids=["coset-index", "analyze-enumeration", "compare-census", "compare-index"],
+)
+def test_over_limit_catalog_orders_are_refused_before_building(
+    argv, message, capsys, monkeypatch
+):
+    # the closed-form catalog orders decide the enumeration and index bounds
+    def unbuildable(*args, **kwargs):
+        raise AssertionError("built a group of a refused input")
+
+    monkeypatch.setattr(perm.PermGroup, "__init__", unbuildable)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coset", "alternating:9", "cyclic:2@9", "--index-limit", "1000"],
+        ["compare", "cyclic:2@9", "cyclic:2@9", "--parent", "alternating:9", "--index-limit", "1000"],
+    ],
+    ids=["coset", "compare"],
+)
+def test_index_refusal_comes_before_the_subgroup_check(argv, capsys):
+    # (1 2) is not in A_9, but |A_9 : <(1 2)>| = 90720 is refused from the orders
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == "error: index 90720 exceeds the coset table bound 1000\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["coset", "young:2+2", "cyclic:3@4", "--index-limit", "0"], "H is not a subgroup of G"),
+        (["coset", "symmetric:5", "cyclic:2@6", "--index-limit", "0"], "G and H act on different degrees"),
+        (
+            ["compare", "cyclic:3@4", "cyclic:3@4", "--parent", "young:2+2", "--index-limit", "0"],
+            "H and K must be subgroups of G",
+        ),
+    ],
+    ids=["coset-order", "coset-degree", "compare-order"],
+)
+def test_no_index_refusal_when_h_cannot_be_a_subgroup(argv, message, capsys):
+    # 3 does not divide 4 (or the degrees differ), so the index bound is not
+    # consulted and the precondition is reported as before
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_unknown_source(capsys):
     code, _, err = run_cli(capsys, "analyze", "no-such-thing")
     assert code == 2 and "catalog" in err
@@ -345,3 +420,33 @@ def test_importing_the_package_and_cli_loads_no_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _import_cli_child(env: dict) -> subprocess.CompletedProcess:
+    code = (
+        "import os, sys\nimport hsplab, hsplab.cli\n"
+        "print(sorted(m for m in ('dataclasses', 'numpy') if m in sys.modules))\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_importing_the_cli_loads_no_dataclasses_and_pins_openblas_to_one_thread():
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = _import_cli_child(env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "1"]
+
+
+def test_a_user_openblas_thread_count_wins():
+    proc = _import_cli_child({**os.environ, "OPENBLAS_NUM_THREADS": "3"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "3"]
+
+
+def test_the_library_leaves_the_openblas_thread_count_alone():
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    code = "import os\nimport hsplab.coset, hsplab.lab\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "None"

@@ -220,6 +220,28 @@ def test_gassmann_conjugacy_search_can_be_skipped():
     assert rep.class_counts_equal and rep.consistent
 
 
+def test_rank_and_gassmann_reports_are_immutable_values():
+    rr = rank_subdegrees(coset_action(S4, KLEIN))
+    assert rr == rank_subdegrees(coset_action(S4, PermGroup.from_cycles(["(1 2)(3 4)", "(1 3)(2 4)"], 4)))
+    H = PermGroup.from_cycles(["(1 2)"], 3)
+    rep = gassmann_test(S3, H, A3)
+    assert rep == gassmann_test(S3, PermGroup.from_cycles(["(1 2)"], 3), A3)
+    with pytest.raises(AttributeError):
+        rr.rank = 0
+    with pytest.raises(AttributeError):
+        rep.conjugate = True
+
+
+def test_gassmann_refuses_from_the_orders_before_any_census(monkeypatch):
+    def uncounted(*args, **kwargs):
+        raise AssertionError("took a census of a refused test")
+
+    monkeypatch.setattr(coset, "_class_counts", uncounted)
+    S9 = PermGroup.symmetric(9)
+    with pytest.raises(LimitExceeded, match="index 181440 exceeds the coset table bound 100000"):
+        gassmann_test(S9, S9, PermGroup.from_cycles(["(1 2)"], 9))
+
+
 def test_gassmann_random_pairs_consistent():
     rng = random.Random(23)
     for _ in range(15):

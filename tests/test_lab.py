@@ -342,6 +342,19 @@ def test_profile_of_uses_analytic_when_available():
     assert prof.minimal_support() == 4
 
 
+def test_profile_of_refuses_from_the_order_before_building(monkeypatch):
+    from hsplab import perm
+
+    def unbuildable(*args, **kwargs):
+        raise AssertionError("built the chain of a refused input")
+
+    monkeypatch.setattr(perm.PermGroup, "__init__", unbuildable)
+    entry = resolve_catalog("alternating:120")
+    with pytest.raises(LimitExceeded, match="use an analytic profile constructor instead"):
+        profile_of(entry)
+    assert entry.order == math.factorial(120) // 2
+
+
 def test_catalog_profile_degree_cap():
     entry = resolve_catalog("block:30x2")  # degree 60: analytic profile withheld
     assert entry.profile is None

@@ -15,6 +15,7 @@ from hsplab.errors import InvariantError, PreconditionError
 from hsplab.perm import PermGroup, class_profile
 from hsplab.profile import ClassProfile, sn_class_size
 from hsplab.qfs import (
+    BoundsReport,
     cmin_bounds,
     d_between,
     dh_exact,
@@ -191,6 +192,20 @@ def test_thm1_examples():
     assert r.lower == frac(1, 6)
     assert r.upper_sq == frac(1, 3)
     assert r.exact_value == frac(1, 2) and r.sandwich_ok
+
+
+def test_profiles_and_bounds_reports_are_immutable_values():
+    prof = class_profile(PermGroup.from_cycles(["(1 2)"], 3))
+    assert prof == ClassProfile(3, {(2, 1): 1, (1, 1, 1): 1})
+    assert prof.count((2, 1)) == 1  # the census count, not tuple.count
+    r = thm1_bounds(3, prof)
+    # SqrtSum has no __eq__, so equal reports must share their upper bound
+    assert BoundsReport(*r) == r
+    assert r != r._replace(lower=frac(0, 1))
+    with pytest.raises(AttributeError):
+        prof.degree = 4
+    with pytest.raises(AttributeError):
+        r.lower = frac(0, 1)
 
 
 def test_thm1_rejects_trivial_subgroup():
