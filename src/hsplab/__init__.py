@@ -81,7 +81,6 @@ _EXPORTS = {
             "dh_exact",
             "plancherel",
             "poly_subgroup_verdict",
-            "prop_upper",
             "thm1_bounds",
             "verdict",
             "weak_distribution",

@@ -235,6 +235,11 @@ def class_sums(n: int, counts) -> dict:
     return dict(zip(partitions(n), _class_sum_vector(n, items)))
 
 
+#: Largest degree whose full character table orthogonality_check verifies;
+#: its cost grows roughly as p(n)^3 (p(12) = 77, p(20) = 627).
+ORTHOGONALITY_LIMIT = 12
+
+
 class OrthogonalityReport(NamedTuple):
     n: int
     num_irreps: int
@@ -242,7 +247,7 @@ class OrthogonalityReport(NamedTuple):
     failure: str | None = None
 
 
-def orthogonality_check(n: int, limit: int = 12) -> OrthogonalityReport:
+def orthogonality_check(n: int, limit: int = ORTHOGONALITY_LIMIT) -> OrthogonalityReport:
     """Verify row and column orthogonality of the full S_n character table.
 
     Rows: sum_mu |C_mu| chi_lam(mu) chi_lam'(mu) = n! * delta(lam, lam').

@@ -22,29 +22,19 @@ import os
 import random
 import sys
 import time
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import lab, qfs
 from .errors import HspError, InvariantError, LimitExceeded, ParseError, PreconditionError
 from .lab import DEGREE_LIMIT
 from .profile import ENUMERATION_LIMIT, INDEX_LIMIT, ClassProfile, check_index
-from .qfs import DECIMAL_DIGITS
-from .radical import _round_sig
+from .radical import DECIMAL_DIGITS, decimal_text, frac_text
 
 if TYPE_CHECKING:
     from .perm import PermGroup
 
 # hsplab calls no BLAS routine, so numpy need not start an OpenBLAS worker pool.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _frac_decimal(x: Fraction, digits: int = DECIMAL_DIGITS) -> str:
-    return _round_sig(x, digits)
 
 
 class _Source:
@@ -104,13 +94,12 @@ class _Source:
         }
 
 
-def _emit(report: dict, args) -> None:
-    text = json.dumps(report, indent=2)
+def _emit(text: str, args) -> None:
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +127,14 @@ def cmd_analyze(args) -> dict:
     dh_l1 = dist.l1(qfs.plancherel(n))
     if dh != dh_l1:
         raise HspError(
-            f"D_H routes disagree: dh_exact gives {_frac(dh)}, the L1 distance "
-            f"to the Plancherel distribution gives {_frac(dh_l1)}"
+            f"D_H routes disagree: dh_exact gives {frac_text(dh)}, the L1 distance "
+            f"to the Plancherel distribution gives {frac_text(dh_l1)}"
         )
-    cmin = qfs.cmin_bounds(n, prof, with_exact=False)
+    cmin = qfs.cmin_bounds(n, prof)
     census = lab.support_census(prof)
-    mass = sorted(dist.probs.items(), key=lambda kv: (kv[1], kv[0]), reverse=True)
+    # weights share the denominator n!, so the likeliest irrep has the
+    # largest weight; ties go to the larger partition
+    top = max(dist.weights.items(), key=lambda kv: (kv[1], kv[0]))[0]
     report = {
         "command": "analyze",
         "source": src.describe(),
@@ -152,14 +143,14 @@ def cmd_analyze(args) -> dict:
         "minimal_degree": census.minimal_support() if census.counts else None,
         "support_census": census.serialize(),
         "distribution_summary": {
-            "num_irreps": len(dist.probs),
-            "max_prob_partition": list(mass[0][0]),
-            "max_prob": _frac(mass[0][1]),
-            "prob_trivial": _frac(dist.prob((n,))),
-            "prob_sign": _frac(dist.prob((1,) * n)),
+            "num_irreps": len(dist.weights),
+            "max_prob_partition": list(top),
+            "max_prob": frac_text(dist.prob(top)),
+            "prob_trivial": frac_text(dist.prob((n,))),
+            "prob_sign": frac_text(dist.prob((1,) * n)),
         },
-        "dh": _frac(dh),
-        "dh_decimal": _frac_decimal(dh),
+        "dh": frac_text(dh),
+        "dh_decimal": decimal_text(dh),
         "decimal_precision": DECIMAL_DIGITS,
         "routes_agree": dh == dh_l1,
         "thm1_bounds": thm1.serialize(),
@@ -207,12 +198,14 @@ def cmd_compare(args) -> dict:
     # refuse before any chain is built; a mismatch, or an order that does not
     # divide |G|, is left to gassmann_test to report
     if parent.degree == n and all(parent.order % s.order == 0 for s in (src_a, src_b)):
-        coset_mod.check_gassmann_bounds(n, parent.order, src_a.order, src_b.order, args.index_limit)
+        coset_mod.check_gassmann_bounds(
+            n, parent.order, src_a.order, src_b.order, args.order_limit, args.index_limit
+        )
     report_g = coset_mod.gassmann_test(
         parent.group,
         src_a.group,
         src_b.group,
-        conjugacy_limit=args.order_limit,
+        order_limit=args.order_limit,
         index_limit=args.index_limit,
     )
     if n > args.degree_limit:
@@ -227,7 +220,7 @@ def cmd_compare(args) -> dict:
         "b": src_b.describe(),
         "parent": parent_desc,
         "gassmann": report_g.serialize(),
-        "sn_profile_distance": None if sn_distance is None else _frac(sn_distance),
+        "sn_profile_distance": None if sn_distance is None else frac_text(sn_distance),
         "distance_zero": report_g.class_counts_equal,
         "wall_time_s": round(time.perf_counter() - t0, 6),
     }
@@ -262,7 +255,7 @@ def cmd_coset(args) -> dict:
     }
     if sub.order >= 2:
         b1, b2 = coset_mod.fixpoint_bounds(ca)
-        report["fixpoint_bounds"] = {"bound_i": _frac(b1), "bound_ii": _frac(b2)}
+        report["fixpoint_bounds"] = {"bound_i": frac_text(b1), "bound_ii": frac_text(b2)}
     report["wall_time_s"] = round(time.perf_counter() - t0, 6)
     return report
 
@@ -305,16 +298,16 @@ def cmd_sweep(args) -> dict | list:
             prof = lab.profile_of(entry, args.order_limit)
             if prof.order < 2:
                 raise PreconditionError(f"sweep row {spec}: trivial subgroup")
-            dh = qfs.dh_exact(n, prof)
-            bounds = qfs.thm1_bounds(n, prof, with_exact=False)
+            bounds = qfs.thm1_bounds(n, prof)
+            dh = bounds.exact_value
             return {
                 "name": spec,
                 "n": n,
                 "order": str(prof.order),
                 "min_degree": prof.minimal_support(),
-                "dh": _frac(dh),
-                "dh_decimal": _frac_decimal(dh, 12),
-                "lower": _frac(bounds.lower),
+                "dh": frac_text(dh),
+                "dh_decimal": decimal_text(dh, 12),
+                "lower": frac_text(bounds.lower),
                 "upper_decimal": bounds.upper.decimal(12),
             }
 
@@ -329,19 +322,13 @@ def cmd_sweep(args) -> dict | list:
     }
 
 
-def _emit_csv(rows: list, args) -> None:
+def _csv_text(rows: list) -> str:
     fields = ["name", "n", "order", "min_degree", "dh", "dh_decimal", "lower", "upper_decimal"]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fields)
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    text = buf.getvalue()
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +337,16 @@ def _emit_csv(rows: list, args) -> None:
 
 
 def _check_orthogonality(args) -> dict:
-    from .characters import dimension, orthogonality_check, partitions
+    from .characters import ORTHOGONALITY_LIMIT, dimension, orthogonality_check, partitions
 
+    if args.max_n > ORTHOGONALITY_LIMIT:
+        raise LimitExceeded(
+            f"full-table orthogonality check is capped at n={ORTHOGONALITY_LIMIT}"
+        )
     results = []
     ok = True
     for n in range(1, args.max_n + 1):
-        rep = orthogonality_check(n, limit=args.max_n)
+        rep = orthogonality_check(n)
         square_sum = sum(dimension(lam) ** 2 for lam in partitions(n))
         ok_n = rep.passed and square_sum == math.factorial(n)
         ok = ok and ok_n
@@ -367,10 +358,12 @@ def _check_orthogonality(args) -> dict:
 
 
 def _check_sandwich(args) -> dict:
+    if args.max_n > args.degree_limit:
+        raise LimitExceeded(f"class-size sandwich check is capped at n={args.degree_limit}")
     results = []
     ok = True
     for n in range(1, args.max_n + 1):
-        rep = lab.class_sandwich_check(n, limit=args.max_n)
+        rep = lab.class_sandwich_check(n, limit=args.degree_limit)
         ok = ok and rep.passed
         results.append({"n": n, "passed": rep.passed, "num_types": rep.num_types})
     return {"suite": "sandwich", "max_n": args.max_n, "all_passed": ok, "results": results}
@@ -417,16 +410,17 @@ def _check_frobenius(args) -> dict:
     }
 
 
+_SUITES = {
+    "orthogonality": _check_orthogonality,
+    "sandwich": _check_sandwich,
+    "frobenius": _check_frobenius,
+}
+
+
 def cmd_check(args) -> dict:
     t0 = time.perf_counter()
-    if args.suite == "orthogonality":
-        report = _check_orthogonality(args)
-    elif args.suite == "sandwich":
-        report = _check_sandwich(args)
-    else:
-        report = _check_frobenius(args)
-    report = {"command": "check", **report, "wall_time_s": round(time.perf_counter() - t0, 6)}
-    return report
+    report = _SUITES[args.suite](args)
+    return {"command": "check", **report, "wall_time_s": round(time.perf_counter() - t0, 6)}
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("check", help="orthogonality / class-size sandwich / Frobenius suites")
-    p.add_argument("--suite", choices=["orthogonality", "sandwich", "frobenius"], required=True)
+    p.add_argument("--suite", choices=list(_SUITES), required=True)
     p.add_argument("--max-n", type=int, default=8)
     p.add_argument("--actions", type=int, default=20)
     p.add_argument("--seed", type=int, default=2024)
@@ -490,26 +484,18 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+_EXIT_CODES = ((ParseError, 2), (LimitExceeded, 3), (PreconditionError, 4), (HspError, 1))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except HspError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if isinstance(report, list):
-        _emit_csv(report, args)
-    else:
-        _emit(report, args)
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+    text = _csv_text(report) if isinstance(report, list) else json.dumps(report, indent=2) + "\n"
+    _emit(text, args)
     return 0
 
 

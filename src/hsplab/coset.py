@@ -20,8 +20,9 @@ import numpy as np
 from . import _kernels
 from .errors import InvariantError, LimitExceeded, PreconditionError
 from .perm import PermGroup, Permutation, class_profile, element_class_map, inv_array
-from .profile import INDEX_LIMIT, check_enumeration, check_index, sn_class_size
+from .profile import ENUMERATION_LIMIT, INDEX_LIMIT, check_enumeration, check_index, sn_class_size
 from .qfs import d_between, distinguishability_threshold
+from .radical import frac_text
 
 
 class CosetAction:
@@ -131,24 +132,24 @@ class PermutationCharacter(NamedTuple):
         ]
 
 
-def _class_reps(G: PermGroup):
+def _class_reps(G: PermGroup, limit: int = ENUMERATION_LIMIT):
     """(key, representative, class size) per conjugacy class of G.
 
     For the full symmetric group the classes are the cycle types; otherwise
-    the classes are enumerated (subject to the enumeration bound).
+    the classes are enumerated (subject to the enumeration bound `limit`).
     """
     n = G.degree
     if G.order == math.factorial(n):
         from .characters import partitions
 
         return [(t, _sn_type_rep(t, n), sn_class_size(t)) for t in partitions(n)]
-    classes, _ = element_class_map(G)
+    classes, _ = element_class_map(G, limit)
     return [(i, rep, size) for i, (rep, size) in enumerate(classes)]
 
 
-def permutation_character(ca: CosetAction) -> PermutationCharacter:
+def permutation_character(ca: CosetAction, limit: int = ENUMERATION_LIMIT) -> PermutationCharacter:
     entries = []
-    for key, rep, size in _class_reps(ca.group):
+    for key, rep, size in _class_reps(ca.group, limit):
         entries.append((key, rep, size, fix_in_X(ca, rep)))
     return PermutationCharacter(ca.index, tuple(entries))
 
@@ -313,7 +314,7 @@ class AvgSubdegreeVerdict(NamedTuple):
 
     def serialize(self) -> dict:
         return {
-            "average_subdegree": f"{self.average_subdegree.numerator}/{self.average_subdegree.denominator}",
+            "average_subdegree": frac_text(self.average_subdegree),
             "rank": self.rank,
             "index": self.index,
             "subgroup_order": str(self.subgroup_order),
@@ -322,7 +323,7 @@ class AvgSubdegreeVerdict(NamedTuple):
             "threshold": self.threshold,
             "average_is_polylog": self.average_is_polylog,
             "order_above_polylog": self.order_above_polylog,
-            "bound_ii": f"{self.bound_ii.numerator}/{self.bound_ii.denominator}",
+            "bound_ii": frac_text(self.bound_ii),
             "implied_distinguishable": self.implied_distinguishable,
         }
 
@@ -379,7 +380,7 @@ class GassmannReport(NamedTuple):
     class_counts_equal: bool
     first_class_mismatch: str | None
     perm_chars_equal: bool
-    conjugate: bool | None  # None = search skipped (|G| beyond the cap)
+    conjugate: bool | None  # None = search skipped (|G| beyond the order limit)
     conjugating_element: Permutation | None
     profile_distance: Fraction | None  # D(H, K), only when G = S_n
 
@@ -405,19 +406,19 @@ class GassmannReport(NamedTuple):
             else self.conjugating_element.cycles(),
             "profile_distance": None
             if self.profile_distance is None
-            else f"{self.profile_distance.numerator}/{self.profile_distance.denominator}",
+            else frac_text(self.profile_distance),
             "consistent": self.consistent,
         }
 
 
-def _class_counts(G: PermGroup, H: PermGroup) -> dict:
+def _class_counts(G: PermGroup, H: PermGroup, limit: int = ENUMERATION_LIMIT) -> dict:
     """|H ∩ C| per conjugacy class C of G that meets H, keyed as in _class_reps."""
     n = G.degree
     if G.order == math.factorial(n):
-        return dict(class_profile(H).counts)
-    _, class_id = element_class_map(G)
+        return dict(class_profile(H, limit).counts)
+    _, class_id = element_class_map(G, limit)
     counts: dict[int, int] = {}
-    for arr in H.element_arrays():
+    for arr in H.element_arrays(limit):
         cid = class_id[arr.tobytes()]
         counts[cid] = counts.get(cid, 0) + 1
     return counts
@@ -442,16 +443,21 @@ def _conjugacy_search(G: PermGroup, H: PermGroup, K: PermGroup, limit: int):
 
 
 def check_gassmann_bounds(
-    degree: int, order_g: int, order_h: int, order_k: int, index_limit: int = INDEX_LIMIT
+    degree: int,
+    order_g: int,
+    order_h: int,
+    order_k: int,
+    order_limit: int = ENUMERATION_LIMIT,
+    index_limit: int = INDEX_LIMIT,
 ) -> None:
     """Refuse, from the orders alone, a Gassmann test whose class censuses or
     coset tables are over their bounds, in the order gassmann_test meets them.
     """
     if order_g == math.factorial(degree):  # _class_counts takes censuses of H and K
         for order in (order_h, order_k):
-            check_enumeration(order, census=True)
+            check_enumeration(order, order_limit, census=True)
     else:  # _class_counts maps the classes of G
-        check_enumeration(order_g)
+        check_enumeration(order_g, order_limit)
     for order in (order_h, order_k):
         check_index(order_g // order, index_limit)
 
@@ -460,7 +466,7 @@ def gassmann_test(
     G: PermGroup,
     H: PermGroup,
     K: PermGroup,
-    conjugacy_limit: int = 10**6,
+    order_limit: int = ENUMERATION_LIMIT,
     index_limit: int = INDEX_LIMIT,
 ) -> GassmannReport:
     """All Gassmann-equivalence verdicts for H, K <= G.
@@ -468,15 +474,18 @@ def gassmann_test(
     (ii) is the class-intersection census; (iii) is tested as equality of the
     permutation characters of G on G/H and G/K (equivalent to equivalence of
     the linear representations, which the characters determine); conjugacy
-    uses a transporter search and is skipped above `conjugacy_limit`; when G
-    is the full symmetric group the exact distance D(H,K) realises (i).
+    uses a transporter search; when G is the full symmetric group the exact
+    distance D(H,K) realises (i).  Every enumeration (the censuses, the class
+    map of G, the transporter search) is held to `order_limit`: an
+    enumeration over it is refused, except the transporter search, which is
+    skipped (conjugate is None).
     """
     for sub in (H, K):
         if not sub.is_subgroup_of(G):
             raise PreconditionError("H and K must be subgroups of G")
-    check_gassmann_bounds(G.degree, G.order, H.order, K.order, index_limit)
-    counts_h = _class_counts(G, H)
-    counts_k = _class_counts(G, K)
+    check_gassmann_bounds(G.degree, G.order, H.order, K.order, order_limit, index_limit)
+    counts_h = _class_counts(G, H, order_limit)
+    counts_k = _class_counts(G, K, order_limit)
     mismatch = None
     for key in sorted(set(counts_h) | set(counts_k)):
         a, b = counts_h.get(key, 0), counts_k.get(key, 0)
@@ -486,13 +495,15 @@ def gassmann_test(
     counts_equal = mismatch is None
 
     chars_equal = (
-        permutation_character(coset_action(G, H, index_limit)).as_dict()
-        == permutation_character(coset_action(G, K, index_limit)).as_dict()
+        permutation_character(coset_action(G, H, index_limit), order_limit).as_dict()
+        == permutation_character(coset_action(G, K, index_limit), order_limit).as_dict()
     )
 
     distance = None
     if G.order == math.factorial(G.degree):
-        distance = d_between(G.degree, class_profile(H), class_profile(K))
+        distance = d_between(
+            G.degree, class_profile(H, order_limit), class_profile(K, order_limit)
+        )
 
     if H.order != K.order:
         conjugate, conj_elem = False, None
@@ -500,7 +511,7 @@ def gassmann_test(
         # conjugate subgroups meet every class equally; no search needed
         conjugate, conj_elem = False, None
     else:
-        conjugate, conj_elem = _conjugacy_search(G, H, K, conjugacy_limit)
+        conjugate, conj_elem = _conjugacy_search(G, H, K, order_limit)
 
     return GassmannReport(
         degree=G.degree,

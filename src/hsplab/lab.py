@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import LimitExceeded, ParseError, PreconditionError
 from .profile import ENUMERATION_LIMIT, ClassProfile, check_enumeration, sn_class_size
+from .radical import frac_text
 
 if TYPE_CHECKING:
     from .perm import PermGroup, Permutation
@@ -79,7 +80,7 @@ class ClubReport(NamedTuple):
     def serialize(self) -> dict:
         return {
             "degree": self.degree,
-            "exponent": f"{self.exponent.numerator}/{self.exponent.denominator}",
+            "exponent": frac_text(self.exponent),
             "minimal_support": self.minimal_support,
             "max_log2_excess": self.max_log2_excess,
             "rows": [

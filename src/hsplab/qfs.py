@@ -1,9 +1,9 @@
 """Weak-sampling distributions over Irr(S_n) and their total-variation bounds.
 
-Everything here is exact: distributions are rational-valued (Fraction), the
-class-size square-root upper bounds are carried as SqrtSum values, and verdict
-thresholds use base-2 logarithms (the base is a reporting convention; it only
-shifts the constant c).
+Everything here is exact: a distribution is integer weights over the common
+denominator n!, the class-size square-root upper bounds are carried as SqrtSum
+values, and verdict thresholds use base-2 logarithms (the base is a reporting
+convention; it only shifts the constant c).
 """
 
 from __future__ import annotations
@@ -15,12 +15,10 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple
 from .characters import Partition, class_sums, dimension, partitions
 from .errors import InvariantError, PreconditionError
 from .profile import ClassProfile, sn_class_size
-from .radical import SqrtSum
+from .radical import DECIMAL_DIGITS, SqrtSum, frac_text
 
 if TYPE_CHECKING:
     from .perm import PermGroup, Permutation
-
-DECIMAL_DIGITS = 40
 
 
 def _check_profile(n: int, prof: ClassProfile) -> None:
@@ -29,67 +27,62 @@ def _check_profile(n: int, prof: ClassProfile) -> None:
 
 
 class IrrepDistribution(NamedTuple):
-    """Exact distribution on Irr(S_n), indexed by partition."""
+    """Exact distribution on Irr(S_n), indexed by partition: P(lam) is
+    weights[lam] / n!, with integer weights (summing to n! for a census)."""
 
     degree: int
     subgroup_order: int
-    probs: Mapping[Partition, Fraction]
+    weights: Mapping[Partition, int]
+
+    @property
+    def probs(self) -> dict:
+        fact = math.factorial(self.degree)
+        return {lam: Fraction(w, fact) for lam, w in self.weights.items()}
 
     def prob(self, lam: Partition) -> Fraction:
-        return self.probs.get(tuple(lam), Fraction(0))
+        return Fraction(self.weights.get(tuple(lam), 0), math.factorial(self.degree))
 
     def l1(self, other: "IrrepDistribution") -> Fraction:
         if self.degree != other.degree:
             raise PreconditionError("distributions live on different degrees")
-        return sum(
-            (abs(self.probs[lam] - other.probs[lam]) for lam in self.probs),
-            Fraction(0),
-        )
+        total = sum(abs(w - other.weights[lam]) for lam, w in self.weights.items())
+        return Fraction(total, math.factorial(self.degree))
 
     def trivial_multiplicity(self, lam: Partition) -> Fraction:
-        """|G| P(lam) / (d_lam |H|): the multiplicity of the trivial irrep in
-        the restriction; a non-negative integer for every honest profile."""
+        """v(lam) / |H| = weights[lam] / (d_lam |H|): the multiplicity of the
+        trivial irrep in the restriction; a non-negative integer for every
+        honest profile."""
         lam = tuple(lam)
-        return (
-            self.probs[lam]
-            * math.factorial(self.degree)
-            / (dimension(lam) * self.subgroup_order)
-        )
+        return Fraction(self.weights[lam], dimension(lam) * self.subgroup_order)
 
     def serialize(self) -> list:
         return [
-            {
-                "partition": list(lam),
-                "prob": f"{p.numerator}/{p.denominator}",
-            }
+            {"partition": list(lam), "prob": frac_text(p)}
             for lam, p in self.probs.items()
         ]
 
 
 def weak_distribution(n: int, prof: ClassProfile) -> IrrepDistribution:
-    """P_H(lam) = d_lam / n! * sum_t count(t) chi_lam(t), exactly."""
+    """P_H(lam) = d_lam / n! * sum_t count(t) chi_lam(t), exactly: the weight
+    of lam is d_lam * v(lam), with v = class_sums(n, prof.counts)."""
     _check_profile(n, prof)
-    fact = math.factorial(n)
-    probs = {
-        lam: Fraction(dimension(lam) * v, fact)
-        for lam, v in class_sums(n, prof.counts).items()
-    }
-    for lam, p in probs.items():
-        if p < 0:
+    weights = {lam: dimension(lam) * v for lam, v in class_sums(n, prof.counts).items()}
+    for lam, w in weights.items():
+        if w < 0:
             raise InvariantError(f"negative mass at {lam}: profile is not a subgroup census")
-    mass = sum(probs.values())
-    if mass != 1:
-        raise InvariantError(f"total mass {mass} is not 1: profile is not a subgroup census")
-    return IrrepDistribution(n, prof.order, probs)
+    fact = math.factorial(n)
+    mass = sum(weights.values())
+    if mass != fact:
+        raise InvariantError(
+            f"total mass {Fraction(mass, fact)} is not 1: profile is not a subgroup census"
+        )
+    return IrrepDistribution(n, prof.order, weights)
 
 
 def plancherel(n: int) -> IrrepDistribution:
     """The identity-subgroup distribution: P(lam) = d_lam^2 / n!, read from
     the hook length formula alone, with no class sums."""
-    fact = math.factorial(n)
-    return IrrepDistribution(
-        n, 1, {lam: Fraction(dimension(lam) ** 2, fact) for lam in partitions(n)}
-    )
+    return IrrepDistribution(n, 1, {lam: dimension(lam) ** 2 for lam in partitions(n)})
 
 
 def dh_exact(n: int, prof: ClassProfile) -> Fraction:
@@ -112,8 +105,6 @@ def dh_exact(n: int, prof: ClassProfile) -> Fraction:
 
 def d_between(n: int, prof_a: ClassProfile, prof_b: ClassProfile) -> Fraction:
     """|P_A - P_B|_1, exactly."""
-    _check_profile(n, prof_a)
-    _check_profile(n, prof_b)
     return weak_distribution(n, prof_a).l1(weak_distribution(n, prof_b))
 
 
@@ -140,26 +131,20 @@ class BoundsReport(NamedTuple):
 
     def serialize(self) -> dict:
         out = {
-            "lower": f"{self.lower.numerator}/{self.lower.denominator}",
+            "lower": frac_text(self.lower),
             "upper": self.upper.serialize(self.float_precision),
-            "upper_sq": None
-            if self.upper_sq is None
-            else f"{self.upper_sq.numerator}/{self.upper_sq.denominator}",
+            "upper_sq": None if self.upper_sq is None else frac_text(self.upper_sq),
             "upper_float": self.upper_float,
             "float_precision": self.float_precision,
         }
         if self.exact_value is not None:
-            out["exact_value"] = (
-                f"{self.exact_value.numerator}/{self.exact_value.denominator}"
-            )
+            out["exact_value"] = frac_text(self.exact_value)
             out["sandwich_ok"] = self.sandwich_ok
         return out
 
 
-def _bounds_report(lower: Fraction, upper: SqrtSum, exact: Fraction | None) -> BoundsReport:
-    sandwich = None
-    if exact is not None:
-        sandwich = bool(lower < exact) and upper.compare_to(exact) >= 0
+def _bounds_report(lower: Fraction, upper: SqrtSum, exact: Fraction | None = None) -> BoundsReport:
+    sandwich = None if exact is None else bool(lower < exact) and upper >= exact
     return BoundsReport(
         lower=lower,
         exact_value=exact,
@@ -171,19 +156,16 @@ def _bounds_report(lower: Fraction, upper: SqrtSum, exact: Fraction | None) -> B
     )
 
 
-def thm1_bounds(n: int, prof: ClassProfile, with_exact: bool = True) -> BoundsReport:
-    """sum |C∩H|^2 / (|H||C|)  <  D_H  <=  sum |C∩H| |C|^(-1/2), both exact."""
+def thm1_bounds(n: int, prof: ClassProfile) -> BoundsReport:
+    """sum |C∩H|^2 / (|H||C|)  <  D_H  <=  sum |C∩H| |C|^(-1/2), both exact,
+    with D_H itself.  The lower bound is one integer over |H| n!."""
     _check_profile(n, prof)
     if prof.order < 2:
         raise PreconditionError("the strict lower bound requires |H| >= 2")
-    order = prof.order
-    nonid = prof.nonidentity_items()
-    lower = sum(
-        (Fraction(c * c, order * sn_class_size(t)) for t, c in nonid), Fraction(0)
-    )
-    upper = SqrtSum.from_terms((c, sn_class_size(t)) for t, c in nonid)
-    exact = dh_exact(n, prof) if with_exact else None
-    return _bounds_report(lower, upper, exact)
+    fact = math.factorial(n)
+    sized = [(c, sn_class_size(t)) for t, c in prof.nonidentity_items()]
+    lower = Fraction(sum(c * c * (fact // size) for c, size in sized), prof.order * fact)
+    return _bounds_report(lower, SqrtSum.from_terms(sized), dh_exact(n, prof))
 
 
 class CminBounds(NamedTuple):
@@ -200,9 +182,10 @@ class CminBounds(NamedTuple):
         return out
 
 
-def cmin_bounds(n: int, prof: ClassProfile, with_exact: bool = True) -> CminBounds:
+def cmin_bounds(n: int, prof: ClassProfile) -> CminBounds:
     """1/(|H||C_min|) < D_H <= (|H|-1) |C_min|^(-1/2) for the smallest
-    non-identity class meeting H."""
+    non-identity class meeting H.  D_H is not computed here; thm1_bounds
+    carries it."""
     _check_profile(n, prof)
     if prof.order < 2:
         raise PreconditionError("the corollary bounds require |H| >= 2")
@@ -211,16 +194,7 @@ def cmin_bounds(n: int, prof: ClassProfile, with_exact: bool = True) -> CminBoun
     size, t = min(candidates)
     lower = Fraction(1, order * size)
     upper = SqrtSum.from_terms([(order - 1, size)])
-    exact = dh_exact(n, prof) if with_exact else None
-    return CminBounds(_bounds_report(lower, upper, exact), t, size)
-
-
-def prop_upper(n: int, prof: ClassProfile) -> SqrtSum:
-    """sum over non-identity h in H of |h^G|^(-1/2), grouped by cycle type."""
-    _check_profile(n, prof)
-    return SqrtSum.from_terms(
-        (c, sn_class_size(t)) for t, c in prof.nonidentity_items()
-    )
+    return CminBounds(_bounds_report(lower, upper), t, size)
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +226,13 @@ class PolyVerdict(NamedTuple):
     log_base: int
     c: float
     c_prime: float
-    size_bound: float | None
-    class_threshold: float | None
-    min_class_size: int | None
-    witness: Permutation | None
-    witness_support: int | None
-    distinguishable_side: bool | None
+    # None where the verdict stops early (inapplicable)
+    size_bound: float | None = None
+    class_threshold: float | None = None
+    min_class_size: int | None = None
+    witness: Permutation | None = None
+    witness_support: int | None = None
+    distinguishable_side: bool | None = None
 
     def serialize(self) -> dict:
         return {
@@ -299,15 +274,7 @@ def poly_subgroup_verdict(
     )
     if H.order < 2:
         return PolyVerdict(
-            applicable=False,
-            reason="trivial subgroup has no non-identity element",
-            size_bound=None,
-            class_threshold=None,
-            min_class_size=None,
-            witness=None,
-            witness_support=None,
-            distinguishable_side=None,
-            **base_kwargs,
+            applicable=False, reason="trivial subgroup has no non-identity element", **base_kwargs
         )
     size_bound = math.log2(G.order) ** c
     if H.order > size_bound:
@@ -315,11 +282,6 @@ def poly_subgroup_verdict(
             applicable=False,
             reason=f"|H| = {H.order} exceeds (log2|G|)^c = {size_bound:.6g}",
             size_bound=size_bound,
-            class_threshold=None,
-            min_class_size=None,
-            witness=None,
-            witness_support=None,
-            distinguishable_side=None,
             **base_kwargs,
         )
     is_symmetric = G.order == math.factorial(G.degree)

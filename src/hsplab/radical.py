@@ -17,6 +17,10 @@ from __future__ import annotations
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import isqrt
+from numbers import Rational
+
+#: Significant digits of every decimal rendering in a report.
+DECIMAL_DIGITS = 40
 
 _START_BITS = 64  # guard bits for the first interval pass
 _MAX_BITS = 1 << 20
@@ -59,7 +63,13 @@ def square_split(c: int) -> tuple:
     return s, f
 
 
-def _round_sig(x: Fraction, digits: int) -> str:
+def frac_text(x: Fraction) -> str:
+    """A rational as report text: "numerator/denominator", in lowest terms."""
+    return f"{x.numerator}/{x.denominator}"
+
+
+def decimal_text(x: Fraction, digits: int = DECIMAL_DIGITS) -> str:
+    """A rational as a decimal string with `digits` significant figures."""
     with localcontext() as ctx:
         ctx.prec = digits
         d = Decimal(x.numerator) / Decimal(x.denominator)
@@ -67,7 +77,11 @@ def _round_sig(x: Fraction, digits: int) -> str:
 
 
 class SqrtSum:
-    """Immutable exact value  rational + sum_f radicals[f] * sqrt(f)."""
+    """Immutable exact value  rational + sum_f radicals[f] * sqrt(f).
+
+    Radicands are distinct squarefree integers > 1 (from_terms reduces them),
+    so the form is canonical and == compares values.
+    """
 
     __slots__ = ("rational", "radicals")
 
@@ -153,6 +167,18 @@ class SqrtSum:
             bits *= 2
         raise ArithmeticError("interval refinement did not separate (impossible for irrational values)")
 
+    def __eq__(self, other):
+        if isinstance(other, SqrtSum):
+            return self.rational == other.rational and self.radicals == other.radicals
+        if isinstance(other, Rational):
+            return self.compare_to(other) == 0
+        return NotImplemented
+
+    def __hash__(self):
+        if not self.radicals:
+            return hash(self.rational)  # as the equal Fraction hashes
+        return hash((self.rational, frozenset(self.radicals.items())))
+
     def __lt__(self, other):
         return self.compare_to(other) < 0
 
@@ -177,24 +203,24 @@ class SqrtSum:
                 rad.pop(f, None)
         return SqrtSum(self.rational + other.rational, rad)
 
-    def decimal(self, digits: int = 40) -> str:
+    def decimal(self, digits: int = DECIMAL_DIGITS) -> str:
         """Deterministic decimal string with `digits` significant figures."""
         if not self.radicals:
-            return _round_sig(self.rational, digits)
+            return decimal_text(self.rational, digits)
         bits = max(_START_BITS, 4 * digits)
         while bits <= _MAX_BITS:
             lo, hi = self._interval(bits)
-            s_lo = _round_sig(lo, digits)
-            if s_lo == _round_sig(hi, digits):
+            s_lo = decimal_text(lo, digits)
+            if s_lo == decimal_text(hi, digits):
                 return s_lo
             bits *= 2
         raise ArithmeticError("decimal rendering did not converge")
 
-    def serialize(self, digits: int = 40) -> dict:
+    def serialize(self, digits: int = DECIMAL_DIGITS) -> dict:
         return {
-            "rational": f"{self.rational.numerator}/{self.rational.denominator}",
+            "rational": frac_text(self.rational),
             "radicals": [
-                [f, f"{q.numerator}/{q.denominator}"]
+                [f, frac_text(q)]
                 for f, q in sorted(self.radicals.items())
             ],
             "decimal": self.decimal(digits),

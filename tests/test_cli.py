@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -5,10 +6,11 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from hsplab import coset, lab, perm, qfs
+from hsplab import characters, coset, lab, perm, profile, qfs
 from hsplab.cli import main
 from hsplab.errors import LimitExceeded
 
@@ -97,6 +99,9 @@ def test_analyze_full_distribution(capsys):
     rep = json.loads(out)
     dist = {tuple(e["partition"]): e["prob"] for e in rep["distribution"]}
     assert dist == {(3,): "1/2", (2, 1): "0/1", (1, 1, 1): "1/2"}
+    # a tie for the largest mass goes to the larger partition
+    summary = rep["distribution_summary"]
+    assert summary["max_prob_partition"] == [3] and summary["max_prob"] == "1/2"
 
 
 def test_analyze_group_file(tmp_path, capsys):
@@ -344,6 +349,96 @@ def test_check_suites(capsys):
         capsys, "check", "--suite", "frobenius", "--actions", "5", "--seed", "3"
     )
     assert code == 0 and json.loads(out)["all_passed"] is True
+
+
+@pytest.mark.parametrize(
+    "suite, max_n, message",
+    [
+        ("orthogonality", "13", "full-table orthogonality check is capped at n=12"),
+        ("sandwich", "41", "class-size sandwich check is capped at n=40"),
+    ],
+)
+def test_check_refuses_a_max_n_over_its_cap_before_any_work(
+    suite, max_n, message, capsys, monkeypatch
+):
+    def unrun(*args, **kwargs):
+        raise AssertionError("ran a check of a refused suite")
+
+    monkeypatch.setattr(characters, "orthogonality_check", unrun)
+    monkeypatch.setattr(lab, "class_sandwich_check", unrun)
+    code, out, err = run_cli(capsys, "check", "--suite", suite, "--max-n", max_n)
+    assert code == 3 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("suite, max_n", [("orthogonality", 12), ("sandwich", 40)])
+def test_check_accepts_a_max_n_at_its_cap(suite, max_n, capsys, monkeypatch):
+    # the README examples; the checks are stubbed, so nothing large runs
+    calls = []
+
+    def stub(n, limit=None):
+        calls.append((n, limit))
+        return SimpleNamespace(passed=True, num_types=0, failure=None)
+
+    monkeypatch.setattr(characters, "orthogonality_check", stub)
+    monkeypatch.setattr(lab, "class_sandwich_check", stub)
+    code, out, _ = run_cli(capsys, "check", "--suite", suite, "--max-n", str(max_n))
+    assert code == 0 and json.loads(out)["all_passed"] is True
+    limit = 40 if suite == "sandwich" else None  # sandwich: the --degree-limit
+    assert calls == [(n, limit) for n in range(1, max_n + 1)]
+
+
+def test_compare_refuses_a_parent_class_map_over_the_order_limit(capsys, monkeypatch):
+    def unbuildable(*args, **kwargs):
+        raise AssertionError("built a group of a refused input")
+
+    monkeypatch.setattr(perm.PermGroup, "__init__", unbuildable)
+    code, out, err = run_cli(capsys, "compare", "gl32-point", "gl32-plane", "--order-limit", "100")
+    assert code == 3 and out == ""
+    assert err == "error: group order 168 exceeds the enumeration bound 100\n"
+
+
+@pytest.mark.parametrize(
+    "pair", [("young:4+2", "young:2+4"), ("gl32-point", "gl32-plane")], ids=["sn", "gl32"]
+)
+def test_compare_holds_every_enumeration_to_the_order_limit(pair, capsys, monkeypatch):
+    # the catalog builds gl32-plane by scanning the 168 elements of GL(3,2)
+    # once per process, whatever the job; build it before recording
+    lab.gl32_plane_stabilizer()
+    limits = []
+    real = profile.check_enumeration
+
+    def recording(order, limit=profile.ENUMERATION_LIMIT, census=False):
+        limits.append(limit)
+        real(order, limit, census)
+
+    for module in (profile, perm, coset, lab):
+        monkeypatch.setattr(module, "check_enumeration", recording)
+    code, out, err = run_cli(capsys, "compare", *pair, "--order-limit", "5000")
+    assert code == 0, err
+    assert len(limits) >= 4 and set(limits) == {5000}
+    assert json.loads(out)["gassmann"]["conjugate"] is not None
+
+
+# sha256 of whole reports, wall_time_s removed.  These pin every byte of the
+# reports; a change that alters one must update its digest on purpose.
+_REPORT_DIGESTS = {
+    "analyze block:7x3 --full-distribution": "0754df1623c8837c469f03d98a5610c734be35319963c79692f3c62b7baf90f0",
+    "analyze young:15+2": "6706c9c3b16c201e7b9d4f2326b7cb8d57e88b2b106794780ff65224a4b62b2a",
+    "analyze symmetric:9 --full-distribution": "a931c770b268d5174f992b6b7e23159a7f8bf8748ebff25def0b1572d3271490",
+    "sweep --family block --r 2 --start 2 --end 8": "5d1c110ac8f490742cb82961a8f04a9dc8c238e77712718bb8a1a9658867bf1c",
+    "sweep --family cyclic --start 2 --end 10 --format csv": "53fe597b57fdf2e7c90a6ea40e1bfce4d24a65b97282090cd170851ffd1aa137",
+    "compare young:4+2 young:2+4": "4bbd1635efc738581fcedae9a7783e0e0e8af776cc403c1b664a7043b79cdc3d",
+    "compare gl32-point gl32-plane": "0b9811015b1069a889b877aed5113e193ed6c6d9055c99cb584319468fb595f9",
+    "coset symmetric:6 young:3+3": "37b73f948c3bb3d67b47ff0199e058a1df1c199c0fb21e955fef0770c6131f40",
+}
+
+
+@pytest.mark.parametrize("job", list(_REPORT_DIGESTS))
+def test_reports_match_their_pinned_digests(job, capsys):
+    code, out, err = run_cli(capsys, *job.split())
+    assert code == 0, err
+    assert hashlib.sha256(strip_wall_time(out).encode()).hexdigest() == _REPORT_DIGESTS[job]
 
 
 def test_failed_invariant_exits_1_and_fails_the_frobenius_check(capsys, monkeypatch):

@@ -215,8 +215,9 @@ def test_gassmann_showcase_gl32():
 def test_gassmann_conjugacy_search_can_be_skipped():
     H = PermGroup.from_cycles(["(1 2)"], 3)
     K = PermGroup.from_cycles(["(1 3)"], 3)
-    rep = gassmann_test(S3, H, K, conjugacy_limit=1)
-    assert rep.conjugate is None  # search skipped above the cap, never guessed
+    # the censuses of H and K fit the order limit; the search over |S_3| = 6 does not
+    rep = gassmann_test(S3, H, K, order_limit=5)
+    assert rep.conjugate is None  # search skipped above the limit, never guessed
     assert rep.class_counts_equal and rep.consistent
 
 

@@ -22,7 +22,6 @@ from hsplab.qfs import (
     distinguishability_threshold,
     plancherel,
     poly_subgroup_verdict,
-    prop_upper,
     thm1_bounds,
     verdict,
     weak_distribution,
@@ -59,6 +58,8 @@ def test_distribution_normalization_and_integrality(s4_subgroups):
     for H in s4_subgroups:
         prof = class_profile(H)
         dist = weak_distribution(4, prof)
+        assert all(type(w) is int for w in dist.weights.values())
+        assert sum(dist.weights.values()) == math.factorial(4)
         assert sum(dist.probs.values()) == 1
         for lam in dist.probs:
             mult = dist.trivial_multiplicity(lam)
@@ -199,8 +200,8 @@ def test_profiles_and_bounds_reports_are_immutable_values():
     assert prof == ClassProfile(3, {(2, 1): 1, (1, 1, 1): 1})
     assert prof.count((2, 1)) == 1  # the census count, not tuple.count
     r = thm1_bounds(3, prof)
-    # SqrtSum has no __eq__, so equal reports must share their upper bound
-    assert BoundsReport(*r) == r
+    assert r == thm1_bounds(3, ClassProfile(3, {(1, 1, 1): 1, (2, 1): 1}))
+    assert BoundsReport(*r) == r and hash(BoundsReport(*r)) == hash(r)
     assert r != r._replace(lower=frac(0, 1))
     with pytest.raises(AttributeError):
         prof.degree = 4
@@ -243,26 +244,35 @@ def test_cmin_consistency(s4_subgroups):
         if H.order < 2:
             continue
         prof = class_profile(H)
-        t = thm1_bounds(4, prof, with_exact=False)
-        c = cmin_bounds(4, prof, with_exact=False)
+        t = thm1_bounds(4, prof)
+        c = cmin_bounds(4, prof)
         assert c.report.lower <= t.lower
         assert prof.count(c.cmin_type) <= prof.order - 1
+        # the corollary bracket 1/(|H||C_min|) < D_H <= (|H|-1)|C_min|^(-1/2)
+        d = dh_exact(4, prof)
+        assert c.report.lower < d and c.report.upper.compare_to(d) >= 0
+        assert c.report.exact_value is None and c.report.sandwich_ok is None
+
+
+# prop_upper, the sum over non-identity h in H of |h^G|^(-1/2), is reported
+# from thm1_bounds' upper bound
 
 
 def test_prop_upper_examples():
-    s = prop_upper(3, H12_S3)
+    s = thm1_bounds(3, H12_S3).upper
     assert s.radicals == {3: Fraction(1, 3)} and s.compare_to(frac(1, 3)) >= 0
-    assert prop_upper(3, ClassProfile.identity(3)).compare_to(0) == 0
     from hsplab.lab import block_group_profile
 
     prof = block_group_profile(4, 2)
-    assert prop_upper(8, prof).compare_to(dh_exact(8, prof)) >= 0
+    assert thm1_bounds(8, prof).upper.compare_to(dh_exact(8, prof)) >= 0
 
 
 def test_prop_upper_dominates_dh(s4_subgroups):
     for H in s4_subgroups:
+        if H.order < 2:
+            continue
         prof = class_profile(H)
-        assert prop_upper(4, prof).compare_to(dh_exact(4, prof)) >= 0
+        assert thm1_bounds(4, prof).upper.compare_to(dh_exact(4, prof)) >= 0
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,19 @@ def test_equivalent_radicands_merge():
     assert a.radicals == b.radicals and a.rational == b.rational
 
 
+def test_value_equality_and_hash():
+    a = SqrtSum.from_terms([(2, 12)])  # 2/sqrt(12) = 1/sqrt(3)
+    b = SqrtSum.from_terms([(1, 3)])
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert a != SqrtSum.from_terms([(1, 2)]) and a != a + 1
+    assert a != Fraction(1, 2) and a != "1/sqrt(3)"
+    # a rational value equals, and hashes as, the same Fraction or int
+    r = SqrtSum.from_terms([(1, 4), (3, 9)])
+    assert r == Fraction(3, 2) and hash(r) == hash(Fraction(3, 2))
+    assert {r: "r"}[Fraction(3, 2)] == "r"
+    assert SqrtSum(2) == 2 and hash(SqrtSum(2)) == hash(2)
+
+
 def test_compare_to_tight_rationals():
     inv_sqrt3 = SqrtSum.from_terms([(1, 3)])
     # 1/sqrt(3) = 0.57735026918962576...
