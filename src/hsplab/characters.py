@@ -5,44 +5,78 @@ values are exact Python ints; nothing in this module touches floating point.
 
 Class sums v(lam) = sum_t count(t) chi_lam(t) over a whole cycle-type profile
 come from `class_sums`, the one engine behind the weak-sampling distribution
-and D_H: a single Murnaghan-Nakayama border-strip recursion over bead
-bitmasks, run for every lam and every type of the profile together.
-`mn_character` evaluates one character value by its own beta-set recursion;
-it is the independent oracle the engine is tested against, and the
-orthogonality check reads the full character table through it.
+and D_H.  In symmetric-function terms v(lam) = <s_lam, F>, where F is the
+profile read as a product of factors: a census sum_t c_t p_t, or a symmetric
+group S_a, whose census is a! h_a.  The engine turns F into a trie shared by
+all lam and walks it on bead bitmasks, with two kinds of edge:
+
+- a p_k edge removes a k-border strip with sign (-1)^height
+  (Murnaghan-Nakayama);
+- an h_a edge removes a horizontal a-strip, unsigned, with weight a! (the
+  adjoint of Pieri's rule), so a Young subgroup S_alpha costs a Kostka
+  number's worth of work, v(lam) = |S_alpha| K_{lam,alpha} (Young's rule),
+  not a walk over its expanded census.
+
+Each vector is certified before it is cached, by two column-orthogonality
+identities that do not run through the engine.  `mn_character` evaluates one
+character value by its own beta-set recursion; it is the independent oracle
+the engine is tested against, and the orthogonality check reads the full
+character table through it.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache, lru_cache
+from itertools import repeat
+from operator import add, ge, sub
 from typing import NamedTuple
 
-from .errors import LimitExceeded, PreconditionError
-from .profile import sn_class_size
+from .errors import InvariantError, LimitExceeded, PreconditionError
+from .profile import centralizer_order, sn_class_size
 
 Partition = tuple
 
 
-def _descending_parts(n: int, max_part: int):
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(max_part, n), 0, -1):
-        for rest in _descending_parts(n - first, first):
-            yield (first,) + rest
-
-
 @cache
 def partitions(n: int) -> tuple:
-    """All partitions of n in reverse lexicographic order: (n), ..., (1^n)."""
+    """All partitions of n in reverse lexicographic order: (n), ..., (1^n).
+
+    Iterative (algorithm ZS1 of Zoghbi and Stojmenovic, 1998): x[:m] is the
+    current partition, with x[h] its last part above 1 and 1s after it.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return tuple(_descending_parts(n, n))
+    x = [1] * n
+    x[0] = n
+    m = h = 1
+    out = [(n,)]
+    while x[0] != 1:
+        if x[h - 1] == 2:
+            x[h - 1] = 1
+            m += 1
+            h -= 1
+        else:
+            r = x[h - 1] - 1
+            t = m - h + 1
+            x[h - 1] = r
+            while t >= r:
+                x[h] = r
+                h += 1
+                t -= r
+            if t == 0:
+                m = h
+            else:
+                m = h + 1
+                if t > 1:
+                    x[h] = t
+                    h += 1
+        out.append(tuple(x[:m]))
+    return tuple(out)
 
 
 def is_partition(lam) -> bool:
-    return all(p >= 1 for p in lam) and all(a >= b for a, b in zip(lam, lam[1:]))
+    return not lam or (lam[-1] >= 1 and all(map(ge, lam, lam[1:])))
 
 
 def conjugate(lam: Partition) -> Partition:
@@ -59,18 +93,36 @@ def class_sign(mu: Partition) -> int:
     return -1 if (sum(mu) - len(mu)) % 2 else 1
 
 
+#: _FACT[i] = i!, grown on demand
+_FACT = [1]
+
+
+def _factorials(n: int) -> list:
+    while len(_FACT) <= n:
+        _FACT.append(_FACT[-1] * len(_FACT))
+    return _FACT
+
+
 @cache
 def dimension(lam: Partition) -> int:
-    """Irrep dimension by the hook length formula: n! / prod(hooks)."""
+    """Irrep dimension from the beads beta_i = lam_i + k-1-i (k = #parts):
+    d = n! * prod_{i<j} (beta_i - beta_j) / prod_i beta_i!.
+
+    Evaluated one row at a time: lam without its first row keeps the beads
+    beta_1, ..., beta_(k-1), so d_lam = n! d_rest / (m! H_0), with m the
+    size of the rest and H_0 = beta_0! / prod_{j>0} (beta_0 - beta_j) the
+    product of the hook lengths in the first row.
+    """
     if not is_partition(lam):
         raise ValueError(f"{lam} is not a partition")
-    n = sum(lam)
-    conj = conjugate(lam)
-    hooks = 1
-    for i, row in enumerate(lam):
-        for j in range(row):
-            hooks *= row - j + conj[j] - i - 1
-    return math.factorial(n) // hooks
+    if not lam:
+        return 1
+    first, rest = lam[0], lam[1:]
+    m = sum(rest)
+    fact = _factorials(first + m)  # beta_0 = lam_0 + k-1 <= n
+    # beta_0 - beta_j = lam_0 - lam_j + j
+    below = math.prod(map(add, map(sub, repeat(first), rest), range(1, len(lam))))
+    return fact[first + m] * below * dimension(rest) // (fact[m] * fact[first + len(rest)])
 
 
 @lru_cache(maxsize=None)
@@ -140,47 +192,91 @@ def _bead_mask(lam: Partition, beads: int) -> int:
     return mask
 
 
-def _type_dag(items) -> tuple:
-    """The cycle types as a trie, largest part first, with equal subtries shared.
+def _type_dag(factors) -> tuple:
+    """The profile's product as a trie of p_k and h_a edges, equal subtries
+    shared.
 
-    A node is a tuple of (part, weight, child) edges; node 0 is the leaf ().
+    `factors` run from the root down: an int a is S_a, one h_a edge of weight
+    a!; a (degree, items) pair is a census, a trie of p-edges over its types,
+    largest part first, whose ends all lead on to the next factor.  A node is
+    a tuple of (k, horizontal, weight, child) edges; node 0 is the leaf ().
     A node's value on a shape is the sum over its edges of weight times the
-    signed sum of the child's values over all removals of a part-strip; the
-    leaf's value on the empty shape is 1.  Each node's edge weights are
-    divided by their gcd, the factor moving to the edge above, so subtries
-    that differ only by a scalar (the all-ones tails, for one) are one node.
-    Returns (nodes, scale, root): the class sum at lam is scale times the
-    root's value on lam.
+    sum of the child's values over all removals of a horizontal k-strip
+    (unsigned) or of a k-border strip (signed); the leaf's value on the empty
+    shape is 1.  Each node's edge weights are divided by their gcd, the
+    factor moving to the edge above, so subtries that differ only by a scalar
+    (the all-ones tails, for one) are one node.
+
+    Returns (nodes, clears, scale, root): the class sum at lam is scale times
+    the root's value on lam.  clears[node] is the most rows a path from the
+    node to the leaf can clear, k for a p_k edge and 1 for an h_a edge (a
+    horizontal strip empties at most the last row), so the node's value is 0
+    on any shape with more rows.
     """
-    trie: dict = {}
-    for t, c in items:
-        node = trie
-        for part in t:
-            node = node.setdefault(part, {})
-        node[0] = c  # part 0 marks the end of a type; types are distinct
     ids: dict = {(): 0}
     nodes: list = [()]
+    clears: list = [0]
 
-    def intern(node: dict) -> tuple:
-        if 0 in node:
-            return node[0], 0
-        edges = [(part, *intern(node[part])) for part in sorted(node, reverse=True)]
-        scale = math.gcd(*(w for _, w, _ in edges))
-        key = tuple((part, w // scale, child) for part, w, child in edges)
+    def shared(edges: list) -> tuple:
+        scale = math.gcd(*(w for _, _, w, _ in edges))
+        key = tuple((k, horizontal, w // scale, child) for k, horizontal, w, child in edges)
         if key not in ids:
             ids[key] = len(nodes)
             nodes.append(key)
+            clears.append(max((1 if h else k) + clears[child] for k, h, _, child in key))
         return scale, ids[key]
 
-    return (nodes, *intern(trie))
+    def intern(node: dict, end: int) -> tuple:
+        if 0 in node:
+            return node[0], end
+        edges = [(part, False, *intern(node[part], end)) for part in sorted(node, reverse=True)]
+        return shared(edges)
+
+    scale, tail = 1, 0
+    for factor in reversed(factors):
+        if isinstance(factor, int):
+            step, tail = shared([(factor, True, math.factorial(factor), tail)])
+        else:
+            trie: dict = {}
+            for t, c in factor[1]:
+                node = trie
+                for part in t:
+                    node = node.setdefault(part, {})
+                node[0] = c  # part 0 marks the end of a type; types are distinct
+            step, tail = intern(trie, tail)
+        scale *= step
+    return nodes, clears, scale, tail
 
 
-@lru_cache(maxsize=8)
-def _class_sum_vector(n: int, items: tuple) -> tuple:
-    """Class sums over partitions(n), for validated (type, count) items."""
-    if not items:
-        return (0,) * len(partitions(n))
-    nodes, scale, root = _type_dag(items)
+def _horizontal_strips(mask: int, a: int) -> list:
+    """The bead masks left by removing a horizontal a-strip from mask's shape.
+
+    Each bead moves down by d_i, into the empty slots right below it (never
+    past the old slot of the next lower bead), with sum d_i = a.
+    """
+    moves = []  # (slot, empty slots below it), top bead first
+    heads = mask & ~(mask << 1) & ~1  # beads b >= 1 whose slot b-1 is empty
+    while heads:
+        b = heads.bit_length() - 1
+        heads ^= 1 << b
+        moves.append((b, b - (mask & ((1 << b) - 1)).bit_length()))
+    room = sum(gap for _, gap in moves)
+    out = [(mask, a)]
+    for b, gap in moves:
+        room -= gap  # what the beads below can still take
+        out = [
+            (m ^ (1 << b) ^ (1 << (b - d)), left - d)
+            for m, left in out
+            for d in range(max(0, left - room), min(gap, left) + 1)
+        ]
+    return [m for m, _ in out]
+
+
+def _engine(n: int, factors: tuple) -> tuple:
+    """Class sums over partitions(n) of the product `factors` (see _type_dag)."""
+    if any(not isinstance(f, int) and not f[1] for f in factors):
+        return (0,) * len(partitions(n))  # an empty census factor
+    nodes, clears, scale, root = _type_dag(factors)
     # memo[node][mask]: the node's value on the shape of mask; the callers
     # look it up, so the leaf is only ever read, on the empty shape
     memo = [{} for _ in nodes]
@@ -188,51 +284,126 @@ def _class_sum_vector(n: int, items: tuple) -> tuple:
 
     def value(mask: int, node: int) -> int:
         total = 0
-        for k, weight, child in nodes[node]:
+        for k, horizontal, weight, child in nodes[node]:
             seen = memo[child]
-            between = (1 << (k - 1)) - 1
             strips = 0
-            # beads b >= k whose slot b-k is empty: each move b -> b-k
-            # removes one k-strip, with sign (-1)^(beads strictly between)
-            heads = mask & ~(mask << k) & ~((1 << k) - 1)
-            while heads:
-                low = heads & -heads
-                heads ^= low
-                b = low.bit_length() - 1
-                smaller = mask ^ low ^ (1 << (b - k))
-                x = seen.get(smaller)
-                if x is None:
-                    x = seen[smaller] = value(smaller, child)
-                if ((mask >> (b - k + 1)) & between).bit_count() & 1:
-                    strips -= x
-                else:
+            if horizontal:
+                # the shape's rows are the beads above the run at slot 0
+                if n + 1 - (mask ^ (mask + 1)).bit_length() > 1 + clears[child]:
+                    continue
+                for smaller in _horizontal_strips(mask, k):
+                    x = seen.get(smaller)
+                    if x is None:
+                        x = seen[smaller] = value(smaller, child)
                     strips += x
+            elif k == 1:
+                # a 1-strip is one box at a corner: no beads between, sign +
+                heads = mask & ~(mask << 1) & ~1
+                while heads:
+                    low = heads & -heads
+                    heads ^= low
+                    smaller = mask ^ low ^ (low >> 1)
+                    x = seen.get(smaller)
+                    if x is None:
+                        x = seen[smaller] = value(smaller, child)
+                    strips += x
+            else:
+                # beads b >= k whose slot b-k is empty: each move b -> b-k
+                # removes one k-strip, with sign (-1)^(beads strictly between)
+                heads = mask & ~(mask << k) & ~((1 << k) - 1)
+                while heads:
+                    low = heads & -heads
+                    heads ^= low
+                    smaller = mask ^ low ^ (low >> k)
+                    x = seen.get(smaller)
+                    if x is None:
+                        x = seen[smaller] = value(smaller, child)
+                    if (mask & (low - 1) & -(low >> (k - 1))).bit_count() & 1:
+                        strips -= x
+                    else:
+                        strips += x
             total += weight * strips
         return total
 
-    return tuple(scale * value(_bead_mask(lam, n), root) for lam in partitions(n))
+    rows = clears[root]
+    return tuple(
+        scale * value(_bead_mask(lam, n), root) if len(lam) <= rows else 0
+        for lam in partitions(n)
+    )
 
 
-def class_sums(n: int, counts) -> dict:
+def _certify(n: int, items: frozenset, vec: tuple) -> None:
+    """Column orthogonality, by routes that do not run through the engine:
+    (a) sum_lam d_lam v(lam) = n! c_id and (b) sum_lam v(lam)^2 =
+    sum_t c_t^2 z_t.  Both hold for any counts, subgroup census or not."""
+    c_id = next((c for t, c in items if len(t) == n), 0)  # the type (1^n)
+    mass = sum(dimension(lam) * v for lam, v in zip(partitions(n), vec) if v)
+    if mass != math.factorial(n) * c_id:
+        raise InvariantError(
+            f"class-sum certificate (a) sum_lam d_lam v(lam) = n! c_id fails at n={n}: "
+            f"{mass} != {math.factorial(n) * c_id}"
+        )
+    square = sum(v * v for v in vec)
+    want = sum(c * c * centralizer_order(t) for t, c in items)
+    if square != want:
+        raise InvariantError(
+            f"class-sum certificate (b) sum_lam v(lam)^2 = sum_t c_t^2 z_t fails at n={n}: "
+            f"{square} != {want}"
+        )
+
+
+@lru_cache(maxsize=8)
+def _class_sum_vector(n: int, items: frozenset, factors: tuple) -> tuple:
+    """Class sums over partitions(n) of the product `factors`, certified
+    against the expanded census `items` (validated (type, count) pairs)."""
+    vec = _engine(n, factors)
+    _certify(n, items, vec)
+    return vec
+
+
+def _census_items(n: int, counts) -> frozenset:
+    """The (type, count) items, each type sorted, spellings of one type
+    merged and zero counts dropped; a set, so that the cache key does not
+    depend on the order of counts."""
+    merged: dict = {}
+    for t, c in counts.items():
+        mu = tuple(sorted(t, reverse=True))
+        if mu and mu[-1] < 1:
+            raise ValueError("arguments must be partitions")
+        if sum(mu) != n:
+            raise PreconditionError(f"partition sizes differ: {n} vs {sum(mu)}")
+        merged[mu] = merged.get(mu, 0) + c
+    return frozenset((mu, c) for mu, c in merged.items() if c)
+
+
+def class_sums(n: int, counts, factors=None) -> dict:
     """{lam: sum_t counts[t] chi_lam(t)} for every partition lam of n, in
     partitions(n) order.
 
     Types may be given in any part order; zero counts are dropped.  Raises
     ValueError for a type that is not a partition and PreconditionError for
-    one that does not sum to n, as `mn_character` does.  Each profile is
-    computed once and kept in a small cache, cleared by
-    `clear_character_cache`.
+    one that does not sum to n, as `mn_character` does.  `factors`, when not
+    None, is the same census as a product (see `ClassProfile.factors`): the
+    engine walks that product, and `counts` serves the certificate, which so
+    also checks the two agree.  A vector that fails the certificate raises
+    InvariantError.  Each profile is computed once and kept in a small
+    cache, cleared by `clear_character_cache`.
     """
-    merged: dict = {}
-    for t, c in counts.items():
-        mu = tuple(sorted(t, reverse=True))
-        if not is_partition(mu):
-            raise ValueError("arguments must be partitions")
-        if sum(mu) != n:
-            raise PreconditionError(f"partition sizes differ: {n} vs {sum(mu)}")
-        merged[mu] = merged.get(mu, 0) + c
-    items = tuple(sorted((mu, c) for mu, c in merged.items() if c))
-    return dict(zip(partitions(n), _class_sum_vector(n, items)))
+    items = _census_items(n, counts)
+    if factors is None:
+        key = ((n, items),)
+    else:
+        # S_a factors first, largest first: each strips the most off the shape
+        sym = sorted((f for f in factors if isinstance(f, int) and f), reverse=True)
+        censuses = [
+            (f.degree, _census_items(f.degree, f.counts))
+            for f in factors
+            if not isinstance(f, int) and f.degree
+        ]
+        if sum(sym) + sum(d for d, _ in censuses) != n:
+            raise PreconditionError(f"factor degrees do not add up to n={n}")
+        key = (*sym, *censuses)
+    return dict(zip(partitions(n), _class_sum_vector(n, items, key)))
 
 
 #: Largest degree whose full character table orthogonality_check verifies;

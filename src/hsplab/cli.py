@@ -250,7 +250,7 @@ def cmd_coset(args) -> dict:
         "subgroup": sub.describe(),
         "index": ca.index,
         "rank_subdegrees": rr.serialize(),
-        "class_identity_holds": coset_mod.class_fixpoint_identity_holds(ca),
+        "class_identity_holds": coset_mod.class_fixpoint_identity_holds(ca, args.order_limit),
         "avg_subdegree": coset_mod.avg_subdegree_verdict(ca, args.c).serialize(),
     }
     if sub.order >= 2:
@@ -396,7 +396,7 @@ def _check_frobenius(args) -> dict:
         ca = coset_mod.coset_action(G, H, args.index_limit)
         try:
             coset_mod.rank_subdegrees(ca)  # raises if the Frobenius identity fails
-            if not coset_mod.class_fixpoint_identity_holds(ca):
+            if not coset_mod.class_fixpoint_identity_holds(ca, args.order_limit):
                 failures.append({"parent_order": str(G.order), "subgroup_order": str(H.order)})
         except InvariantError:
             failures.append({"parent_order": str(G.order), "subgroup_order": str(H.order)})

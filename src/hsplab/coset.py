@@ -154,10 +154,11 @@ def permutation_character(ca: CosetAction, limit: int = ENUMERATION_LIMIT) -> Pe
     return PermutationCharacter(ca.index, tuple(entries))
 
 
-def class_fixpoint_identity_holds(ca: CosetAction) -> bool:
-    """fix_X(g) |C| == |H ∩ C| |X| for every class of G, checked exactly."""
-    counts = _class_counts(ca.group, ca.subgroup)
-    for key, rep, size in _class_reps(ca.group):
+def class_fixpoint_identity_holds(ca: CosetAction, limit: int = ENUMERATION_LIMIT) -> bool:
+    """fix_X(g) |C| == |H ∩ C| |X| for every class of G, checked exactly;
+    the census of H and the class map of G are held to `limit`."""
+    counts = _class_counts(ca.group, ca.subgroup, limit)
+    for key, rep, size in _class_reps(ca.group, limit):
         if fix_in_X(ca, rep) * size != counts.get(key, 0) * ca.index:
             return False
     return True

@@ -353,24 +353,70 @@ def block_group_gens(m: int, r: int) -> list:
     return gens
 
 
+def _factors(prof: ClassProfile) -> tuple:
+    if prof.degree == 0:
+        return ()
+    return (prof,) if prof.factors is None else prof.factors
+
+
+#: product_profile keys types by integers once each census has more types
+#: than this: keying costs one pass over both censuses and one over the
+#: result, and pays off only when every type meets many of the other side.
+_KEYED_MERGE_ABOVE = 8
+
+
 def product_profile(prof_a: ClassProfile, prof_b: ClassProfile) -> ClassProfile:
     """Census of the direct product acting on the disjoint union of domains:
-    the convolution of the two censuses under concatenation of cycle types."""
-    counts: dict[tuple, int] = {}
-    for ta, ca in prof_a.counts.items():
-        for tb, cb in prof_b.counts.items():
-            merged = tuple(sorted(ta + tb, reverse=True))
-            counts[merged] = counts.get(merged, 0) + ca * cb
-    return ClassProfile(prof_a.degree + prof_b.degree, counts)
+    the convolution of the two censuses under concatenation of cycle types,
+    kept also as the product of the two factor lists."""
+    degree = prof_a.degree + prof_b.degree
+    if min(len(prof_a.counts), len(prof_b.counts)) > _KEYED_MERGE_ABOVE:
+        counts = _keyed_convolution(prof_a.counts, prof_b.counts, degree.bit_length())
+    else:
+        counts = {}
+        for ta, ca in prof_a.counts.items():
+            for tb, cb in prof_b.counts.items():
+                merged = tuple(sorted(ta + tb, reverse=True))
+                counts[merged] = counts.get(merged, 0) + ca * cb
+    return ClassProfile(degree, counts, _factors(prof_a) + _factors(prof_b))
+
+
+def _keyed_convolution(counts_a, counts_b, width: int) -> dict:
+    """product_profile's convolution with each type keyed by its
+    multiplicities m_k, one `width`-bit digit per part size k, so that
+    concatenating two types adds their keys.  Same counts, same order."""
+
+    def key(t: tuple) -> int:
+        return sum(t.count(part) << (width * part) for part in set(t))
+
+    keyed_b = [(key(tb), cb) for tb, cb in counts_b.items()]
+    merged: dict[int, int] = {}
+    get = merged.get
+    for ta, ca in counts_a.items():
+        key_a = key(ta)
+        for key_b, cb in keyed_b:
+            both = key_a + key_b
+            merged[both] = get(both, 0) + ca * cb
+    digit = (1 << width) - 1
+    counts = {}
+    for both, c in merged.items():
+        t = []
+        while both:
+            part = (both.bit_length() - 1) // width
+            t += [part] * (both >> (width * part) & digit)
+            both &= (1 << (width * part)) - 1
+        counts[tuple(t)] = c
+    return counts
 
 
 def symmetric_profile(n: int) -> ClassProfile:
-    """Census of the full S_n: every cycle type with its class size."""
+    """Census of the full S_n: every cycle type with its class size; as a
+    product, the single factor S_n."""
     if n == 0:
-        return ClassProfile(0, {(): 1})
+        return ClassProfile(0, {(): 1}, ())
     from .characters import partitions
 
-    return ClassProfile(n, {t: sn_class_size(t) for t in partitions(n)})
+    return ClassProfile(n, {t: sn_class_size(t) for t in partitions(n)}, (n,))
 
 
 def young_profile(parts) -> ClassProfile:
@@ -378,7 +424,7 @@ def young_profile(parts) -> ClassProfile:
     parts = list(parts)
     if any(p < 1 for p in parts):
         raise PreconditionError("Young subgroup parts must be positive")
-    prof = ClassProfile(0, {(): 1})
+    prof = ClassProfile(0, {(): 1}, ())
     for a in parts:
         prof = product_profile(prof, symmetric_profile(a))
     return prof

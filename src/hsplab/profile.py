@@ -10,6 +10,7 @@ points included as 1s.
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import Mapping, NamedTuple
 
 from .errors import LimitExceeded, PreconditionError
@@ -43,10 +44,17 @@ class ClassProfile(NamedTuple):
 
     This is the only data the analytic machinery needs about a subgroup:
     counts[t] is the number of its elements with S_n cycle type t.
+
+    `factors`, when not None, is the same census as a direct product: a
+    tuple whose entries are an int a, the symmetric group S_a, or a plain
+    ClassProfile (one with factors None), a census.  The class-sum engine
+    walks the product instead of the expanded census; `counts` stays, for
+    everything that reads single types.
     """
 
     degree: int
     counts: Mapping[CycleType, int]
+    factors: tuple | None = None
 
     @classmethod
     def identity(cls, degree: int) -> "ClassProfile":
@@ -84,15 +92,19 @@ class ClassProfile(NamedTuple):
         return min(supports)
 
 
-def sn_class_size(t: CycleType) -> int:
-    """Size of the S_n conjugacy class with cycle type t (n = sum of parts)."""
-    n = sum(t)
+@cache
+def centralizer_order(t: CycleType) -> int:
+    """z_t = prod_k k^(m_k) m_k!, where t has m_k parts equal to k: the order
+    of the centralizer in S_n of a permutation of cycle type t."""
     z = 1
-    mult: dict[int, int] = {}
-    for part in t:
+    for part in set(t):
         if part < 1:
             raise ValueError("cycle type parts must be positive")
-        mult[part] = mult.get(part, 0) + 1
-    for length, m in mult.items():
-        z *= length**m * math.factorial(m)
-    return math.factorial(n) // z
+        m = t.count(part)
+        z *= part**m * math.factorial(m)
+    return z
+
+
+def sn_class_size(t: CycleType) -> int:
+    """Size of the S_n conjugacy class with cycle type t (n = sum of parts)."""
+    return math.factorial(sum(t)) // centralizer_order(tuple(t))

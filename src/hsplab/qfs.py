@@ -62,14 +62,31 @@ class IrrepDistribution(NamedTuple):
         ]
 
 
+def _census_sums(n: int, prof: ClassProfile) -> dict:
+    """The class sums of prof (its counts, walked through its factors when it
+    has them), checked as a subgroup census H: v(lam) / |H| is the
+    multiplicity of the trivial irrep in the restriction of chi_lam to H, so
+    v(lam) >= 0 and |H| divides v(lam).  weak_distribution and dh_exact (so
+    thm1_bounds and every sweep row) read the vector through this check."""
+    sums = class_sums(n, prof.counts, prof.factors)
+    order = prof.order
+    for lam, v in sums.items():
+        if v < 0:
+            raise InvariantError(f"negative mass at {lam}: profile is not a subgroup census")
+    for lam, v in sums.items():
+        if v % order:
+            raise InvariantError(
+                f"class sum v{lam} = {v} is not a multiple of |H| = {order}: "
+                "profile is not a subgroup census"
+            )
+    return sums
+
+
 def weak_distribution(n: int, prof: ClassProfile) -> IrrepDistribution:
     """P_H(lam) = d_lam / n! * sum_t count(t) chi_lam(t), exactly: the weight
-    of lam is d_lam * v(lam), with v = class_sums(n, prof.counts)."""
+    of lam is d_lam * v(lam), with v the checked class sums of prof."""
     _check_profile(n, prof)
-    weights = {lam: dimension(lam) * v for lam, v in class_sums(n, prof.counts).items()}
-    for lam, w in weights.items():
-        if w < 0:
-            raise InvariantError(f"negative mass at {lam}: profile is not a subgroup census")
+    weights = {lam: dimension(lam) * v for lam, v in _census_sums(n, prof).items()}
     fact = math.factorial(n)
     mass = sum(weights.values())
     if mass != fact:
@@ -81,13 +98,13 @@ def weak_distribution(n: int, prof: ClassProfile) -> IrrepDistribution:
 
 def plancherel(n: int) -> IrrepDistribution:
     """The identity-subgroup distribution: P(lam) = d_lam^2 / n!, read from
-    the hook length formula alone, with no class sums."""
+    dimensions alone, with no class sums."""
     return IrrepDistribution(n, 1, {lam: dimension(lam) ** 2 for lam in partitions(n)})
 
 
 def dh_exact(n: int, prof: ClassProfile) -> Fraction:
-    """D_H = 1/n! * sum_lam d_lam |v(lam) - count(id) d_lam|, where
-    v = class_sums(n, prof.counts) is the same vector weak_distribution reads.
+    """D_H = 1/n! * sum_lam d_lam |v(lam) - count(id) d_lam|, where v is the
+    same checked vector weak_distribution reads.
 
     The subtracted term is the identity class, so the absolute value runs over
     the non-identity class sum.  `analyze` compares this with the L1 distance
@@ -97,7 +114,7 @@ def dh_exact(n: int, prof: ClassProfile) -> Fraction:
     _check_profile(n, prof)
     c_id = prof.count((1,) * n)
     total = 0
-    for lam, v in class_sums(n, prof.counts).items():
+    for lam, v in _census_sums(n, prof).items():
         d = dimension(lam)
         total += d * abs(v - c_id * d)
     return Fraction(total, math.factorial(n))
@@ -156,6 +173,21 @@ def _bounds_report(lower: Fraction, upper: SqrtSum, exact: Fraction | None = Non
     )
 
 
+_last_sizes: tuple = (None, [])
+
+
+def _class_sizes(prof: ClassProfile) -> list:
+    """(type, count, S_n class size) per non-identity type of prof, in
+    nonidentity_items order; computed once for the last profile asked, so
+    both bounds of one profile read one list."""
+    global _last_sizes
+    last, sized = _last_sizes
+    if last is not prof:
+        sized = [(t, c, sn_class_size(t)) for t, c in prof.nonidentity_items()]
+        _last_sizes = (prof, sized)
+    return sized
+
+
 def thm1_bounds(n: int, prof: ClassProfile) -> BoundsReport:
     """sum |C∩H|^2 / (|H||C|)  <  D_H  <=  sum |C∩H| |C|^(-1/2), both exact,
     with D_H itself.  The lower bound is one integer over |H| n!."""
@@ -163,7 +195,7 @@ def thm1_bounds(n: int, prof: ClassProfile) -> BoundsReport:
     if prof.order < 2:
         raise PreconditionError("the strict lower bound requires |H| >= 2")
     fact = math.factorial(n)
-    sized = [(c, sn_class_size(t)) for t, c in prof.nonidentity_items()]
+    sized = [(c, size) for _, c, size in _class_sizes(prof)]
     lower = Fraction(sum(c * c * (fact // size) for c, size in sized), prof.order * fact)
     return _bounds_report(lower, SqrtSum.from_terms(sized), dh_exact(n, prof))
 
@@ -190,7 +222,7 @@ def cmin_bounds(n: int, prof: ClassProfile) -> CminBounds:
     if prof.order < 2:
         raise PreconditionError("the corollary bounds require |H| >= 2")
     order = prof.order
-    candidates = [(sn_class_size(t), t) for t, c in prof.nonidentity_items()]
+    candidates = [(size, t) for t, _, size in _class_sizes(prof)]
     size, t = min(candidates)
     lower = Fraction(1, order * size)
     upper = SqrtSum.from_terms([(order - 1, size)])

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from numbers import Rational
 
 #: Significant digits of every decimal rendering in a report.
@@ -99,24 +99,25 @@ class SqrtSum:
     @classmethod
     def from_terms(cls, terms) -> "SqrtSum":
         """Sum of coeff / sqrt(radicand) over (coeff, radicand) pairs."""
-        rational = Fraction(0)
-        rad: dict[int, Fraction] = {}
+        # 1/sqrt(s^2 f) = sqrt(f) / (s f).  The coefficients of each sqrt(f),
+        # and of the rational part (f = 1), gather as one integer fraction
+        # over the lcm of their denominators, reduced once at the end.
+        sums: dict[int, list] = {}
         for coeff, radicand in terms:
-            coeff = Fraction(coeff)
-            if coeff == 0:
+            num, den = coeff.numerator, coeff.denominator
+            if not num:
                 continue
             s, f = square_split(int(radicand))
-            # 1/sqrt(s^2 f) = sqrt(f) / (s f)
-            q = coeff / (s * f)
-            if f == 1:
-                rational += q
+            den *= s * f
+            acc = sums.get(f)
+            if acc is None:
+                sums[f] = [num, den]
             else:
-                q0 = rad.get(f, Fraction(0)) + q
-                if q0:
-                    rad[f] = q0
-                else:
-                    rad.pop(f, None)
-        return cls(rational, rad)
+                g = gcd(acc[1], den)
+                acc[0] = acc[0] * (den // g) + num * (acc[1] // g)
+                acc[1] = acc[1] // g * den
+        rational = Fraction(*sums.pop(1, (0, 1)))
+        return cls(rational, {f: Fraction(num, den) for f, (num, den) in sums.items() if num})
 
     @property
     def is_rational(self) -> bool:

@@ -7,12 +7,33 @@ subgroups), which doubles as an independent oracle for chain-based orders.
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import numpy as np
 import pytest
 
+from hsplab import characters
 from hsplab.perm import PermGroup, Permutation
+
+#: Two engine mutations the class-sum certificate must catch, as (function,
+#: fragment, replacement): the sign of a 2-strip dropped, and an h_a edge
+#: weighted (a-1)! instead of a!.
+SIGN_MUTATION = (
+    "_engine",
+    "if (mask & (low - 1) & -(low >> (k - 1))).bit_count() & 1:",
+    "if k > 2 and (mask & (low - 1) & -(low >> (k - 1))).bit_count() & 1:",
+)
+WEIGHT_MUTATION = ("_type_dag", "math.factorial(factor)", "math.factorial(factor - 1)")
+
+
+def engine_mutant(name: str, old: str, new: str):
+    """A copy of characters.<name> with one source fragment replaced."""
+    src = inspect.getsource(getattr(characters, name))
+    assert src.count(old) == 1, f"{name} no longer contains {old!r}"
+    namespace = dict(vars(characters))
+    exec(compile(src.replace(old, new), characters.__file__, "exec"), namespace)
+    return namespace[name]
 
 
 class GroupTable:

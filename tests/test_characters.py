@@ -3,9 +3,12 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 
 import pytest
+from conftest import SIGN_MUTATION, WEIGHT_MUTATION, engine_mutant
 
+from hsplab import characters
 from hsplab.characters import (
     _class_sum_vector,
+    _engine,
     class_sign,
     class_sums,
     clear_character_cache,
@@ -15,9 +18,9 @@ from hsplab.characters import (
     orthogonality_check,
     partitions,
 )
-from hsplab.errors import PreconditionError
-from hsplab.lab import block_group_profile, symmetric_profile, young_profile
-from hsplab.profile import sn_class_size
+from hsplab.errors import InvariantError, PreconditionError
+from hsplab.lab import block_group_profile, product_profile, symmetric_profile, young_profile
+from hsplab.profile import ClassProfile, sn_class_size
 
 
 @cache
@@ -59,6 +62,44 @@ def count_syt(shape) -> int:
         return total
 
     return walk(tuple(shape))
+
+
+def descending_parts(n: int, max_part: int):
+    """Oracle: the recursive generator partitions() used before ZS1."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(max_part, n), 0, -1):
+        for rest in descending_parts(n - first, first):
+            yield (first,) + rest
+
+
+def hook_dimension(lam) -> int:
+    """Oracle: the hook length formula, one hook per cell."""
+    conj = conjugate(lam)
+    hooks = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            hooks *= row - j + conj[j] - i - 1
+    return math.factorial(sum(lam)) // hooks
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_partitions_match_the_recursive_oracle(n):
+    assert partitions(n) == tuple(descending_parts(n, n))
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_bead_dimension_matches_the_hook_length_oracle(n):
+    for lam in partitions(n):
+        assert dimension(lam) == hook_dimension(lam), lam
+
+
+def test_dimension_rejects_a_non_partition():
+    with pytest.raises(ValueError):
+        dimension((1, 2))
+    with pytest.raises(ValueError):
+        dimension((2, 0))
 
 
 def test_partitions_examples():
@@ -223,9 +264,103 @@ def catalog_profiles(n):
 @pytest.mark.parametrize("n", range(1, 15))
 def test_class_sums_match_mn_oracle_on_catalog_profiles(n):
     for prof in catalog_profiles(n):
+        oracle = mn_class_sums(n, prof.counts)
         sums = class_sums(n, prof.counts)
         assert list(sums) == list(partitions(n))
-        assert sums == mn_class_sums(n, prof.counts), prof.counts
+        assert sums == oracle, prof.counts
+        # the factored route (h_a edges for Young and symmetric profiles)
+        assert class_sums(n, prof.counts, prof.factors) == oracle, prof.factors
+
+
+def compositions(n):
+    """Every composition of n (one per set of cut points among n - 1),
+    grouped by the partition it rearranges."""
+    groups: dict = {}
+    for cuts in range(1 << (n - 1)):
+        comp, part = [], 1
+        for i in range(n - 1):
+            if cuts >> i & 1:
+                comp.append(part)
+                part = 0
+            part += 1
+        comp = tuple(comp + [part])
+        groups.setdefault(tuple(sorted(comp, reverse=True)), []).append(comp)
+    return groups.items()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_factored_route_equals_the_census_route_on_every_composition(n):
+    for alpha, comps in compositions(n):
+        prof = young_profile(alpha)
+        census = _engine(n, ((n, frozenset(prof.counts.items())),))
+        assert class_sums(n, prof.counts, prof.factors) == dict(zip(partitions(n), census))
+        for comp in comps:  # the engine in the composition's own factor order
+            assert _engine(n, comp) == census, comp
+        # Young's rule: v(lam) = |S_alpha| K_{lam,alpha}, so v is supported on
+        # the shapes that dominate alpha, with v(alpha) = |S_alpha|
+        assert dict(zip(partitions(n), census))[alpha] == prof.order
+
+
+@pytest.mark.parametrize("m, r", [(2, 1), (2, 2), (3, 1), (3, 2), (2, 3), (4, 1)])
+@pytest.mark.parametrize("alpha", [(1,), (2,), (2, 1), (3,), (1, 1)])
+def test_factored_route_on_young_times_block_products(alpha, m, r):
+    prof = product_profile(young_profile(alpha), block_group_profile(m, r))
+    n = prof.degree
+    assert prof.factors[-1].factors is None and len(prof.factors) == len(alpha) + 1
+    factored = class_sums(n, prof.counts, prof.factors)
+    assert factored == class_sums(n, prof.counts) == mn_class_sums(n, prof.counts)
+    # the other order: a census factor above the S_a factors
+    flipped = product_profile(block_group_profile(m, r), young_profile(alpha))
+    assert class_sums(n, flipped.counts, flipped.factors) == factored
+
+
+def test_class_sums_reject_factors_of_the_wrong_degree():
+    prof = young_profile((2, 1))
+    with pytest.raises(PreconditionError):
+        class_sums(3, prof.counts, (2, 2))
+
+
+# ---------------------------------------------------------------------------
+# the certificate: column orthogonality, checked before a vector is cached
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_cache():
+    clear_character_cache()
+    yield
+    clear_character_cache()
+
+
+@pytest.mark.parametrize("mutation, prof", [
+    (SIGN_MUTATION, block_group_profile(3, 2)),
+    (SIGN_MUTATION, block_group_profile(5, 3)),
+    (SIGN_MUTATION, ClassProfile(6, symmetric_profile(6).counts)),  # as a census
+    (WEIGHT_MUTATION, young_profile((3, 2))),
+    (WEIGHT_MUTATION, young_profile((4, 3, 2))),
+    (WEIGHT_MUTATION, symmetric_profile(7)),
+], ids=["sign-block3x2", "sign-block5x3", "sign-s6", "weight-young3+2",
+        "weight-young4+3+2", "weight-s7"])
+def test_certificate_catches_a_mutated_engine(mutation, prof, fresh_cache, monkeypatch):
+    name = mutation[0]
+    n = prof.degree
+    key = (n, frozenset(prof.counts.items()))
+    factors = (key,) if prof.factors is None else prof.factors
+    honest = _engine(n, factors)
+    monkeypatch.setattr(characters, name, engine_mutant(*mutation))
+    assert characters._engine(n, factors) != honest  # the mutation shows
+    with pytest.raises(InvariantError, match=r"class-sum certificate \([ab]\)"):
+        class_sums(n, prof.counts, prof.factors)
+    assert _class_sum_vector.cache_info().currsize == 0  # nothing wrong was kept
+    monkeypatch.undo()
+    assert class_sums(n, prof.counts, prof.factors) == dict(zip(partitions(n), honest))
+
+
+def test_certificate_holds_for_any_counts():
+    # not subgroup censuses: column orthogonality holds all the same
+    for n, counts in ((3, {(1, 1, 1): 2}), (3, {(1, 1, 1): 1, (2, 1): 5}),
+                      (5, {(3, 2): 7, (5,): -2}), (4, {(2, 2): 1})):
+        assert class_sums(n, counts) == mn_class_sums(n, counts)
 
 
 def test_class_sums_accept_unsorted_types():

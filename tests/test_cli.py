@@ -9,6 +9,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from conftest import SIGN_MUTATION, WEIGHT_MUTATION, engine_mutant
 
 from hsplab import characters, coset, lab, perm, profile, qfs
 from hsplab.cli import main
@@ -545,3 +546,109 @@ def test_the_library_leaves_the_openblas_thread_count_alone():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "None"
+
+
+# ---------------------------------------------------------------------------
+# the class-sum certificate turns a wrong engine into exit 1
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_class_sums():
+    characters.clear_character_cache()
+    yield
+    characters.clear_character_cache()
+
+
+@pytest.mark.parametrize(
+    "mutation, argv",
+    [
+        (SIGN_MUTATION, ("analyze", "block:3x2")),
+        (SIGN_MUTATION, ("sweep", "--family", "block", "--r", "2", "--start", "2", "--end", "4")),
+        (WEIGHT_MUTATION, ("analyze", "young:3+2")),
+        (WEIGHT_MUTATION, ("analyze", "symmetric:6")),
+        (WEIGHT_MUTATION, ("sweep", "--family", "young", "--start", "4", "--end", "6")),
+    ],
+    ids=["sign-analyze", "sign-sweep", "weight-analyze", "weight-analyze-sn", "weight-sweep"],
+)
+def test_mutated_engine_exits_1_naming_the_identity(
+    mutation, argv, capsys, monkeypatch, fresh_class_sums
+):
+    monkeypatch.setattr(characters, mutation[0], engine_mutant(*mutation))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert re.fullmatch(r"error: class-sum certificate \([ab]\) sum_lam .* fails at n=\d+: .*\n", err)
+
+
+def test_weight_mutation_leaves_census_profiles_alone(capsys, monkeypatch, fresh_class_sums):
+    # block groups are not products of symmetric groups: their engine walk
+    # has p_k edges only, so an h_a weight cannot change their numbers
+    argv = ("sweep", "--family", "block", "--r", "2", "--start", "2", "--end", "4")
+    honest = strip_wall_time(run_cli(capsys, *argv)[1])
+    characters.clear_character_cache()
+    monkeypatch.setattr(characters, WEIGHT_MUTATION[0], engine_mutant(*WEIGHT_MUTATION))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and strip_wall_time(out) == honest
+    rows = json.loads(out)["rows"]
+    assert [r["dh"] for r in rows] == ["1/2", "2/5", "3299/10080"]
+
+
+def test_certificate_runs_under_python_O():
+    # the mutated engine, in a child that strips assert statements
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})\n"
+        "from conftest import SIGN_MUTATION, engine_mutant\n"
+        "from hsplab import characters\n"
+        "from hsplab.cli import main\n"
+        "print(__debug__)\n"
+        "characters._engine = engine_mutant(*SIGN_MUTATION)\n"
+        "sys.exit(main(['analyze', 'block:3x2']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env={**os.environ}, capture_output=True, text=True
+    )
+    assert proc.stdout.strip() == "False", proc.stderr
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: class-sum certificate (")
+
+
+# ---------------------------------------------------------------------------
+# coset holds its class maps to --order-limit
+# ---------------------------------------------------------------------------
+
+
+def record_enumeration_limits(monkeypatch) -> list:
+    limits = []
+    real = profile.check_enumeration
+
+    def recording(order, limit=profile.ENUMERATION_LIMIT, census=False):
+        limits.append(limit)
+        real(order, limit, census)
+
+    for module in (profile, perm, coset, lab):
+        monkeypatch.setattr(module, "check_enumeration", recording)
+    return limits
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("coset", "gl32", "gl32-point"),
+        ("coset", "symmetric:6", "young:3+3"),
+        ("check", "--suite", "frobenius", "--actions", "3", "--seed", "5"),
+    ],
+    ids=["gl32", "sn", "frobenius"],
+)
+def test_coset_holds_every_enumeration_to_the_order_limit(argv, capsys, monkeypatch):
+    lab.gl32_plane_stabilizer()  # the catalog's one-off scan, outside the record
+    limits = record_enumeration_limits(monkeypatch)
+    code, out, err = run_cli(capsys, *argv, "--order-limit", "50000")
+    assert code == 0, err
+    assert limits and set(limits) == {50000}
+
+
+def test_coset_refuses_a_class_map_over_the_order_limit(capsys):
+    code, out, err = run_cli(capsys, "coset", "gl32", "gl32-point", "--order-limit", "100")
+    assert code == 3 and out == ""
+    assert err == "error: group order 168 exceeds the enumeration bound 100\n"

@@ -72,6 +72,16 @@ def test_negative_mass_detected():
         weak_distribution(3, bogus)
 
 
+def test_class_sums_not_divisible_by_the_order_are_refused():
+    # identity plus one 3-cycle: unit mass and no negative class sum, but
+    # v((2, 1)) = 2 - 1 = 1 is not a multiple of |H| = 2
+    bogus = ClassProfile(3, {(1, 1, 1): 1, (3,): 1})
+    assert class_sums(3, bogus.counts) == {(3,): 2, (2, 1): 1, (1, 1, 1): 2}
+    for check in (weak_distribution, dh_exact, thm1_bounds):
+        with pytest.raises(InvariantError, match=r"not a multiple of \|H\| = 2"):
+            check(3, bogus)
+
+
 def test_degree_mismatch():
     with pytest.raises(PreconditionError):
         weak_distribution(4, H12_S3)
@@ -176,6 +186,20 @@ def test_unit_mass_check_runs_under_python_O():
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
+
+
+def test_both_bounds_read_one_class_size_list(monkeypatch):
+    from hsplab import lab, qfs
+
+    prof = lab.young_profile((5, 3, 2))
+    calls = []
+    real = qfs.sn_class_size
+    monkeypatch.setattr(qfs, "sn_class_size", lambda t: calls.append(t) or real(t))
+    thm1 = thm1_bounds(10, prof)
+    cmin = cmin_bounds(10, prof)
+    assert sorted(calls) == sorted(t for t, _ in prof.nonidentity_items())
+    assert cmin.cmin_size == min(sn_class_size(t) for t in calls)
+    assert thm1.exact_value == dh_exact(10, prof)
 
 
 def test_thm1_examples():
