@@ -93,16 +93,6 @@ def class_sign(mu: Partition) -> int:
     return -1 if (sum(mu) - len(mu)) % 2 else 1
 
 
-#: _FACT[i] = i!, grown on demand
-_FACT = [1]
-
-
-def _factorials(n: int) -> list:
-    while len(_FACT) <= n:
-        _FACT.append(_FACT[-1] * len(_FACT))
-    return _FACT
-
-
 @cache
 def dimension(lam: Partition) -> int:
     """Irrep dimension from the beads beta_i = lam_i + k-1-i (k = #parts):
@@ -119,10 +109,10 @@ def dimension(lam: Partition) -> int:
         return 1
     first, rest = lam[0], lam[1:]
     m = sum(rest)
-    fact = _factorials(first + m)  # beta_0 = lam_0 + k-1 <= n
+    fact = math.factorial
     # beta_0 - beta_j = lam_0 - lam_j + j
     below = math.prod(map(add, map(sub, repeat(first), rest), range(1, len(lam))))
-    return fact[first + m] * below * dimension(rest) // (fact[m] * fact[first + len(rest)])
+    return fact(first + m) * below * dimension(rest) // (fact(m) * fact(first + len(rest)))
 
 
 @lru_cache(maxsize=None)
@@ -292,17 +282,6 @@ def _engine(n: int, factors: tuple) -> tuple:
                 if n + 1 - (mask ^ (mask + 1)).bit_length() > 1 + clears[child]:
                     continue
                 for smaller in _horizontal_strips(mask, k):
-                    x = seen.get(smaller)
-                    if x is None:
-                        x = seen[smaller] = value(smaller, child)
-                    strips += x
-            elif k == 1:
-                # a 1-strip is one box at a corner: no beads between, sign +
-                heads = mask & ~(mask << 1) & ~1
-                while heads:
-                    low = heads & -heads
-                    heads ^= low
-                    smaller = mask ^ low ^ (low >> 1)
                     x = seen.get(smaller)
                     if x is None:
                         x = seen[smaller] = value(smaller, child)

@@ -359,54 +359,33 @@ def _factors(prof: ClassProfile) -> tuple:
     return (prof,) if prof.factors is None else prof.factors
 
 
-#: product_profile keys types by integers once each census has more types
-#: than this: keying costs one pass over both censuses and one over the
-#: result, and pays off only when every type meets many of the other side.
-_KEYED_MERGE_ABOVE = 8
-
-
 def product_profile(prof_a: ClassProfile, prof_b: ClassProfile) -> ClassProfile:
     """Census of the direct product acting on the disjoint union of domains:
     the convolution of the two censuses under concatenation of cycle types,
-    kept also as the product of the two factor lists."""
+    kept also as the product of the two factor lists.
+
+    A type is keyed by its multiplicities m_k, one digit per part size k, so
+    that concatenating two types adds their keys; the summed keys are read
+    back through the partitions of the degree."""
+    from .characters import partitions
+
     degree = prof_a.degree + prof_b.degree
-    if min(len(prof_a.counts), len(prof_b.counts)) > _KEYED_MERGE_ABOVE:
-        counts = _keyed_convolution(prof_a.counts, prof_b.counts, degree.bit_length())
-    else:
-        counts = {}
-        for ta, ca in prof_a.counts.items():
-            for tb, cb in prof_b.counts.items():
-                merged = tuple(sorted(ta + tb, reverse=True))
-                counts[merged] = counts.get(merged, 0) + ca * cb
-    return ClassProfile(degree, counts, _factors(prof_a) + _factors(prof_b))
-
-
-def _keyed_convolution(counts_a, counts_b, width: int) -> dict:
-    """product_profile's convolution with each type keyed by its
-    multiplicities m_k, one `width`-bit digit per part size k, so that
-    concatenating two types adds their keys.  Same counts, same order."""
+    digit = [1 << (degree.bit_length() * k) for k in range(degree + 1)]
 
     def key(t: tuple) -> int:
-        return sum(t.count(part) << (width * part) for part in set(t))
+        return sum(map(digit.__getitem__, t))
 
-    keyed_b = [(key(tb), cb) for tb, cb in counts_b.items()]
+    keyed_b = [(key(tb), cb) for tb, cb in prof_b.counts.items()]
     merged: dict[int, int] = {}
-    get = merged.get
-    for ta, ca in counts_a.items():
+    for ta, ca in prof_a.counts.items():
         key_a = key(ta)
         for key_b, cb in keyed_b:
             both = key_a + key_b
-            merged[both] = get(both, 0) + ca * cb
-    digit = (1 << width) - 1
-    counts = {}
-    for both, c in merged.items():
-        t = []
-        while both:
-            part = (both.bit_length() - 1) // width
-            t += [part] * (both >> (width * part) & digit)
-            both &= (1 << (width * part)) - 1
-        counts[tuple(t)] = c
-    return counts
+            merged[both] = merged.get(both, 0) + ca * cb
+    types = {key(t): t for t in partitions(degree)} if degree else {0: ()}
+    counts = {types[both]: c for both, c in merged.items()}
+    factors = _factors(prof_a) + _factors(prof_b)
+    return ClassProfile(degree, counts, factors)
 
 
 def symmetric_profile(n: int) -> ClassProfile:

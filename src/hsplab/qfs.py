@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .characters import Partition, class_sums, dimension, partitions
 from .errors import InvariantError, PreconditionError
-from .profile import ClassProfile, sn_class_size
+from .profile import ClassProfile, centralizer_order, sn_class_size
 from .radical import DECIMAL_DIGITS, SqrtSum, frac_text
 
 if TYPE_CHECKING:
@@ -173,21 +173,6 @@ def _bounds_report(lower: Fraction, upper: SqrtSum, exact: Fraction | None = Non
     )
 
 
-_last_sizes: tuple = (None, [])
-
-
-def _class_sizes(prof: ClassProfile) -> list:
-    """(type, count, S_n class size) per non-identity type of prof, in
-    nonidentity_items order; computed once for the last profile asked, so
-    both bounds of one profile read one list."""
-    global _last_sizes
-    last, sized = _last_sizes
-    if last is not prof:
-        sized = [(t, c, sn_class_size(t)) for t, c in prof.nonidentity_items()]
-        _last_sizes = (prof, sized)
-    return sized
-
-
 def thm1_bounds(n: int, prof: ClassProfile) -> BoundsReport:
     """sum |C∩H|^2 / (|H||C|)  <  D_H  <=  sum |C∩H| |C|^(-1/2), both exact,
     with D_H itself.  The lower bound is one integer over |H| n!."""
@@ -195,9 +180,11 @@ def thm1_bounds(n: int, prof: ClassProfile) -> BoundsReport:
     if prof.order < 2:
         raise PreconditionError("the strict lower bound requires |H| >= 2")
     fact = math.factorial(n)
-    sized = [(c, size) for _, c, size in _class_sizes(prof)]
-    lower = Fraction(sum(c * c * (fact // size) for c, size in sized), prof.order * fact)
-    return _bounds_report(lower, SqrtSum.from_terms(sized), dh_exact(n, prof))
+    # z_t = n!/|C_t|, cached per type, so cmin_bounds reads the same values
+    central = [(c, centralizer_order(t)) for t, c in prof.nonidentity_items()]
+    lower = Fraction(sum(c * c * z for c, z in central), prof.order * fact)
+    upper = SqrtSum.from_terms([(c, fact // z) for c, z in central])
+    return _bounds_report(lower, upper, dh_exact(n, prof))
 
 
 class CminBounds(NamedTuple):
@@ -222,8 +209,9 @@ def cmin_bounds(n: int, prof: ClassProfile) -> CminBounds:
     if prof.order < 2:
         raise PreconditionError("the corollary bounds require |H| >= 2")
     order = prof.order
-    candidates = [(size, t) for t, _, size in _class_sizes(prof)]
-    size, t = min(candidates)
+    # the smallest class has the largest centralizer; ties go to the least type
+    minus_z, t = min((-centralizer_order(u), u) for u, _ in prof.nonidentity_items())
+    size = math.factorial(n) // -minus_z
     lower = Fraction(1, order * size)
     upper = SqrtSum.from_terms([(order - 1, size)])
     return CminBounds(_bounds_report(lower, upper), t, size)

@@ -237,6 +237,14 @@ def test_character_cache_thread_safety():
     serial = [column(mu) for mu in mus]
     assert threaded == serial
 
+    # dimension memoizes each row's rest; threads filling it at once, from
+    # the largest degree down, must agree with the hook-length oracle
+    lams = [lam for n in range(24, 14, -1) for lam in partitions(n)[::7]]
+    dimension.cache_clear()
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(dimension, lams))
+    assert threaded == [hook_dimension(lam) for lam in lams]
+
 
 # ---------------------------------------------------------------------------
 # class sums: the bead-bitmask engine against the per-character MN oracle

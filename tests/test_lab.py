@@ -245,6 +245,28 @@ def test_product_profile_against_enumeration():
         assert dict(class_profile(combined).counts) == dict(analytic.counts)
 
 
+def test_product_profile_matches_the_sorting_convolution():
+    """The keyed convolution gives the counts, in the order, of the plain
+    loop that sorts every concatenated pair of types."""
+
+    def sorting_convolution(prof_a, prof_b):
+        counts = {}
+        for ta, ca in prof_a.counts.items():
+            for tb, cb in prof_b.counts.items():
+                merged = tuple(sorted(ta + tb, reverse=True))
+                counts[merged] = counts.get(merged, 0) + ca * cb
+        return counts
+
+    profs = [ClassProfile(0, {(): 1})]
+    profs += [symmetric_profile(a) for a in (1, 2, 5, 9)]
+    profs += [block_group_profile(m, r) for m, r in ((2, 2), (3, 2), (2, 3))]
+    profs += [young_profile(alpha) for alpha in ((3, 2), (4, 2, 1))]
+    for prof_a in profs:
+        for prof_b in profs:
+            got = product_profile(prof_a, prof_b).counts
+            assert list(got.items()) == list(sorting_convolution(prof_a, prof_b).items())
+
+
 def test_young_profile_examples():
     assert dict(young_profile([3]).counts) == dict(symmetric_profile(3).counts)
     p2 = class_profile(PermGroup.from_cycles(["(1 2)"], 2))

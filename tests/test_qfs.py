@@ -188,17 +188,18 @@ def test_unit_mass_check_runs_under_python_O():
 # ---------------------------------------------------------------------------
 
 
-def test_both_bounds_read_one_class_size_list(monkeypatch):
-    from hsplab import lab, qfs
+def test_both_bounds_size_each_class_once():
+    from hsplab import lab
+    from hsplab.profile import centralizer_order
 
     prof = lab.young_profile((5, 3, 2))
-    calls = []
-    real = qfs.sn_class_size
-    monkeypatch.setattr(qfs, "sn_class_size", lambda t: calls.append(t) or real(t))
+    centralizer_order.cache_clear()
     thm1 = thm1_bounds(10, prof)
+    misses = centralizer_order.cache_info().misses
     cmin = cmin_bounds(10, prof)
-    assert sorted(calls) == sorted(t for t, _ in prof.nonidentity_items())
-    assert cmin.cmin_size == min(sn_class_size(t) for t in calls)
+    assert centralizer_order.cache_info().misses == misses  # all read back
+    types = [t for t, _ in prof.nonidentity_items()]
+    assert (cmin.cmin_size, cmin.cmin_type) == min((sn_class_size(t), t) for t in types)
     assert thm1.exact_value == dh_exact(10, prof)
 
 
