@@ -1,4 +1,5 @@
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 
@@ -241,8 +242,13 @@ def test_character_cache_thread_safety():
     # the largest degree down, must agree with the hook-length oracle
     lams = [lam for n in range(24, 14, -1) for lam in partitions(n)[::7]]
     dimension.cache_clear()
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        threaded = list(pool.map(dimension, lams))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(dimension, lams))
+    finally:
+        sys.setswitchinterval(interval)
     assert threaded == [hook_dimension(lam) for lam in lams]
 
 
