@@ -79,32 +79,21 @@ def is_partition(lam) -> bool:
     return not lam or (lam[-1] >= 1 and all(map(ge, lam, lam[1:])))
 
 
-def conjugate(lam: Partition) -> Partition:
-    if not lam:
-        return ()
-    out = []
-    for i in range(lam[0]):
-        out.append(sum(1 for p in lam if p > i))
-    return tuple(out)
-
-
-def class_sign(mu: Partition) -> int:
-    """Sign of the S_n class with cycle type mu: (-1)^(n - #parts)."""
-    return -1 if (sum(mu) - len(mu)) % 2 else 1
-
-
 @cache
 def dimension(lam: Partition) -> int:
     """Irrep dimension from the beads beta_i = lam_i + k-1-i (k = #parts):
-    d = n! * prod_{i<j} (beta_i - beta_j) / prod_i beta_i!.
-
-    Evaluated one row at a time: lam without its first row keeps the beads
-    beta_1, ..., beta_(k-1), so d_lam = n! d_rest / (m! H_0), with m the
-    size of the rest and H_0 = beta_0! / prod_{j>0} (beta_0 - beta_j) the
-    product of the hook lengths in the first row.
-    """
+    d = n! * prod_{i<j} (beta_i - beta_j) / prod_i beta_i!."""
     if not is_partition(lam):
         raise ValueError(f"{lam} is not a partition")
+    return _dimension(lam)
+
+
+@cache
+def _dimension(lam: Partition) -> int:
+    """dimension(lam), one row at a time: lam without its first row keeps
+    the beads beta_1, ..., beta_(k-1), so d_lam = n! d_rest / (m! H_0), with
+    m the size of the rest and H_0 = beta_0! / prod_{j>0} (beta_0 - beta_j)
+    the product of the hook lengths in the first row."""
     if not lam:
         return 1
     first, rest = lam[0], lam[1:]
@@ -112,7 +101,7 @@ def dimension(lam: Partition) -> int:
     fact = math.factorial
     # beta_0 - beta_j = lam_0 - lam_j + j
     below = math.prod(map(add, map(sub, repeat(first), rest), range(1, len(lam))))
-    return fact(first + m) * below * dimension(rest) // (fact(m) * fact(first + len(rest)))
+    return fact(first + m) * below * _dimension(rest) // (fact(m) * fact(first + len(rest)))
 
 
 @lru_cache(maxsize=None)
@@ -311,7 +300,7 @@ def _engine(n: int, factors: tuple) -> tuple:
     )
 
 
-def _certify(n: int, items: frozenset, vec: tuple) -> None:
+def _certify(n: int, items: tuple, vec: tuple) -> None:
     """Column orthogonality, by routes that do not run through the engine:
     (a) sum_lam d_lam v(lam) = n! c_id and (b) sum_lam v(lam)^2 =
     sum_t c_t^2 z_t.  Both hold for any counts, subgroup census or not."""
@@ -332,51 +321,36 @@ def _certify(n: int, items: frozenset, vec: tuple) -> None:
 
 
 @lru_cache(maxsize=8)
-def _class_sum_vector(n: int, items: frozenset, factors: tuple) -> tuple:
+def _class_sum_vector(n: int, items: tuple, factors: tuple) -> tuple:
     """Class sums over partitions(n) of the product `factors`, certified
-    against the expanded census `items` (validated (type, count) pairs)."""
+    against the expanded census `items` (a canonical profile's (type,
+    count) pairs)."""
     vec = _engine(n, factors)
     _certify(n, items, vec)
     return vec
 
 
-def _census_items(n: int, counts) -> frozenset:
-    """The (type, count) items, each type sorted, spellings of one type
-    merged and zero counts dropped; a set, so that the cache key does not
-    depend on the order of counts."""
-    merged: dict = {}
-    for t, c in counts.items():
-        mu = tuple(sorted(t, reverse=True))
-        if mu and mu[-1] < 1:
-            raise ValueError("arguments must be partitions")
-        if sum(mu) != n:
-            raise PreconditionError(f"partition sizes differ: {n} vs {sum(mu)}")
-        merged[mu] = merged.get(mu, 0) + c
-    return frozenset((mu, c) for mu, c in merged.items() if c)
+def class_sums(prof) -> dict:
+    """{lam: sum_t counts[t] chi_lam(t)} for every partition lam of the
+    degree n of the ClassProfile `prof`, in partitions(n) order.
 
-
-def class_sums(n: int, counts, factors=None) -> dict:
-    """{lam: sum_t counts[t] chi_lam(t)} for every partition lam of n, in
-    partitions(n) order.
-
-    Types may be given in any part order; zero counts are dropped.  Raises
-    ValueError for a type that is not a partition and PreconditionError for
-    one that does not sum to n, as `mn_character` does.  `factors`, when not
-    None, is the same census as a product (see `ClassProfile.factors`): the
-    engine walks that product, and `counts` serves the certificate, which so
-    also checks the two agree.  A vector that fails the certificate raises
-    InvariantError.  Each profile is computed once and kept in a small
-    cache, cleared by `clear_character_cache`.
+    A profile is canonical once built, so its items are the cache key as
+    they stand.  When `prof.factors` is not None the engine walks that
+    product, and the counts serve the certificate, which so also checks the
+    two agree.  A vector that fails the certificate raises InvariantError.
+    Each profile is computed once and kept in a small cache, cleared by
+    `clear_character_cache`.
     """
-    items = _census_items(n, counts)
-    if factors is None:
+    n = prof.degree
+    items = tuple(prof.counts.items())
+    if prof.factors is None:
         key = ((n, items),)
     else:
         # S_a factors first, largest first: each strips the most off the shape
-        sym = sorted((f for f in factors if isinstance(f, int) and f), reverse=True)
+        sym = sorted((f for f in prof.factors if isinstance(f, int) and f), reverse=True)
         censuses = [
-            (f.degree, _census_items(f.degree, f.counts))
-            for f in factors
+            (f.degree, tuple(f.counts.items()))
+            for f in prof.factors
             if not isinstance(f, int) and f.degree
         ]
         if sum(sym) + sum(d for d, _ in censuses) != n:

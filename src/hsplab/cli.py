@@ -140,7 +140,7 @@ def cmd_analyze(args) -> dict:
         "source": src.describe(),
         "subgroup_order": str(prof.order),
         "num_profile_types": len(prof.counts),
-        "minimal_degree": census.minimal_support() if census.counts else None,
+        "minimal_degree": prof.minimal_support(),
         "support_census": census.serialize(),
         "distribution_summary": {
             "num_irreps": len(dist.weights),

@@ -45,11 +45,6 @@ class SupportCensus(NamedTuple):
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def minimal_support(self) -> int:
-        if not self.counts:
-            raise PreconditionError("trivial group has no minimal support")
-        return min(self.counts)
-
     def serialize(self) -> dict:
         return {str(k): str(v) for k, v in sorted(self.counts.items())}
 
@@ -117,7 +112,7 @@ def club_check(prof: ClassProfile, exponent: Fraction = SUPPORT_EXPONENT) -> Clu
     return ClubReport(
         degree=n,
         exponent=exponent,
-        minimal_support=min(census.counts) if census.counts else None,
+        minimal_support=prof.minimal_support() if rows else None,
         rows=tuple(rows),
         max_log2_excess=excess,
     )
@@ -329,8 +324,7 @@ def block_group_profile(m: int, r: int) -> ClassProfile:
 
     counts = {}
     for lam in partitions(m):
-        merged = tuple(sorted((c for part in lam for c in (part,) * r), reverse=True))
-        counts[merged] = sn_class_size(lam)
+        counts[tuple(c for part in lam for c in (part,) * r)] = sn_class_size(lam)
     return ClassProfile(m * r, counts)
 
 
@@ -383,7 +377,8 @@ def product_profile(prof_a: ClassProfile, prof_b: ClassProfile) -> ClassProfile:
             both = key_a + key_b
             merged[both] = merged.get(both, 0) + ca * cb
     types = {key(t): t for t in partitions(degree)} if degree else {0: ()}
-    counts = {types[both]: c for both, c in merged.items()}
+    # partitions order is the profile's order, types descending
+    counts = {t: merged[k] for k, t in types.items() if k in merged}
     factors = _factors(prof_a) + _factors(prof_b)
     return ClassProfile(degree, counts, factors)
 

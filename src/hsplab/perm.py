@@ -25,11 +25,6 @@ from .errors import InvariantError, LimitExceeded, ParseError, PreconditionError
 from .profile import ENUMERATION_LIMIT, ClassProfile, CycleType, check_enumeration
 
 
-def mult_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a then b) as image arrays: result[i] = b[a[i]]."""
-    return b[a]
-
-
 def inv_array(a: np.ndarray) -> np.ndarray:
     inv = np.empty_like(a)
     inv[a] = np.arange(a.shape[0], dtype=a.dtype)
@@ -680,8 +675,8 @@ def class_profile(H: PermGroup, limit: int = ENUMERATION_LIMIT) -> ClassProfile:
     first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     sizes = np.diff(np.append(first, keys.size))
     uniq = keys[first].view(rows.dtype).reshape(-1, n)
-    counts = {}  # types in ascending order of their multiplicity vectors
-    for row, c in sorted(zip(uniq.tolist(), sizes.tolist())):
+    counts = {}
+    for row, c in zip(uniq.tolist(), sizes.tolist()):
         parts = []
         for length in range(n, 0, -1):
             parts.extend([length] * row[length - 1])

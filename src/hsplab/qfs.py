@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .characters import Partition, class_sums, dimension, partitions
 from .errors import InvariantError, PreconditionError
-from .profile import ClassProfile, centralizer_order, sn_class_size
+from .profile import ClassProfile, centralizer_order, class_size_split, sn_class_size
 from .radical import DECIMAL_DIGITS, SqrtSum, frac_text
 
 if TYPE_CHECKING:
@@ -68,7 +68,7 @@ def _census_sums(n: int, prof: ClassProfile) -> dict:
     multiplicity of the trivial irrep in the restriction of chi_lam to H, so
     v(lam) >= 0 and |H| divides v(lam).  weak_distribution and dh_exact (so
     thm1_bounds and every sweep row) read the vector through this check."""
-    sums = class_sums(n, prof.counts, prof.factors)
+    sums = class_sums(prof)
     order = prof.order
     for lam, v in sums.items():
         if v < 0:
@@ -181,9 +181,9 @@ def thm1_bounds(n: int, prof: ClassProfile) -> BoundsReport:
         raise PreconditionError("the strict lower bound requires |H| >= 2")
     fact = math.factorial(n)
     # z_t = n!/|C_t|, cached per type, so cmin_bounds reads the same values
-    central = [(c, centralizer_order(t)) for t, c in prof.nonidentity_items()]
-    lower = Fraction(sum(c * c * z for c, z in central), prof.order * fact)
-    upper = SqrtSum.from_terms([(c, fact // z) for c, z in central])
+    items = prof.nonidentity_items()
+    lower = Fraction(sum(c * c * centralizer_order(t) for t, c in items), prof.order * fact)
+    upper = SqrtSum.from_terms([(c, *class_size_split(t)) for t, c in items])
     return _bounds_report(lower, upper, dh_exact(n, prof))
 
 
@@ -213,7 +213,7 @@ def cmin_bounds(n: int, prof: ClassProfile) -> CminBounds:
     minus_z, t = min((-centralizer_order(u), u) for u, _ in prof.nonidentity_items())
     size = math.factorial(n) // -minus_z
     lower = Fraction(1, order * size)
-    upper = SqrtSum.from_terms([(order - 1, size)])
+    upper = SqrtSum.from_terms([(order - 1, *class_size_split(t))])
     return CminBounds(_bounds_report(lower, upper), t, size)
 
 

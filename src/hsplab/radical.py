@@ -8,8 +8,10 @@ irrational (square roots of distinct squarefree integers are linearly
 independent over Q), so interval arithmetic with doubling precision always
 terminates with a strict verdict.  No floating point is involved anywhere.
 
-Squarefree reduction trial-divides by primes below 1000, which fully factors
-every S_n class size for n <= 1000 (their prime factors are at most n).
+Nothing here factors an integer: `SqrtSum.from_terms` takes each radicand
+already split as s^2 f with f squarefree.  The S_n class sizes of the bounds
+are split by Legendre's formula in `hsplab.profile.class_size_split`, exactly
+for every n.
 """
 
 from __future__ import annotations
@@ -24,43 +26,6 @@ DECIMAL_DIGITS = 40
 
 _START_BITS = 64  # guard bits for the first interval pass
 _MAX_BITS = 1 << 20
-
-
-def _sieve(limit: int) -> list:
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = b"\x00" * len(flags[p * p :: p])
-    return [i for i, f in enumerate(flags) if f]
-
-
-_PRIMES = _sieve(1000)
-
-
-def square_split(c: int) -> tuple:
-    """c = s**2 * f with f squarefree; exact for c with prime factors < 1000."""
-    if c <= 0:
-        raise ValueError("radicand must be positive")
-    s, f, m = 1, 1, c
-    for p in _PRIMES:
-        if p * p > m:
-            break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            s *= p ** (e // 2)
-            if e % 2:
-                f *= p
-    if m > 1:
-        r = isqrt(m)
-        if r * r == m:
-            s *= r
-        else:
-            f *= m
-    return s, f
 
 
 def frac_text(x: Fraction) -> str:
@@ -79,8 +44,8 @@ def decimal_text(x: Fraction, digits: int = DECIMAL_DIGITS) -> str:
 class SqrtSum:
     """Immutable exact value  rational + sum_f radicals[f] * sqrt(f).
 
-    Radicands are distinct squarefree integers > 1 (from_terms reduces them),
-    so the form is canonical and == compares values.
+    Radicands are distinct squarefree integers > 1, so the form is canonical
+    and == compares values.
     """
 
     __slots__ = ("rational", "radicals")
@@ -98,16 +63,17 @@ class SqrtSum:
 
     @classmethod
     def from_terms(cls, terms) -> "SqrtSum":
-        """Sum of coeff / sqrt(radicand) over (coeff, radicand) pairs."""
-        # 1/sqrt(s^2 f) = sqrt(f) / (s f).  The coefficients of each sqrt(f),
+        """Sum of coeff / (s sqrt(f)) over (coeff, s, f) triples: the
+        radicand s^2 f already split, with f squarefree (1 for a rational
+        term) and s >= 1."""
+        # 1/(s sqrt(f)) = sqrt(f) / (s f).  The coefficients of each sqrt(f),
         # and of the rational part (f = 1), gather as one integer fraction
         # over the lcm of their denominators, reduced once at the end.
         sums: dict[int, list] = {}
-        for coeff, radicand in terms:
+        for coeff, s, f in terms:
             num, den = coeff.numerator, coeff.denominator
             if not num:
                 continue
-            s, f = square_split(int(radicand))
             den *= s * f
             acc = sums.get(f)
             if acc is None:

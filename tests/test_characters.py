@@ -10,10 +10,8 @@ from hsplab import characters
 from hsplab.characters import (
     _class_sum_vector,
     _engine,
-    class_sign,
     class_sums,
     clear_character_cache,
-    conjugate,
     dimension,
     mn_character,
     orthogonality_check,
@@ -42,6 +40,18 @@ def partition_count(n: int) -> int:
         total += sign * (partition_count(n - g1) + partition_count(n - g2))
         k += 1
     return total
+
+
+def conjugate(lam):
+    """The transposed partition: its i-th part counts the parts of lam above i."""
+    if not lam:
+        return ()
+    return tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
+
+
+def class_sign(mu) -> int:
+    """Sign of the S_n class with cycle type mu: (-1)^(n - #parts)."""
+    return -1 if (sum(mu) - len(mu)) % 2 else 1
 
 
 def count_syt(shape) -> int:
@@ -242,6 +252,7 @@ def test_character_cache_thread_safety():
     # the largest degree down, must agree with the hook-length oracle
     lams = [lam for n in range(24, 14, -1) for lam in partitions(n)[::7]]
     dimension.cache_clear()
+    characters._dimension.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -279,11 +290,11 @@ def catalog_profiles(n):
 def test_class_sums_match_mn_oracle_on_catalog_profiles(n):
     for prof in catalog_profiles(n):
         oracle = mn_class_sums(n, prof.counts)
-        sums = class_sums(n, prof.counts)
+        sums = class_sums(ClassProfile(n, prof.counts))
         assert list(sums) == list(partitions(n))
         assert sums == oracle, prof.counts
         # the factored route (h_a edges for Young and symmetric profiles)
-        assert class_sums(n, prof.counts, prof.factors) == oracle, prof.factors
+        assert class_sums(prof) == oracle, prof.factors
 
 
 def compositions(n):
@@ -306,8 +317,8 @@ def compositions(n):
 def test_factored_route_equals_the_census_route_on_every_composition(n):
     for alpha, comps in compositions(n):
         prof = young_profile(alpha)
-        census = _engine(n, ((n, frozenset(prof.counts.items())),))
-        assert class_sums(n, prof.counts, prof.factors) == dict(zip(partitions(n), census))
+        census = _engine(n, ((n, tuple(prof.counts.items())),))
+        assert class_sums(prof) == dict(zip(partitions(n), census))
         for comp in comps:  # the engine in the composition's own factor order
             assert _engine(n, comp) == census, comp
         # Young's rule: v(lam) = |S_alpha| K_{lam,alpha}, so v is supported on
@@ -321,17 +332,17 @@ def test_factored_route_on_young_times_block_products(alpha, m, r):
     prof = product_profile(young_profile(alpha), block_group_profile(m, r))
     n = prof.degree
     assert prof.factors[-1].factors is None and len(prof.factors) == len(alpha) + 1
-    factored = class_sums(n, prof.counts, prof.factors)
-    assert factored == class_sums(n, prof.counts) == mn_class_sums(n, prof.counts)
+    factored = class_sums(prof)
+    assert factored == class_sums(ClassProfile(n, prof.counts)) == mn_class_sums(n, prof.counts)
     # the other order: a census factor above the S_a factors
     flipped = product_profile(block_group_profile(m, r), young_profile(alpha))
-    assert class_sums(n, flipped.counts, flipped.factors) == factored
+    assert class_sums(flipped) == factored
 
 
 def test_class_sums_reject_factors_of_the_wrong_degree():
     prof = young_profile((2, 1))
     with pytest.raises(PreconditionError):
-        class_sums(3, prof.counts, (2, 2))
+        class_sums(ClassProfile(3, prof.counts, (2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -358,55 +369,88 @@ def fresh_cache():
 def test_certificate_catches_a_mutated_engine(mutation, prof, fresh_cache, monkeypatch):
     name = mutation[0]
     n = prof.degree
-    key = (n, frozenset(prof.counts.items()))
+    key = (n, tuple(prof.counts.items()))
     factors = (key,) if prof.factors is None else prof.factors
     honest = _engine(n, factors)
     monkeypatch.setattr(characters, name, engine_mutant(*mutation))
     assert characters._engine(n, factors) != honest  # the mutation shows
     with pytest.raises(InvariantError, match=r"class-sum certificate \([ab]\)"):
-        class_sums(n, prof.counts, prof.factors)
+        class_sums(prof)
     assert _class_sum_vector.cache_info().currsize == 0  # nothing wrong was kept
     monkeypatch.undo()
-    assert class_sums(n, prof.counts, prof.factors) == dict(zip(partitions(n), honest))
+    assert class_sums(prof) == dict(zip(partitions(n), honest))
 
 
 def test_certificate_holds_for_any_counts():
     # not subgroup censuses: column orthogonality holds all the same
     for n, counts in ((3, {(1, 1, 1): 2}), (3, {(1, 1, 1): 1, (2, 1): 5}),
                       (5, {(3, 2): 7, (5,): -2}), (4, {(2, 2): 1})):
-        assert class_sums(n, counts) == mn_class_sums(n, counts)
+        assert class_sums(ClassProfile(n, counts)) == mn_class_sums(n, counts)
+
+
+# The profile constructor makes a census canonical; class_sums reads its
+# items as they stand.
 
 
 def test_class_sums_accept_unsorted_types():
     n = 7
     counts = symmetric_profile(n).counts
-    shuffled = {tuple(reversed(t)): c for t, c in counts.items()}
-    assert class_sums(n, shuffled) == class_sums(n, counts)
+    shuffled = ClassProfile(n, {tuple(reversed(t)): c for t, c in reversed(counts.items())})
+    assert shuffled == ClassProfile(n, counts)
+    assert list(shuffled.counts) == list(partitions(n))  # types descending
+    assert class_sums(shuffled) == class_sums(ClassProfile(n, counts))
     # two spellings of one type add up
-    split = {(2, 1): 2, (1, 2): 1, (1, 1, 1): 1}
-    assert class_sums(3, split) == class_sums(3, {(2, 1): 3, (1, 1, 1): 1})
+    split = ClassProfile(3, {(1, 2): 1, (2, 1): 2, (1, 1, 1): 1})
+    assert split.counts == {(2, 1): 3, (1, 1, 1): 1}
+    assert class_sums(split) == class_sums(ClassProfile(3, {(2, 1): 3, (1, 1, 1): 1}))
 
 
 def test_class_sums_drop_zero_counts():
-    assert class_sums(4, {(4,): 0, (1, 1, 1, 1): 1}) == class_sums(4, {(1, 1, 1, 1): 1})
-    assert set(class_sums(4, {(4,): 0}).values()) == {0}
+    prof = ClassProfile(4, {(4,): 0, (1, 1, 1, 1): 1})
+    assert prof == ClassProfile.identity(4)
+    assert class_sums(prof) == class_sums(ClassProfile.identity(4))
+    # a negative count is kept, and spellings that cancel drop out
+    assert ClassProfile(3, {(3,): -1, (2, 1): 1, (1, 2): -1}).counts == {(3,): -1}
+    assert set(class_sums(ClassProfile(4, {(4,): 0})).values()) == {0}
 
 
 def test_class_sums_reject_bad_types():
     with pytest.raises(PreconditionError):
-        class_sums(3, {(2, 2): 1})
+        ClassProfile(3, {(2, 2): 1})
     with pytest.raises(ValueError):
-        class_sums(3, {(3, 0): 1})
+        ClassProfile(3, {(3, 0): 1})
+    with pytest.raises(ValueError):
+        ClassProfile(3, {(1, 3, -1): 1})
+
+
+def test_equal_censuses_build_one_profile_and_one_cache_entry():
+    clear_character_cache()
+    plain = block_group_profile(3, 2)
+    assert plain.counts == {(3, 3): 2, (2, 2, 1, 1): 3, (1,) * 6: 1}
+    # parts in another order, one type in two spellings, and a zero count
+    other = ClassProfile(6, {(1,) * 6: 1, (1, 2, 1, 2): 1, (2, 1, 2, 1): 2, (5, 1): 0, (3, 3): 2})
+    assert other == plain and list(other.counts.items()) == list(plain.counts.items())
+    class_sums(plain)
+    class_sums(other)
+    info = _class_sum_vector.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_profile_replace_stays_canonical():
+    prof = ClassProfile(3, {(1, 1, 1): 1})
+    assert prof._replace(counts={(1, 2): 1, (1, 1, 1): 1}).counts == {(2, 1): 1, (1, 1, 1): 1}
+    with pytest.raises(PreconditionError):
+        prof._replace(degree=4)
 
 
 def test_class_sums_cache_is_cleared_and_not_shared():
     clear_character_cache()
-    counts = {(3,): 2, (1, 1, 1): 1}
-    first = class_sums(3, counts)
+    prof = ClassProfile(3, {(3,): 2, (1, 1, 1): 1})
+    first = class_sums(prof)
     first[(3,)] = 99  # a caller's dict is its own
     info = _class_sum_vector.cache_info()
     assert info.currsize == 1
-    assert class_sums(3, counts) == {(3,): 3, (2, 1): 0, (1, 1, 1): 3}
+    assert class_sums(prof) == {(3,): 3, (2, 1): 0, (1, 1, 1): 3}
     assert _class_sum_vector.cache_info().hits == info.hits + 1
     clear_character_cache()
     assert _class_sum_vector.cache_info().currsize == 0

@@ -334,12 +334,13 @@ def test_class_profile_examples():
     }
 
 
-def test_class_profile_orders_types_by_multiplicity_vector():
-    # types come in ascending order of their multiplicity vectors (m_1, m_2, ...)
+def test_class_profile_orders_types_descending():
+    # a profile keeps its types in descending order, as partitions(n) lists them
     assert list(class_profile(PermGroup.symmetric(4)).counts) == [
-        (4,), (2, 2), (3, 1), (2, 1, 1), (1, 1, 1, 1)
+        (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)
     ]
-    # m_1 = 255 < 257, although 257 sorts first as little-endian int16 bytes
+    # m_1 = 255 and 257: the census rows, grouped as little-endian int16
+    # bytes, come in the other order
     assert list(class_profile(PermGroup.from_cycles(["(1 2)"], 257)).counts) == [
         (2,) + (1,) * 255, (1,) * 257
     ]

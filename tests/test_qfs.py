@@ -76,7 +76,7 @@ def test_class_sums_not_divisible_by_the_order_are_refused():
     # identity plus one 3-cycle: unit mass and no negative class sum, but
     # v((2, 1)) = 2 - 1 = 1 is not a multiple of |H| = 2
     bogus = ClassProfile(3, {(1, 1, 1): 1, (3,): 1})
-    assert class_sums(3, bogus.counts) == {(3,): 2, (2, 1): 1, (1, 1, 1): 2}
+    assert class_sums(bogus) == {(3,): 2, (2, 1): 1, (1, 1, 1): 2}
     for check in (weak_distribution, dh_exact, thm1_bounds):
         with pytest.raises(InvariantError, match=r"not a multiple of \|H\| = 2"):
             check(3, bogus)
@@ -115,7 +115,7 @@ def assert_engine_matches_mn_oracle(n, prof):
         lam: sum(c * mn_character(lam, t) for t, c in prof.counts.items())
         for lam in partitions(n)
     }
-    assert class_sums(n, prof.counts) == oracle
+    assert class_sums(prof) == oracle
     assert weak_distribution(n, prof).probs == {
         lam: Fraction(dimension(lam) * v, fact) for lam, v in oracle.items()
     }
@@ -163,13 +163,19 @@ def test_d_between_examples():
 
 def test_unit_mass_check_runs_under_python_O():
     # A "census" with the identity counted twice has non-negative mass at
-    # every irrep but total mass 2.  The check must raise even when python -O
-    # strips assert statements; the child inherits this environment, so it
-    # finds hsplab the same way this process did.
+    # every irrep but total mass 2, and a type that does not sum to its
+    # degree is refused by the profile constructor.  Both checks must raise
+    # even when python -O strips assert statements; the child inherits this
+    # environment, so it finds hsplab the same way this process did.
     code = (
+        "from hsplab.errors import PreconditionError\n"
         "from hsplab.perm import ClassProfile\n"
         "from hsplab.qfs import weak_distribution\n"
         "print(__debug__)\n"
+        "try:\n"
+        "    ClassProfile(3, {(1, 1, 1): 1, (2, 2): 1})\n"
+        "except PreconditionError as exc:\n"
+        "    print('refused:', exc)\n"
         "weak_distribution(3, ClassProfile(3, {(1, 1, 1): 2}))\n"
     )
     proc = subprocess.run(
@@ -178,7 +184,8 @@ def test_unit_mass_check_runs_under_python_O():
         capture_output=True,
         text=True,
     )
-    assert proc.stdout.strip() == "False", proc.stderr
+    refused = "refused: cycle type (2, 2) does not sum to the degree 3"
+    assert proc.stdout.splitlines() == ["False", refused], proc.stderr
     assert proc.returncode != 0
     assert "InvariantError" in proc.stderr and "total mass 2" in proc.stderr
 
