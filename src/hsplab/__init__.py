@@ -32,16 +32,17 @@ _EXPORTS = {
         "coset",
     ),
     **dict.fromkeys(
+        ("babai_check", "club_check", "liebeck_report", "mn_character", "poly_subgroup_verdict"),
+        "checks",
+    ),
+    **dict.fromkeys(
         ("HspError", "InvariantError", "LimitExceeded", "ParseError", "PreconditionError"),
         "errors",
     ),
     **dict.fromkeys(
         (
             "block_group_profile",
-            "babai_check",
             "class_sandwich_check",
-            "club_check",
-            "liebeck_report",
             "product_profile",
             "resolve_catalog",
             "support_census",
@@ -51,7 +52,7 @@ _EXPORTS = {
         "lab",
     ),
     **dict.fromkeys(
-        ("class_sums", "dimension", "mn_character", "orthogonality_check", "partitions"),
+        ("class_sums", "dimension", "orthogonality_check", "partitions"),
         "characters",
     ),
     **dict.fromkeys(("ClassProfile", "sn_class_size"), "profile"),
@@ -80,7 +81,6 @@ _EXPORTS = {
             "d_between",
             "dh_exact",
             "plancherel",
-            "poly_subgroup_verdict",
             "thm1_bounds",
             "verdict",
             "weak_distribution",

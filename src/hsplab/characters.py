@@ -18,9 +18,10 @@ all lam and walks it on bead bitmasks, with two kinds of edge:
   not a walk over its expanded census.
 
 Each vector is certified before it is cached, by two column-orthogonality
-identities that do not run through the engine.  `mn_character` evaluates one
-character value by its own beta-set recursion; it is the independent oracle
-the engine is tested against, and the orthogonality check reads the full
+identities that do not run through the engine.  The independent oracle the
+engine is tested against, `mn_character`, evaluates one character value by
+its own beta-set recursion; it lives in `hsplab.checks`, off the import path
+of the analytic jobs, and the orthogonality check here reads the full
 character table through it.
 """
 
@@ -104,60 +105,17 @@ def _dimension(lam: Partition) -> int:
     return fact(first + m) * below * _dimension(rest) // (fact(m) * fact(first + len(rest)))
 
 
-@lru_cache(maxsize=None)
-def _mn(lam: Partition, mu: Partition) -> int:
-    """chi_lam(mu) for mu sorted non-increasing; both partitions of the same n."""
-    if not mu:
-        return 1
-    strip = mu[0]
-    rest = mu[1:]
-    k = len(lam)
-    beta = [lam[i] + (k - 1 - i) for i in range(k)]
-    beta_set = set(beta)
-    total = 0
-    for b in beta:
-        nb = b - strip
-        if nb < 0 or nb in beta_set:
-            continue
-        height = sum(1 for x in beta if nb < x < b)
-        nbeta = sorted((x for x in beta if x != b), reverse=True)
-        lo = 0
-        hi = len(nbeta)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if nbeta[mid] > nb:
-                lo = mid + 1
-            else:
-                hi = mid
-        nbeta.insert(lo, nb)
-        lam2 = []
-        for j, x in enumerate(nbeta):
-            part = x - (k - 1 - j)
-            if part:
-                lam2.append(part)
-        value = _mn(tuple(lam2), rest)
-        total += -value if height % 2 else value
-    return total
-
-
-def mn_character(lam: Partition, mu: Partition) -> int:
-    """Exact character value chi_lam on the class of cycle type mu."""
-    lam = tuple(lam)
-    mu = tuple(sorted(mu, reverse=True))
-    if not (is_partition(lam) and is_partition(mu)):
-        raise ValueError("arguments must be partitions")
-    if sum(lam) != sum(mu):
-        raise PreconditionError(
-            f"partition sizes differ: {sum(lam)} vs {sum(mu)}"
-        )
-    return _mn(lam, mu)
-
-
 def character_cache_info():
+    """Hits and misses of the `mn_character` oracle's cache (in `checks`)."""
+    from .checks import _mn
+
     return _mn.cache_info()
 
 
 def clear_character_cache() -> None:
+    """Empty the class-sum cache and the `mn_character` oracle's cache."""
+    from .checks import _mn
+
     _mn.cache_clear()
     _class_sum_vector.cache_clear()
 
@@ -380,6 +338,8 @@ def orthogonality_check(n: int, limit: int = ORTHOGONALITY_LIMIT) -> Orthogonali
     """
     if n > limit:
         raise LimitExceeded(f"full-table orthogonality check is capped at n={limit}")
+    from .checks import mn_character
+
     parts = partitions(n)
     sizes = {mu: sn_class_size(mu) for mu in parts}
     table = {(lam, mu): mn_character(lam, mu) for lam in parts for mu in parts}

@@ -13,19 +13,16 @@ threshold states its (log base, c) convention explicitly.
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import io
 import json
 import math
 import os
-import random
 import sys
 import time
 from typing import TYPE_CHECKING
 
 from . import lab, qfs
-from .errors import HspError, InvariantError, LimitExceeded, ParseError, PreconditionError
+from .errors import HspError, LimitExceeded, ParseError, PreconditionError
 from .lab import DEGREE_LIMIT
 from .profile import ENUMERATION_LIMIT, INDEX_LIMIT, ClassProfile, check_index
 from .radical import DECIMAL_DIGITS, decimal_text, frac_text
@@ -46,6 +43,8 @@ class _Source:
     """
 
     def __init__(self, spec: str):
+        import hashlib
+
         self.spec = spec
         self.entry = None
         if os.path.exists(spec):
@@ -323,6 +322,8 @@ def cmd_sweep(args) -> dict | list:
 
 
 def _csv_text(rows: list) -> str:
+    import csv
+
     fields = ["name", "n", "order", "min_degree", "dh", "dh_decimal", "lower", "upper_decimal"]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fields)
@@ -336,90 +337,11 @@ def _csv_text(rows: list) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _check_orthogonality(args) -> dict:
-    from .characters import ORTHOGONALITY_LIMIT, dimension, orthogonality_check, partitions
-
-    if args.max_n > ORTHOGONALITY_LIMIT:
-        raise LimitExceeded(
-            f"full-table orthogonality check is capped at n={ORTHOGONALITY_LIMIT}"
-        )
-    results = []
-    ok = True
-    for n in range(1, args.max_n + 1):
-        rep = orthogonality_check(n)
-        square_sum = sum(dimension(lam) ** 2 for lam in partitions(n))
-        ok_n = rep.passed and square_sum == math.factorial(n)
-        ok = ok and ok_n
-        results.append(
-            {"n": n, "passed": rep.passed, "sum_d_squared_is_factorial": square_sum == math.factorial(n),
-             "failure": rep.failure}
-        )
-    return {"suite": "orthogonality", "max_n": args.max_n, "all_passed": ok, "results": results}
-
-
-def _check_sandwich(args) -> dict:
-    if args.max_n > args.degree_limit:
-        raise LimitExceeded(f"class-size sandwich check is capped at n={args.degree_limit}")
-    results = []
-    ok = True
-    for n in range(1, args.max_n + 1):
-        rep = lab.class_sandwich_check(n, limit=args.degree_limit)
-        ok = ok and rep.passed
-        results.append({"n": n, "passed": rep.passed, "num_types": rep.num_types})
-    return {"suite": "sandwich", "max_n": args.max_n, "all_passed": ok, "results": results}
-
-
-def _random_subgroup(rng: random.Random, G: PermGroup) -> PermGroup:
-    from .perm import PermGroup
-
-    k = rng.randint(1, 3)
-    gens = [G.random_element(rng) for _ in range(k)]
-    return PermGroup(gens, G.degree)
-
-
-def _check_frobenius(args) -> dict:
-    from . import coset as coset_mod
-    from .perm import PermGroup
-
-    rng = random.Random(args.seed)
-    parents = [PermGroup.symmetric(n) for n in (5, 6, 7, 8)] + [lab.gl32_group(), lab.agl15_group()]
-    actions = 0
-    attempts = 0
-    failures = []
-    while actions < args.actions and attempts < 100 * args.actions:
-        attempts += 1
-        G = parents[rng.randrange(len(parents))]
-        H = _random_subgroup(rng, G)
-        index = G.order // H.order
-        if index > args.index_limit:
-            continue
-        ca = coset_mod.coset_action(G, H, args.index_limit)
-        try:
-            coset_mod.rank_subdegrees(ca)  # raises if the Frobenius identity fails
-            if not coset_mod.class_fixpoint_identity_holds(ca, args.order_limit):
-                failures.append({"parent_order": str(G.order), "subgroup_order": str(H.order)})
-        except InvariantError:
-            failures.append({"parent_order": str(G.order), "subgroup_order": str(H.order)})
-        actions += 1
-    return {
-        "suite": "frobenius",
-        "actions": actions,
-        "seed": args.seed,
-        "all_passed": not failures,
-        "failures": failures,
-    }
-
-
-_SUITES = {
-    "orthogonality": _check_orthogonality,
-    "sandwich": _check_sandwich,
-    "frobenius": _check_frobenius,
-}
-
-
 def cmd_check(args) -> dict:
+    from .checks import SUITES
+
     t0 = time.perf_counter()
-    report = _SUITES[args.suite](args)
+    report = SUITES[args.suite](args)
     return {"command": "check", **report, "wall_time_s": round(time.perf_counter() - t0, 6)}
 
 
@@ -435,52 +357,76 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="write the report to this file instead of stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="hsplab",
-        description="Exact weak Fourier-sampling distributions and bounds for "
-        "hidden subgroups of permutation groups.",
-    )
-    sub = top.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("analyze", help="distribution, D_H, and all bounds for one subgroup of S_n")
+def _analyze_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("source", help="group file or catalog name (e.g. cyclic:2@3, block:4x2)")
     p.add_argument("--c", type=float, default=1.0, help="verdict exponent in (log2 n!)^(-c)")
     p.add_argument("--full-distribution", action="store_true")
-    _add_common(p)
     p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("compare", help="Gassmann-equivalence verdicts and D(H,K) for two subgroups")
+
+def _compare_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--parent", help="parent group (default: catalog-implied, else symmetric:n)")
-    _add_common(p)
     p.set_defaults(fn=cmd_compare)
 
-    p = sub.add_parser("coset", help="rank, subdegrees, and fixed-point bounds of G on G/H")
+
+def _coset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("parent")
     p.add_argument("subgroup")
     p.add_argument("--c", type=float, default=1.0)
-    _add_common(p)
     p.set_defaults(fn=cmd_coset)
 
-    p = sub.add_parser("sweep", help="tables of (n, |H|, m(H), D_H, bounds) over a family")
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=["cyclic", "block", "young"], required=True)
     p.add_argument("--start", type=int, required=True)
     p.add_argument("--end", type=int, required=True)
     p.add_argument("--r", type=int, default=2, help="block size for --family block")
     p.add_argument("--fixed-part", type=int, default=2, help="second part for --family young")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    _add_common(p)
     p.set_defaults(fn=cmd_sweep)
 
-    p = sub.add_parser("check", help="orthogonality / class-size sandwich / Frobenius suites")
-    p.add_argument("--suite", choices=list(_SUITES), required=True)
+
+def _check_args(p: argparse.ArgumentParser) -> None:
+    from .checks import SUITES
+
+    p.add_argument("--suite", choices=list(SUITES), required=True)
     p.add_argument("--max-n", type=int, default=8)
     p.add_argument("--actions", type=int, default=20)
     p.add_argument("--seed", type=int, default=2024)
-    _add_common(p)
     p.set_defaults(fn=cmd_check)
+
+
+# subcommand -> (help line, adds its own arguments)
+_COMMANDS = {
+    "analyze": ("distribution, D_H, and all bounds for one subgroup of S_n", _analyze_args),
+    "compare": ("Gassmann-equivalence verdicts and D(H,K) for two subgroups", _compare_args),
+    "coset": ("rank, subdegrees, and fixed-point bounds of G on G/H", _coset_args),
+    "sweep": ("tables of (n, |H|, m(H), D_H, bounds) over a family", _sweep_args),
+    "check": ("orthogonality / class-size sandwich / Frobenius suites", _check_args),
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser: every subcommand, or just the subcommand `only`.
+
+    For an argv whose first word is `only`, both parse and print alike: the
+    one-subparser build pins its usage line to the full list of subcommands.
+    """
+    top = argparse.ArgumentParser(
+        prog="hsplab",
+        description="Exact weak Fourier-sampling distributions and bounds for "
+        "hidden subgroups of permutation groups.",
+    )
+    # a metavar would also rename `cmd` in the errors of the full parser
+    listed = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = top.add_subparsers(dest="cmd", required=True, metavar=listed)
+    for name, (help_line, add_args) in _COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_line)
+            add_args(p)
+            _add_common(p)
     return top
 
 
@@ -488,7 +434,11 @@ _EXIT_CODES = ((ParseError, 2), (LimitExceeded, 3), (PreconditionError, 4), (Hsp
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a job builds only its own subcommand's parser; -h, no subcommand and
+    # an unknown one get all five
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(only).parse_args(argv)
     try:
         report = args.fn(args)
     except HspError as exc:

@@ -4,21 +4,22 @@ Everything here is exact: a distribution is integer weights over the common
 denominator n!, the class-size square-root upper bounds are carried as SqrtSum
 values, and verdict thresholds use base-2 logarithms (the base is a reporting
 convention; it only shifts the constant c).
+
+Everything here works from a cycle-type census and needs no group: the
+small-subgroup dichotomy `poly_subgroup_verdict`, which enumerates a
+subgroup, lives in `hsplab.checks`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .characters import Partition, class_sums, dimension, partitions
 from .errors import InvariantError, PreconditionError
-from .profile import ClassProfile, centralizer_order, class_size_split, sn_class_size
+from .profile import ClassProfile, centralizer_order, class_size_split
 from .radical import DECIMAL_DIGITS, SqrtSum, frac_text
-
-if TYPE_CHECKING:
-    from .perm import PermGroup, Permutation
 
 
 def _check_profile(n: int, prof: ClassProfile) -> None:
@@ -236,103 +237,3 @@ def verdict(D: Fraction, group_order: int, c: float) -> bool:
     if D < 0:
         raise PreconditionError("distances are non-negative")
     return bool(D >= distinguishability_threshold(group_order, c))
-
-
-class PolyVerdict(NamedTuple):
-    applicable: bool
-    reason: str | None
-    group_order: int
-    subgroup_order: int
-    log_base: int
-    c: float
-    c_prime: float
-    # None where the verdict stops early (inapplicable)
-    size_bound: float | None = None
-    class_threshold: float | None = None
-    min_class_size: int | None = None
-    witness: Permutation | None = None
-    witness_support: int | None = None
-    distinguishable_side: bool | None = None
-
-    def serialize(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "group_order": str(self.group_order),
-            "subgroup_order": str(self.subgroup_order),
-            "log_base": self.log_base,
-            "c": self.c,
-            "c_prime": self.c_prime,
-            "size_bound": self.size_bound,
-            "class_threshold": self.class_threshold,
-            "min_class_size": None if self.min_class_size is None else str(self.min_class_size),
-            "witness": None if self.witness is None else self.witness.cycles(),
-            "witness_support": self.witness_support,
-            "distinguishable_side": self.distinguishable_side,
-        }
-
-
-def poly_subgroup_verdict(
-    G: PermGroup, H: PermGroup, c: float, c_prime: float
-) -> PolyVerdict:
-    """Small-subgroup dichotomy: some non-identity h in H has a conjugacy
-    class |h^G| below (log2|G|)^c' iff H sits on the distinguishable side.
-
-    Inapplicability (trivial H, or |H| above the polylog size bound) is a
-    verdict, not an error.
-    """
-    from .perm import Permutation, element_class_map
-
-    if not H.is_subgroup_of(G):
-        raise PreconditionError("H is not a subgroup of G")
-    base_kwargs = dict(
-        group_order=G.order,
-        subgroup_order=H.order,
-        log_base=2,
-        c=c,
-        c_prime=c_prime,
-    )
-    if H.order < 2:
-        return PolyVerdict(
-            applicable=False, reason="trivial subgroup has no non-identity element", **base_kwargs
-        )
-    size_bound = math.log2(G.order) ** c
-    if H.order > size_bound:
-        return PolyVerdict(
-            applicable=False,
-            reason=f"|H| = {H.order} exceeds (log2|G|)^c = {size_bound:.6g}",
-            size_bound=size_bound,
-            **base_kwargs,
-        )
-    is_symmetric = G.order == math.factorial(G.degree)
-    if is_symmetric:
-        def class_size_of(arr):
-            return sn_class_size(Permutation(arr).cycle_type())
-    else:
-        classes, class_id = element_class_map(G)
-        sizes_by_id = [s for _, s in classes]
-
-        def class_size_of(arr):
-            return sizes_by_id[class_id[arr.tobytes()]]
-
-    best = None
-    idimgs = list(range(H.degree))
-    for arr in H.element_arrays():
-        if list(map(int, arr)) == idimgs:
-            continue
-        size = class_size_of(arr)
-        if best is None or size < best[0]:
-            best = (size, Permutation(arr.copy()))
-    min_size, witness = best
-    threshold = math.log2(G.order) ** c_prime
-    return PolyVerdict(
-        applicable=True,
-        reason=None,
-        size_bound=size_bound,
-        class_threshold=threshold,
-        min_class_size=min_size,
-        witness=witness,
-        witness_support=witness.support(),
-        distinguishable_side=bool(min_size <= threshold),
-        **base_kwargs,
-    )

@@ -22,18 +22,15 @@ from hsplab.coset import (
     gassmann_test,
     rank_subdegrees,
 )
-from hsplab.lab import (
+from hsplab.groups import (
     agl15_group,
     block_group_gens,
-    block_group_profile,
-    class_sandwich_check,
     gl32_group,
     gl32_plane_stabilizer,
     gl32_point_stabilizer,
-    product_profile,
     young_gens,
-    young_profile,
 )
+from hsplab.lab import block_group_profile, class_sandwich_check, product_profile, young_profile
 from hsplab.perm import ClassProfile, PermGroup, class_profile, cycle_type_of_array
 from hsplab.qfs import d_between, dh_exact, plancherel, thm1_bounds, weak_distribution
 
@@ -125,7 +122,7 @@ def test_criterion_03_thm1_sandwich():
 
 
 def test_criterion_04_orthogonality():
-    from hsplab.characters import mn_character
+    from hsplab.checks import mn_character
 
     t0 = time.perf_counter()
     for n in range(1, 13):

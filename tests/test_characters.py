@@ -13,10 +13,10 @@ from hsplab.characters import (
     class_sums,
     clear_character_cache,
     dimension,
-    mn_character,
     orthogonality_check,
     partitions,
 )
+from hsplab.checks import mn_character
 from hsplab.errors import InvariantError, PreconditionError
 from hsplab.lab import block_group_profile, product_profile, symmetric_profile, young_profile
 from hsplab.profile import ClassProfile, sn_class_size
@@ -232,6 +232,15 @@ def test_orthogonality_row_example_n4():
         sn_class_size(mu) * mn_character(lam, mu) ** 2 for mu in partitions(4)
     )
     assert total == 24
+
+
+def test_clear_character_cache_empties_the_oracle_cache():
+    from hsplab.checks import _mn
+
+    mn_character((2, 1), (3,))
+    assert _mn.cache_info().currsize
+    clear_character_cache()
+    assert _mn.cache_info().currsize == 0
 
 
 def test_character_cache_thread_safety():

@@ -11,8 +11,8 @@ from types import SimpleNamespace
 import pytest
 from conftest import SIGN_MUTATION, WEIGHT_MUTATION, engine_mutant
 
-from hsplab import characters, coset, lab, perm, profile, qfs
-from hsplab.cli import main
+from hsplab import characters, coset, groups, lab, perm, profile, qfs
+from hsplab.cli import build_parser, main
 from hsplab.errors import LimitExceeded
 
 
@@ -58,7 +58,9 @@ def test_analyze_refuses_disagreeing_routes(capsys, monkeypatch):
 )
 def test_class_map_built_once_per_group(argv, capsys, monkeypatch):
     def fresh_catalog():
-        for group in (lab.gl32_group, lab.gl32_point_stabilizer, lab.gl32_plane_stabilizer):
+        for group in (
+            groups.gl32_group, groups.gl32_point_stabilizer, groups.gl32_plane_stabilizer
+        ):
             group.cache_clear()
 
     # reference report: the class map rebuilt on every use
@@ -81,7 +83,7 @@ def test_class_map_built_once_per_group(argv, capsys, monkeypatch):
 
 
 def test_class_map_checks_the_bound_on_every_call():
-    G = lab.gl32_group()
+    G = groups.gl32_group()
     perm.element_class_map(G)
     with pytest.raises(LimitExceeded):
         perm.element_class_map(G, limit=100)
@@ -405,7 +407,7 @@ def test_compare_refuses_a_parent_class_map_over_the_order_limit(capsys, monkeyp
 def test_compare_holds_every_enumeration_to_the_order_limit(pair, capsys, monkeypatch):
     # the catalog builds gl32-plane by scanning the 168 elements of GL(3,2)
     # once per process, whatever the job; build it before recording
-    lab.gl32_plane_stabilizer()
+    groups.gl32_plane_stabilizer()
     limits = []
     real = profile.check_enumeration
 
@@ -467,6 +469,36 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["dh"] == "1/3"
 
 
+# A job builds only its own subcommand's parser; what it prints must not
+# show it.  Each argv ends in argparse's exit, with help or an error.
+_PARSER_CASES = [
+    *([cmd, "-h"] for cmd in ("analyze", "compare", "coset", "sweep", "check")),
+    ["analyze"],
+    ["compare", "young:2+2"],
+    ["sweep", "--family", "block", "--start", "2"],
+    ["check"],
+    ["sweep", "--family", "bogus", "--start", "2", "--end", "3"],
+    ["check", "--suite", "bogus"],
+    ["analyze", "block:3x2", "--c", "one"],
+    ["-h"],
+    [],
+    ["bogus"],
+    ["--bogus", "analyze", "block:3x2"],
+    ["analyze", "block:3x2", "--bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_CASES, ids=" ".join)
+def test_each_job_parses_and_prints_as_the_full_parser_does(argv, capsys):
+    with pytest.raises(SystemExit) as full:
+        build_parser().parse_args(argv)
+    want = (full.value.code, *capsys.readouterr())
+    with pytest.raises(SystemExit) as job:
+        main(argv)
+    assert (job.value.code, *capsys.readouterr()) == want
+    assert want[1] or want[2]  # help or an error was printed
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "hsplab.cli", "analyze", "cyclic:2@3"],
@@ -516,6 +548,36 @@ def test_importing_the_package_and_cli_loads_no_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# What a job loads: the analytic jobs none of the group layer, the
+# library-only checks or csv; sweep and check no OpenSSL (hashlib).  `random`
+# is not asserted on: a `site` hook may import it before hsplab runs.
+_ANALYTIC_UNUSED = ["numpy", "csv", "hsplab.perm", "hsplab.groups", "hsplab.checks"]
+_HASHLIB = ["hashlib", "_hashlib"]
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (["analyze", "block:4x2"], _ANALYTIC_UNUSED),
+        (["sweep", "--family", "block", "--r", "2", "--start", "2", "--end", "5"],
+         _ANALYTIC_UNUSED + _HASHLIB),
+        (["check", "--suite", "frobenius", "--actions", "2", "--seed", "1"], _HASHLIB),
+    ],
+    ids=["analyze", "sweep", "check-frobenius"],
+)
+def test_a_job_loads_only_what_its_subcommand_runs(argv, unused):
+    code = (
+        "import contextlib, io, sys\nfrom hsplab.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    code = main({argv!r})\n"
+        f"print(code, sorted(m for m in {unused!r} if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ}, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
 
 
 def _import_cli_child(env: dict) -> subprocess.CompletedProcess:
@@ -641,7 +703,7 @@ def record_enumeration_limits(monkeypatch) -> list:
     ids=["gl32", "sn", "frobenius"],
 )
 def test_coset_holds_every_enumeration_to_the_order_limit(argv, capsys, monkeypatch):
-    lab.gl32_plane_stabilizer()  # the catalog's one-off scan, outside the record
+    groups.gl32_plane_stabilizer()  # the catalog's one-off scan, outside the record
     limits = record_enumeration_limits(monkeypatch)
     code, out, err = run_cli(capsys, *argv, "--order-limit", "50000")
     assert code == 0, err

@@ -170,7 +170,7 @@ def test_class_identity_examples():
 
 
 def test_class_identity_general_parent():
-    from hsplab.lab import gl32_group, gl32_point_stabilizer
+    from hsplab.groups import gl32_group, gl32_point_stabilizer
 
     ca = coset_action(gl32_group(), gl32_point_stabilizer())
     assert ca.index == 7
@@ -199,7 +199,7 @@ def test_gassmann_different_orders():
 
 
 def test_gassmann_showcase_gl32():
-    from hsplab.lab import gl32_group, gl32_plane_stabilizer, gl32_point_stabilizer
+    from hsplab.groups import gl32_group, gl32_plane_stabilizer, gl32_point_stabilizer
 
     G = gl32_group()
     H = gl32_point_stabilizer()
@@ -258,7 +258,7 @@ def test_gassmann_random_pairs_consistent():
 
 def test_frobenius_identity_random_actions():
     rng = random.Random(41)
-    from hsplab.lab import agl15_group
+    from hsplab.groups import agl15_group
 
     pool = [PermGroup.symmetric(6), PermGroup.symmetric(7), agl15_group()]
     for _ in range(10):

@@ -3,24 +3,24 @@ from fractions import Fraction
 
 import pytest
 
+from hsplab.checks import babai_check, club_check, liebeck_report
 from hsplab.errors import LimitExceeded, ParseError, PreconditionError
-from hsplab.lab import (
+from hsplab.groups import (
     agl15_group,
-    babai_check,
     block_group_gens,
-    block_group_profile,
-    class_sandwich_check,
-    club_check,
     gl32_group,
     gl32_plane_stabilizer,
     gl32_point_stabilizer,
-    liebeck_report,
+    young_gens,
+)
+from hsplab.lab import (
+    block_group_profile,
+    class_sandwich_check,
     product_profile,
     profile_of,
     resolve_catalog,
     support_census,
     symmetric_profile,
-    young_gens,
     young_profile,
 )
 from hsplab.perm import ClassProfile, PermGroup, class_profile

@@ -10,7 +10,8 @@ from conftest import random_subgroup
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsplab.characters import class_sums, dimension, mn_character, partitions
+from hsplab.characters import class_sums, dimension, partitions
+from hsplab.checks import mn_character, poly_subgroup_verdict
 from hsplab.errors import InvariantError, PreconditionError
 from hsplab.perm import PermGroup, class_profile
 from hsplab.profile import ClassProfile, sn_class_size
@@ -21,7 +22,6 @@ from hsplab.qfs import (
     dh_exact,
     distinguishability_threshold,
     plancherel,
-    poly_subgroup_verdict,
     thm1_bounds,
     verdict,
     weak_distribution,
@@ -357,7 +357,7 @@ def test_poly_verdict_inapplicable():
 
 
 def test_poly_verdict_general_parent():
-    from hsplab.lab import gl32_group
+    from hsplab.groups import gl32_group
 
     G = gl32_group()
     H = PermGroup([G.generators[0]], degree=7)
