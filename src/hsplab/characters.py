@@ -182,6 +182,7 @@ def _type_dag(factors) -> tuple:
                 node[0] = c  # part 0 marks the end of a type; types are distinct
             step, tail = intern(trie, tail)
         scale *= step
+    del intern, shared  # intern holds itself: drop the cycle, and ids with it, now
     return nodes, clears, scale, tail
 
 
@@ -252,10 +253,12 @@ def _engine(n: int, factors: tuple) -> tuple:
         return total
 
     rows = clears[root]
-    return tuple(
+    vec = tuple(
         scale * value(_bead_mask(lam, n), root) if len(lam) <= rows else 0
         for lam in partitions(n)
     )
+    del value  # value holds itself: drop the cycle, and the memo with it, now
+    return vec
 
 
 def _certify(n: int, items: tuple, vec: tuple) -> None:

@@ -13,6 +13,7 @@ threshold states its (log base, c) convention explicitly.
 from __future__ import annotations
 
 import argparse
+import atexit
 import io
 import json
 import math
@@ -449,5 +450,32 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> int:
+    """The process entry of `python -m hsplab.cli` and the `hsplab` script.
+
+    Runs `main`, then ends the process with `os._exit` once the atexit
+    handlers have run and stdout and stderr are flushed: the report is out,
+    so the interpreter's teardown (a last GC pass, freeing every object,
+    unloading numpy) would only cost time.  Returns the exit status instead,
+    for the caller to `sys.exit` with, where that teardown still has work to
+    do: when a flush fails (the interpreter reports it, as on a closed pipe),
+    and when the caller is not the process's `__main__` module, as under
+    `python -m cProfile -m hsplab.cli`, whose report follows the run.
+    """
+    try:
+        status = main()
+    except SystemExit as exc:  # argparse's help (0) and parse errors (2)
+        status = exc.code or 0
+    if sys._getframe(1).f_globals is not sys.modules["__main__"].__dict__:
+        return status
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a closed pipe or stream
+        return status
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,3 +1,4 @@
+import gc
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -352,6 +353,25 @@ def test_class_sums_reject_factors_of_the_wrong_degree():
     prof = young_profile((2, 1))
     with pytest.raises(PreconditionError):
         class_sums(ClassProfile(3, prof.counts, (2, 2)))
+
+
+# The engine's recursive closures (value, and _type_dag's intern) would each
+# hold themselves, and with them the memo, until the cyclic GC ran.
+@pytest.mark.parametrize("make", [lambda: block_group_profile(5, 3), lambda: young_profile((6, 3))],
+                         ids=["census", "young"])
+def test_class_sums_leave_no_reference_cycle(make):
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        prof = make()
+        clear_character_cache()
+        gc.collect()
+        class_sums(prof)
+        assert gc.collect() == 0
+    finally:
+        clear_character_cache()
+        if was_enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -499,16 +500,6 @@ def test_each_job_parses_and_prints_as_the_full_parser_does(argv, capsys):
     assert want[1] or want[2]  # help or an error was printed
 
 
-def test_console_script_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "hsplab.cli", "analyze", "cyclic:2@3"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["dh"] == "1/3"
-
-
 # The analytic path (catalog profiles through the character engine) imports
 # no numpy: each child runs with numpy blocked and must print the report of an
 # unrestricted run.  The child inherits this environment, so it finds hsplab
@@ -516,8 +507,14 @@ def test_console_script_entry_point():
 _NUMPY_BLOCKED = "import sys\nsys.modules['numpy'] = None\n"
 
 
-def _child(prelude: str, argv: list) -> subprocess.CompletedProcess:
-    code = f"{prelude}import sys\nfrom hsplab.cli import main\nsys.exit(main({argv!r}))\n"
+def _child(prelude: str, argv: list, target: str = "hsplab.cli:main") -> subprocess.CompletedProcess:
+    """A fresh process that runs `prelude`, then calls `target` on argv the
+    way a console script calls its target."""
+    module, func = target.split(":")
+    code = (
+        f"{prelude}import sys\nsys.argv[1:] = {argv!r}\n"
+        f"from {module} import {func}\nsys.exit({func}())\n"
+    )
     return subprocess.run(
         [sys.executable, "-c", code], env={**os.environ}, capture_output=True, text=True
     )
@@ -608,6 +605,147 @@ def test_the_library_leaves_the_openblas_thread_count_alone():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "None"
+
+
+# ---------------------------------------------------------------------------
+# the process entry: run() ends a job with os._exit, past the interpreter's
+# teardown; what a job prints, writes and exits with stays as main's
+# ---------------------------------------------------------------------------
+
+def _cli_child(argv: list, text: bool = True, **env: str) -> subprocess.CompletedProcess:
+    """`python -m hsplab.cli argv` in a fresh process, with `env` added to ours."""
+    return subprocess.run(
+        [sys.executable, "-m", "hsplab.cli", *argv],
+        env={**os.environ, **env}, capture_output=True, text=text,
+    )
+
+
+def test_console_script_entry_point():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = re.search(r'^hsplab = "(.+)"$', pyproject.read_text(), re.M)[1]
+    assert target == "hsplab.cli:run"
+    proc = _child("", ["analyze", "cyclic:2@3"], target)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["dh"] == "1/3"
+
+
+@pytest.mark.parametrize("job", list(_REPORT_DIGESTS))
+def test_a_child_process_prints_the_pinned_report(job):
+    proc = _cli_child(job.split(), text=False)  # bytes: the CSV report ends its lines in \r\n
+    assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+    report = strip_wall_time(proc.stdout.decode())
+    assert hashlib.sha256(report.encode()).hexdigest() == _REPORT_DIGESTS[job]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["analyze"], 2),  # argparse: a missing argument
+        (["analyze", "bogus:3"], 2),
+        (["analyze", "symmetric:48"], 3),
+        (["analyze", "cyclic:1@3"], 4),
+        (["-h"], 0),
+        (["sweep", "-h"], 0),
+    ],
+    ids=["missing-argument", "unknown-name", "over-limit", "precondition", "help", "sweep-help"],
+)
+def test_a_child_process_exits_and_prints_as_main_does(argv, code, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    want = (status, *capsys.readouterr())
+    assert status == code and (want[1] or want[2])
+    proc = _cli_child(argv, COLUMNS="80")
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+
+def test_a_child_process_writes_the_whole_output_file(tmp_path):
+    argv = ["analyze", "block:7x3", "--full-distribution", "--output"]
+    assert main([*argv, str(tmp_path / "main.json")]) == 0
+    proc = _cli_child([*argv, str(tmp_path / "child.json")])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    child, lib = (
+        strip_wall_time((tmp_path / name).read_text(encoding="utf-8"))
+        for name in ("child.json", "main.json")
+    )
+    assert child == lib and len(lib) > 8192  # more than one buffer's worth
+
+
+# A job whose stdout pipe has no reader.  Unbuffered, the report's write
+# raises in main: a traceback and exit 1.  Buffered, the write succeeds and
+# the flush fails, so run() leaves it to the interpreter, which reports
+# "Exception ignored" and exits 120.
+@pytest.mark.parametrize(
+    "unbuffered, code, head",
+    [(True, 1, "Traceback (most recent call last):\n"), (False, 120, "Exception ignored in: ")],
+    ids=["unbuffered", "buffered"],
+)
+def test_a_closed_stdout_pipe_ends_as_under_a_plain_exit(unbuffered, code, head):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)  # before the child starts: no write to the pipe can succeed
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hsplab.cli", "analyze", "cyclic:2@3"],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(head)
+    assert proc.stderr.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+def test_cprofile_still_prints_its_stats():
+    # cProfile runs the module in a namespace of its own, so run() returns
+    # the status and the interpreter exits after cProfile's report
+    plain = _cli_child(["analyze", "young:5+3"])
+    profiled = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "hsplab.cli", "analyze", "young:5+3"],
+        env={**os.environ}, capture_output=True, text=True,
+    )
+    assert profiled.returncode == 0, profiled.stderr
+    assert " function calls " in profiled.stdout, "cProfile printed no stats"
+    lines = profiled.stdout.splitlines(keepends=True)
+    cut = next(i for i, line in enumerate(lines) if " function calls " in line)
+    assert strip_wall_time("".join(lines[:cut])) == strip_wall_time(plain.stdout)
+    stats = "".join(lines[cut:])
+    assert "Ordered by: " in stats and "cli.py" in stats and "(run)" in stats
+
+
+# A module-global object whose __del__ says so, and an atexit handler, both
+# set up before the entry runs.  The plain exit of main is the control: there
+# the interpreter's finalisation calls __del__.
+_MARKERS = (
+    "import atexit, os, sys\n"
+    "class Marker:\n"
+    "    def __del__(self):\n"
+    "        os.write(2, b'finalised\\n')\n"
+    "marker = Marker()\n"
+    "atexit.register(os.write, 2, b'atexit ran\\n')\n"
+    "sys.argv[1:] = ['analyze', 'cyclic:2@3']\n"
+)
+
+
+@pytest.mark.parametrize(
+    "entry, stderr",
+    [
+        ("from hsplab.cli import run\nsys.exit(run())", "atexit ran\n"),
+        ("import runpy\nrunpy._run_module_as_main('hsplab.cli')", "atexit ran\n"),  # python -m
+        ("from hsplab.cli import main\nsys.exit(main())", "atexit ran\nfinalised\n"),
+    ],
+    ids=["script", "module", "plain-exit"],
+)
+def test_the_entry_runs_atexit_handlers_and_skips_finalisation(entry, stderr):
+    proc = subprocess.run(
+        [sys.executable, "-c", _MARKERS + entry], env={**os.environ}, capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stderr) == (0, stderr)
+    assert json.loads(proc.stdout)["dh"] == "1/3"
 
 
 # ---------------------------------------------------------------------------
