@@ -1,9 +1,11 @@
 """Batch command-line front end.
 
-Subcommands: analyze, compare, sweep, coset, check.  Reports are JSON (CSV
-optional for sweep tables) and byte-identical across runs, except for the
-wall_time_s field.  Exit codes: 0 success, 1 internal inconsistency (two
-routes to one value disagree), 2 parse error, 3 limit exceeded, 4 mathematical
+Subcommands: analyze, compare, sweep, coset, check.  A group input, a group
+file or a catalog name, resolves through `lab.resolve` to one catalog entry,
+whose census `lab.profile_of` reads.  Reports are JSON (CSV optional for
+sweep tables) and byte-identical across runs, except for the wall_time_s
+field.  Exit codes: 0 success, 1 internal inconsistency (two routes to one
+value disagree), 2 parse error, 3 limit exceeded, 4 mathematical
 precondition violated.
 
 Verdicts are reports at the fixed input degree, not asymptotic claims; every
@@ -20,78 +22,15 @@ import math
 import os
 import sys
 import time
-from typing import TYPE_CHECKING
 
 from . import lab, qfs
 from .errors import HspError, LimitExceeded, ParseError, PreconditionError
 from .lab import DEGREE_LIMIT
-from .profile import ENUMERATION_LIMIT, INDEX_LIMIT, ClassProfile, check_index
+from .profile import ENUMERATION_LIMIT, INDEX_LIMIT, check_index
 from .radical import DECIMAL_DIGITS, decimal_text, frac_text
-
-if TYPE_CHECKING:
-    from .perm import PermGroup
 
 # hsplab calls no BLAS routine, so numpy need not start an OpenBLAS worker pool.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-
-class _Source:
-    """A group input: catalog name or group file.
-
-    A group file is parsed, and its chain built, at once.  A catalog entry
-    builds its group on first use, so `degree` and `order` of a catalog
-    input cost no chain.
-    """
-
-    def __init__(self, spec: str):
-        import hashlib
-
-        self.spec = spec
-        self.entry = None
-        if os.path.exists(spec):
-            from .perm import load_group_file
-
-            self._group = load_group_file(spec)
-            with open(spec, "rb") as fh:
-                self.digest = hashlib.sha256(fh.read()).hexdigest()
-            self.kind = "file"
-        else:
-            try:
-                self.entry = lab.resolve_catalog(spec)
-            except ParseError:
-                raise ParseError(
-                    f"{spec!r} is neither an existing group file nor a catalog name"
-                ) from None
-            self.digest = hashlib.sha256(f"catalog:{spec}".encode()).hexdigest()
-            self.kind = "catalog"
-
-    @property
-    def group(self) -> PermGroup:
-        return self._group if self.entry is None else self.entry.group
-
-    @property
-    def degree(self) -> int:
-        return self._group.degree if self.entry is None else self.entry.degree
-
-    @property
-    def order(self) -> int:
-        return self._group.order if self.entry is None else self.entry.order
-
-    def profile(self, limit: int = ENUMERATION_LIMIT) -> ClassProfile:
-        if self.entry is not None:
-            return lab.profile_of(self.entry, limit)
-        from .perm import class_profile
-
-        return class_profile(self.group, limit)
-
-    def describe(self) -> dict:
-        return {
-            "spec": self.spec,
-            "kind": self.kind,
-            "digest": self.digest,
-            "degree": self.degree,
-            "order": str(self.order),
-        }
 
 
 def _emit(text: str, args) -> None:
@@ -109,13 +48,13 @@ def _emit(text: str, args) -> None:
 
 def cmd_analyze(args) -> dict:
     t0 = time.perf_counter()
-    src = _Source(args.source)
+    src = lab.resolve(args.source)
     n = src.degree
     if n > args.degree_limit:
         raise LimitExceeded(
             f"degree {n} exceeds the character-analysis limit {args.degree_limit}"
         )
-    prof = src.profile(args.order_limit)
+    prof = lab.profile_of(src, args.order_limit)
     if prof.order < 2:
         raise PreconditionError(
             "the trivial subgroup is degenerate here: D_H = 0 and the strict "
@@ -179,17 +118,16 @@ def cmd_compare(args) -> dict:
     from . import coset as coset_mod
 
     t0 = time.perf_counter()
-    src_a = _Source(args.a)
-    src_b = _Source(args.b)
+    src_a = lab.resolve(args.a)
+    src_b = lab.resolve(args.b)
     if src_a.degree != src_b.degree:
         raise PreconditionError("subgroups act on different degrees")
     n = src_a.degree
     if args.parent:
-        parent = _Source(args.parent)
+        parent = lab.resolve(args.parent)
         parent_desc = parent.describe()
     else:
-        implied_a = src_a.entry.parent if src_a.entry else None
-        implied_b = src_b.entry.parent if src_b.entry else None
+        implied_a, implied_b = src_a.parent, src_b.parent
         if implied_a is not None and implied_b is not None and implied_a.name == implied_b.name:
             parent, spec = implied_a, "(implied by catalog)"
         else:
@@ -212,7 +150,7 @@ def cmd_compare(args) -> dict:
         sn_distance = None
     else:
         sn_distance = qfs.d_between(
-            n, src_a.profile(args.order_limit), src_b.profile(args.order_limit)
+            n, lab.profile_of(src_a, args.order_limit), lab.profile_of(src_b, args.order_limit)
         )
     report = {
         "command": "compare",
@@ -236,8 +174,8 @@ def cmd_coset(args) -> dict:
     from . import coset as coset_mod
 
     t0 = time.perf_counter()
-    parent = _Source(args.parent)
-    sub = _Source(args.subgroup)
+    parent = lab.resolve(args.parent)
+    sub = lab.resolve(args.subgroup)
     # refuse before any chain is built; a mismatch, or an order that does not
     # divide |G|, is left to coset_action to report
     if parent.degree == sub.degree and parent.order % sub.order == 0:

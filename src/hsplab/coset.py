@@ -28,12 +28,14 @@ from .radical import frac_text
 class CosetAction:
     """The permutation action of G on X = G/H by right multiplication."""
 
-    def __init__(self, group: PermGroup, subgroup: PermGroup, index: int, reps: np.ndarray):
+    def __init__(
+        self, group: PermGroup, subgroup: PermGroup, index: int, reps: np.ndarray, lookup: dict
+    ):
         self.group = group
         self.subgroup = subgroup
         self.index = index
         self.reps = reps  # (index, degree) canonical representatives, BFS order
-        self._lookup = {reps[i].tobytes(): i for i in range(index)}
+        self._lookup = lookup  # representative bytes -> its row in reps
         self._rank_report = None  # built on first use by rank_subdegrees
 
     def coset_of(self, x: Permutation) -> int:
@@ -91,7 +93,7 @@ def coset_action(G: PermGroup, H: PermGroup, limit: int = INDEX_LIMIT) -> CosetA
                     reps.append(out[i].copy())
     if len(reps) != index:
         raise InvariantError("coset table is incomplete")
-    return CosetAction(G, H, index, np.stack(reps))
+    return CosetAction(G, H, index, np.stack(reps), lookup)
 
 
 def fix_in_X(ca: CosetAction, g: Permutation) -> int:

@@ -1,5 +1,7 @@
 """Support censuses, the class-size sandwich check, analytic profile
-constructors for subgroup families too large to enumerate, and the catalog.
+constructors for subgroup families too large to enumerate, the catalog, and
+`resolve`, which turns a group input (a group file or a catalog name) into
+one `CatalogEntry`.
 
 Everything a catalog `analyze` or `sweep` runs lives here, and none of it
 needs numpy: a catalog entry builds its group through `hsplab.groups` only
@@ -11,6 +13,7 @@ support-count diagnostic, the Liebeck and Babai reports) live in
 from __future__ import annotations
 
 import math
+import os
 from functools import cached_property, partial
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -207,14 +210,16 @@ def young_profile(parts) -> ClassProfile:
 
 
 class CatalogEntry:
-    """A resolved catalog name.
+    """A resolved group input: a catalog name, or a group file (kind "file").
 
-    `degree` is read off the name.  `order`, `group` (generators and their
-    stabilizer chain), `profile` (the analytic census, None when the entry
-    has none) and `parent` (the catalog entry of the implied parent for
-    comparisons, or None) are built on first use, so a job that reads only
-    the census never builds a chain or imports numpy, and a degree or order
-    check runs before any of them.
+    A catalog entry's `degree` is read off the name.  `order`, `group`
+    (generators and their stabilizer chain), `profile` (the analytic census,
+    None when the entry has none) and `parent` (the catalog entry of the
+    implied parent for comparisons, or None) are built on first use, so a
+    job that reads only the census never builds a chain or imports numpy,
+    and a degree or order check runs before any of them.  A file entry is
+    built from a group that is already parsed, with its chain; it has no
+    profile and no parent, and carries the sha256 of the file's bytes.
     """
 
     def __init__(
@@ -225,6 +230,8 @@ class CatalogEntry:
         build_group: Callable[[], PermGroup],
         build_profile: Callable[[], ClassProfile] | None = None,
         parent_name: str | None = None,
+        kind: str = "catalog",
+        digest: str | None = None,
     ):
         self.name = name
         self.degree = degree
@@ -232,6 +239,8 @@ class CatalogEntry:
         self.build_group = build_group
         self.build_profile = build_profile
         self.parent_name = parent_name
+        self.kind = kind
+        self.digest = digest
 
     @cached_property
     def order(self) -> int:
@@ -248,6 +257,21 @@ class CatalogEntry:
     @cached_property
     def parent(self) -> CatalogEntry | None:
         return None if self.parent_name is None else resolve_catalog(self.parent_name)
+
+    def describe(self) -> dict:
+        """The `source` block of a report: the input as given, its kind, a
+        sha256 (of a file's bytes, or of "catalog:<name>"), degree and order."""
+        if self.digest is None:
+            import hashlib
+
+            self.digest = hashlib.sha256(f"catalog:{self.name}".encode()).hexdigest()
+        return {
+            "spec": self.name,
+            "kind": self.kind,
+            "digest": self.digest,
+            "degree": self.degree,
+            "order": str(self.order),
+        }
 
 
 #: Analytic catalog profiles are only materialized up to this degree; the
@@ -345,6 +369,28 @@ def resolve_catalog(name: str) -> CatalogEntry:
             name, 7, lambda: 24, _built("gl32_plane_stabilizer"), parent_name="gl32"
         )
     raise ParseError(f"unknown catalog name: {name!r}")
+
+
+def resolve(spec: str) -> CatalogEntry:
+    """The entry of a group input: the group file at the path `spec`, parsed
+    and its chain built at once, else the catalog name `spec`."""
+    if os.path.exists(spec):
+        import hashlib
+
+        from .perm import load_group_file
+
+        group = load_group_file(spec)
+        with open(spec, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        return CatalogEntry(
+            spec, group.degree, lambda: group.order, lambda: group, kind="file", digest=digest
+        )
+    try:
+        return resolve_catalog(spec)
+    except ParseError:
+        raise ParseError(
+            f"{spec!r} is neither an existing group file nor a catalog name"
+        ) from None
 
 
 def profile_of(entry: CatalogEntry, limit: int = ENUMERATION_LIMIT) -> ClassProfile:

@@ -255,9 +255,10 @@ class PackedChain(NamedTuple):
 
 
 class _Level:
-    """One level of the incremental Schreier–Sims: a base point, the strong
-    generators that fix every earlier base point, and the BFS transversal of
-    the point's orbit under them.
+    """One level of a stabilizer chain: a base point, the strong generators
+    that fix every earlier base point, and the BFS transversal of the point's
+    orbit under them.  The incremental Schreier–Sims grows its levels, and
+    `_build_chain` packs the levels of the final strong generators.
 
     Generators are kept both as image arrays and as Python lists (for the
     point-by-point orbit walk).  ``refresh`` rebuilds the transversal; the
@@ -425,43 +426,33 @@ def _schreier_sims(gens: list, base) -> list:
 def _build_chain(gen_arrays: list, degree: int) -> PackedChain:
     idarr = np.arange(degree, dtype=np.int32)
     strong = _schreier_sims(gen_arrays, range(degree))
-    levels = []  # (base point, [(orbit point, transversal array)])
+    # level b is generated by the strong generators that fix every point below b
+    first = (np.array(strong) != idarr).argmax(axis=1).tolist() if strong else []
+    lists = [g.tolist() for g in strong]
+    levels = []
     order = 1
-    for b in range(degree):
-        eff = [g for g in strong if all(int(g[x]) == x for x in range(b))]
-        if not eff:
-            break
-        orbit: dict[int, np.ndarray] = {b: idarr}
-        queue = deque([b])
-        while queue:
-            p = queue.popleft()
-            up = orbit[p]
-            for g in eff:
-                q = int(g[p])
-                if q not in orbit:
-                    orbit[q] = g[up]
-                    queue.append(q)
-        order *= len(orbit)
-        if len(orbit) > 1:
-            levels.append((b, list(orbit.items())))
+    for b in range(max(first, default=-1) + 1):
+        level = _Level(b)
+        for g, g_list, f in zip(strong, lists, first):
+            if f >= b:
+                level.gens.append(g)
+                level.lists.append(g_list)
+        level.refresh(idarr)
+        order *= len(level.orbit)
+        if len(level.orbit) > 1:
+            levels.append(level)
 
     nlev = len(levels)
-    total = sum(len(items) for _, items in levels)
-    base = np.array([b for b, _ in levels], dtype=np.int32)
+    base = np.array([level.point for level in levels], dtype=np.int32)
     level_off = np.zeros(nlev + 1, dtype=np.int64)
-    orbit_pts = np.empty(total, dtype=np.int32)
+    level_off[1:] = np.cumsum([len(level.orbit) for level in levels])
+    orbit_pts = np.array([p for level in levels for p in level.orbit], dtype=np.int32)
     pos = np.full((max(nlev, 1), degree), -1, dtype=np.int32)
-    trans = np.empty((total, degree), dtype=np.int32)
-    trans_inv = np.empty((total, degree), dtype=np.int32)
-    row = 0
-    for l, (b, items) in enumerate(levels):
-        for k, (pt, u) in enumerate(items):
-            orbit_pts[row] = pt
-            pos[l, pt] = k
-            trans[row] = u
-            trans_inv[row] = inv_array(u)
-            row += 1
-        level_off[l + 1] = row
+    for l, level in enumerate(levels):
+        pos[l, level.orbit] = np.arange(len(level.orbit))
+    empty = np.empty((0, degree), dtype=np.int32)
+    trans = np.concatenate([empty, *(level.rows for level in levels)])
+    trans_inv = np.concatenate([empty, *(level.inverses() for level in levels)])
     return PackedChain(degree, base, level_off, orbit_pts, pos, trans, trans_inv, order)
 
 

@@ -114,7 +114,52 @@ def test_analyze_group_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "analyze", str(path))
     assert code == 0
     rep = json.loads(out)
-    assert rep["source"]["kind"] == "file" and rep["dh"] == "1/3"
+    assert rep["dh"] == "1/3"
+    assert rep["source"] == {
+        "spec": str(path),
+        "kind": "file",
+        "digest": hashlib.sha256(path.read_bytes()).hexdigest(),
+        "degree": 3,
+        "order": "2",
+    }
+
+
+def test_a_file_named_like_a_catalog_entry_is_read_as_a_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("gl32").write_text("degree 3\n(1 2)\n")
+    code, out, err = run_cli(capsys, "analyze", "gl32")
+    assert code == 0, err
+    source = json.loads(out)["source"]
+    assert (source["spec"], source["kind"], source["degree"]) == ("gl32", "file", 3)
+
+
+_FANO_FILES = {
+    "gl32.grp": "degree 7\n(2 3)(6 7)\n(1 2 4)(3 6 5)\n",
+    "point.grp": "degree 7\n(2 3)(6 7)\n(4 6)(5 7)\n(4 7)(5 6)\n(2 6 5)(3 7 4)\n",
+    "plane.grp": "degree 7\n(2 3)(6 7)\n(1 2)(4 6 7 5)\n",
+}
+
+
+def _file_block(path: Path, order: str) -> dict:
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    return {"spec": str(path), "kind": "file", "digest": digest, "degree": 7, "order": order}
+
+
+@pytest.mark.parametrize("with_parent", [True, False], ids=["file-parent", "no-parent"])
+def test_compare_group_files(with_parent, tmp_path, capsys):
+    for name, text in _FANO_FILES.items():
+        (tmp_path / name).write_text(text)
+    point, plane, parent = (tmp_path / name for name in ("point.grp", "plane.grp", "gl32.grp"))
+    argv = ["compare", str(point), str(plane)] + (["--parent", str(parent)] if with_parent else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    rep = json.loads(out)
+    assert rep["a"] == _file_block(point, "24") and rep["b"] == _file_block(plane, "24")
+    if with_parent:  # GL(3,2) holds both stabilizers, which are Gassmann-equivalent
+        assert rep["parent"] == _file_block(parent, "168")
+        assert rep["gassmann"]["perm_chars_equal"] is True
+    else:  # a file implies no parent
+        assert rep["parent"] == {"spec": "symmetric:7", "degree": 7, "order": "5040"}
 
 
 def test_analyze_is_deterministic(capsys):
@@ -244,8 +289,14 @@ def test_no_index_refusal_when_h_cannot_be_a_subgroup(argv, message, capsys):
 
 
 def test_unknown_source(capsys):
-    code, _, err = run_cli(capsys, "analyze", "no-such-thing")
-    assert code == 2 and "catalog" in err
+    for argv in (
+        ["analyze", "nonsense"],
+        ["compare", "gl32", "nonsense"],
+        ["coset", "nonsense", "gl32-point"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: 'nonsense' is neither an existing group file nor a catalog name\n"
 
 
 def test_compare_gl32_pair(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -184,6 +185,110 @@ def test_long_cycle_chain_has_one_level():
     G = PermGroup([Permutation(np.roll(np.arange(n, dtype=np.int32), -1))], n)
     assert G.order == n
     assert G.chain.num_levels == 1
+
+
+# Packed chains pinned by sha256 of (base, level_off, orbit_pts, trans): the
+# transversal rows, and so element order, class representatives, random draws
+# and conjugating elements, depend on how the chain is built.  Catalog groups,
+# the base generators of the benchmark's group files, and three generator
+# lists in a shuffled order, the last with a repeated generator.
+_PINNED_CATALOG = (
+    [f"symmetric:{n}" for n in range(1, 10)]
+    + [f"alternating:{n}" for n in range(1, 10)]
+    + [f"block:{m}x{r}" for m in range(2, 7) for r in range(1, 4)]
+    + ["young:3+2", "young:5+3", "young:4+4+2", "young:2+2+2+1", "young:15+2"]
+    + ["gl32", "gl32-point", "gl32-plane", "agl15"]
+)
+_PINNED_GENERATORS = {
+    "b8x2": (16, ["(1 3)(2 4)", "(1 3 5 7 9 11 13 15)(2 4 6 8 10 12 14 16)"]),
+    "c8": (8, ["(1 2 3 4 5 6 7 8)"]),
+    "gl32": (7, ["(2 3)(6 7)", "(1 2 4)(3 6 5)"]),
+    "gl32pt": (7, ["(2 3)(6 7)", "(4 6)(5 7)", "(4 7)(5 6)", "(2 6 5)(3 7 4)"]),
+    "gl32pl": (7, ["(2 3)(6 7)", "(1 2)(4 6 7 5)"]),
+    "f21": (7, ["(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)"]),
+    "agl1_11": (11, ["(1 2 3 4 5 6 7 8 9 10 11)", "(2 3 5 9 6 11 10 8 4 7)"]),
+    "d12": (12, ["(1 2 3 4 5 6 7 8 9 10 11 12)", "(2 12)(3 11)(4 10)(5 9)(6 8)"]),
+    "shuffled-s7": (7, ["(3 4)(5 6)", "(1 2 3 4 5 6 7)", "(2 5)", "(1 6 4)"]),
+    "shuffled-s11": (
+        11, ["(2 3 5 9 6 11 10 8 4 7)", "(3 9 5 4)(6 7 10 8)", "(1 2 3 4 5 6 7 8 9 10 11)"]
+    ),
+    "repeated-young": (9, ["(6 7 8 9)", "(1 2)", "(2 3 4 5)", "(1 2)", "(8 9)", "(6 7 8 9)"]),
+}
+_CHAIN_DIGESTS = {
+    "symmetric:1": "319ac9e7242102ca3258e9eae26f8f9b13c9a0fc7454bf2c891c6076a3c908a0",
+    "symmetric:2": "0bb062d55dfb015903b550b792a1473b2f454166629dc69000977a605ce1f94f",
+    "symmetric:3": "5ec7e5f1490160d5f4d69349b406a776a2fb0a10ff49a1017d472af3aef92b2b",
+    "symmetric:4": "159813ec06e5a6c68ec4afa7759d27c11976ab4ece536d96f1feae826334af6f",
+    "symmetric:5": "5f5ee04498041441b208e1d89dbea832767c742519bd9e724feb9b95c0d7a2c8",
+    "symmetric:6": "90d97815c2d321b32f4e9abc86ea911ce8ccd13d898734cc15f219cd65473c50",
+    "symmetric:7": "f3d59c3d275f51aadb68f6aea9083d89f7e620826331f58e95cfad958be40afd",
+    "symmetric:8": "6d4efbfa501013376599c1cabd648fd141466dc60d33794fc987c1015b31d164",
+    "symmetric:9": "d2c61f6752466e23c7c1dc9cd4fae44caac768e733176de3c9c8c0630daca3d6",
+    "alternating:1": "319ac9e7242102ca3258e9eae26f8f9b13c9a0fc7454bf2c891c6076a3c908a0",
+    "alternating:2": "6b2d121578b8804f86d7ea7666d6ee32f077ea4d06090414aac8e91e68af8c31",
+    "alternating:3": "628184ce4a7b5bdb97df5001d1071cc0ac2e6071936b43d676ac6d8dc08f8b20",
+    "alternating:4": "169fd90ac6593dc0d87615412f31c4efa431bf0b7efb623686dbef2a8f27f64d",
+    "alternating:5": "40ce9532a72664f31ac310326e411447762dc46d6ded339004e2d4f8c3200bce",
+    "alternating:6": "4ab9ff19829e33338f3e2aacd7ec95068303d2d5ae685b512db18411e53e232c",
+    "alternating:7": "95a3896210c7e7fa71f3d2d12f3d0c144f80e9fa2269669e77f143d38f2e216c",
+    "alternating:8": "489da1ca999174a1ecb7b94d7c04635778dc82b090df2fb3a58b2f4917284b41",
+    "alternating:9": "0c98c4b42705f9c3812eca700dfab43ae6d841e6fc7b7016e410dee235581e3f",
+    "block:2x1": "0bb062d55dfb015903b550b792a1473b2f454166629dc69000977a605ce1f94f",
+    "block:2x2": "7ca87cd0d633440ca8ec66f059e2bbc1d7d7b7cf81d85129155538078ac7f499",
+    "block:2x3": "11b8ba147436ff0d77f94ce435c458c62c7807262f2dae7aa8489f0949a57449",
+    "block:3x1": "5ec7e5f1490160d5f4d69349b406a776a2fb0a10ff49a1017d472af3aef92b2b",
+    "block:3x2": "9f5e3054654ca0fe3ca4a00f546d76230c3859530c81cebad932572207d8fd06",
+    "block:3x3": "e0e05df718a1311fd900edce2babac3a9936c96c76667e7027ff9259b1c91ce7",
+    "block:4x1": "159813ec06e5a6c68ec4afa7759d27c11976ab4ece536d96f1feae826334af6f",
+    "block:4x2": "bd7f7c05d3c067876ce65a48299dd7cd69bc2b0f21e5172cdacdd9f4909e0cd4",
+    "block:4x3": "dbd0164119ec79a8cced8d372a8570023aa85c8298b57edfb893b1e873051777",
+    "block:5x1": "5f5ee04498041441b208e1d89dbea832767c742519bd9e724feb9b95c0d7a2c8",
+    "block:5x2": "573d56170019cb388138fd0e5094cfa04fee2dfaf0906507ab6c80858416c0c7",
+    "block:5x3": "0fff46c9c48de6ae52801c59367d9d27603589731ba307ab15b9a6be3d1ce115",
+    "block:6x1": "90d97815c2d321b32f4e9abc86ea911ce8ccd13d898734cc15f219cd65473c50",
+    "block:6x2": "4233c3ff9c64698182fc18e571095bdb85da2df8253f655fce1bc4b210e1e5fb",
+    "block:6x3": "2c64f0afb058e943a1397422d4f92fcf08e3b6cb6697e8d10a26ee07b1d38e8b",
+    "young:3+2": "3cbaad9d9a4eae7941a63aa5d78ddf240f5073c9df064333ec676dadfe531888",
+    "young:5+3": "1e3232341b2a51f84e1d8096a09119685e6984f0f7641ba786806b98bc3a4ceb",
+    "young:4+4+2": "883aabd6ff34be86d7325f83944997443798dd13aa7c4e5ecd63df55fdd0482e",
+    "young:2+2+2+1": "d89bab009390898d5083c1739be0d63226d27a4eec4592fe937519d740b17975",
+    "young:15+2": "87d6ee76165877cbd56fc8fcd478838b33602af9d60566f218051d0370ec5b9e",
+    "gl32": "06c68baafe54525fcc645afe8353ceee06539714097c0a7ae59d8cf7fb488ebb",
+    "gl32-point": "a817e7d1e826956c2c2fc0d1962f18cdebe803bd4f9cd80ef1f494aadee89852",
+    "gl32-plane": "af4bc86b6ac32c3585fa7973b2da6ed27d6604b77027f15b4719e6b914725a12",
+    "agl15": "204366eefb999d6f8823e93bae0d9641f09a7cb95089212f0ca20316baa7f2a7",
+    "b8x2": "38e283af1402e4c56f41847677de6d6e1b4c92da257bb19e0072403fc43a627e",
+    "c8": "5309a249025261fc52d84980350b22a1590b7dd7caf580848b231676b2189809",
+    "gl32": "06c68baafe54525fcc645afe8353ceee06539714097c0a7ae59d8cf7fb488ebb",
+    "gl32pt": "a817e7d1e826956c2c2fc0d1962f18cdebe803bd4f9cd80ef1f494aadee89852",
+    "gl32pl": "e8c62e4b6409698955cf4bd26cd4888ab6687c478bda12e9435a8a78ce22948e",
+    "f21": "276ef9867f7d016deca5c881fbd4210e5d8646127d0a035569a36d2151bf2732",
+    "agl1_11": "dc2034236806badcc6f84b980ac95ae9e72890dfbfbf6bdc7544ef73942eccc9",
+    "d12": "63444edeccef55de696be0380246e5c7d028bd47b040e3f24d6ab9cda98b8ba2",
+    "shuffled-s7": "67eec1a60c0511831e9e1a98067c23b74ff74b151b06f2c6bc6c6ffce72a5426",
+    "shuffled-s11": "e225fd796817e2b3d86cefb14fb9132df78aec88b430502d5cef11a2c72e7b52",
+    "repeated-young": "b38cfaecb6fbee31c1cc975ba10338d5aeb9728072601d87f2ce939a1f13ad3e",
+}
+
+
+def _chain_digest(G: PermGroup) -> str:
+    h = hashlib.sha256()
+    for a in (G.chain.base, G.chain.level_off, G.chain.orbit_pts, G.chain.trans):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _pinned_groups():
+    for spec in _PINNED_CATALOG:
+        yield spec, resolve_catalog(spec).group
+    for name, (degree, gens) in _PINNED_GENERATORS.items():
+        yield name, PermGroup.from_cycles(gens, degree)
+
+
+def test_packed_chains_match_their_pinned_digests():
+    got = {name: _chain_digest(G) for name, G in _pinned_groups()}
+    assert got == _CHAIN_DIGESTS
 
 
 # ---------------------------------------------------------------------------
