@@ -453,7 +453,8 @@ def _check_frobenius(args) -> dict:
             continue
         ca = coset_mod.coset_action(G, H, args.index_limit)
         try:
-            coset_mod.rank_subdegrees(ca)  # raises if the Frobenius identity fails
+            # raises if the Frobenius identity fails
+            coset_mod.rank_subdegrees(ca, args.order_limit)
             if not coset_mod.class_fixpoint_identity_holds(ca, args.order_limit):
                 failures.append({"parent_order": str(G.order), "subgroup_order": str(H.order)})
         except InvariantError:

@@ -41,6 +41,13 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
+def _check_c(c: float) -> None:
+    """Refuse a verdict exponent that a JSON report cannot hold: nan, or an
+    infinity (which a literal such as 1e400 parses to)."""
+    if not math.isfinite(c):
+        raise ParseError(f"--c must be a finite number, got {c}")
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
@@ -48,6 +55,7 @@ def _emit(text: str, args) -> None:
 
 def cmd_analyze(args) -> dict:
     t0 = time.perf_counter()
+    _check_c(args.c)
     src = lab.resolve(args.source)
     n = src.degree
     if n > args.degree_limit:
@@ -174,6 +182,7 @@ def cmd_coset(args) -> dict:
     from . import coset as coset_mod
 
     t0 = time.perf_counter()
+    _check_c(args.c)
     parent = lab.resolve(args.parent)
     sub = lab.resolve(args.subgroup)
     # refuse before any chain is built; a mismatch, or an order that does not
@@ -181,7 +190,7 @@ def cmd_coset(args) -> dict:
     if parent.degree == sub.degree and parent.order % sub.order == 0:
         check_index(parent.order // sub.order, args.index_limit)
     ca = coset_mod.coset_action(parent.group, sub.group, args.index_limit)
-    rr = coset_mod.rank_subdegrees(ca)
+    rr = coset_mod.rank_subdegrees(ca, args.order_limit)
     report = {
         "command": "coset",
         "parent": parent.describe(),

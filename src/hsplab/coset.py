@@ -20,7 +20,14 @@ import numpy as np
 from . import _kernels
 from .errors import InvariantError, LimitExceeded, PreconditionError
 from .perm import PermGroup, Permutation, class_profile, element_class_map, inv_array
-from .profile import ENUMERATION_LIMIT, INDEX_LIMIT, check_enumeration, check_index, sn_class_size
+from .profile import (
+    ENUMERATION_LIMIT,
+    INDEX_LIMIT,
+    ClassProfile,
+    check_enumeration,
+    check_index,
+    sn_class_size,
+)
 from .qfs import d_between, distinguishability_threshold
 from .radical import frac_text
 
@@ -36,6 +43,7 @@ class CosetAction:
         self.index = index
         self.reps = reps  # (index, degree) canonical representatives, BFS order
         self._lookup = lookup  # representative bytes -> its row in reps
+        self._table = None  # built on first use by permutation_character
         self._rank_report = None  # built on first use by rank_subdegrees
 
     def coset_of(self, x: Permutation) -> int:
@@ -114,24 +122,13 @@ def _sn_type_rep(t: tuple, n: int) -> Permutation:
 
 
 class PermutationCharacter(NamedTuple):
-    """fix_X on one representative per conjugacy class of G."""
+    """The class table of an action: one row per conjugacy class C of G."""
 
     index: int
-    entries: tuple  # of (key, representative, class_size, fix_count)
+    entries: tuple  # of (key, representative, |C|, fix_X on C, |H ∩ C|)
 
     def as_dict(self) -> dict:
-        return {key: fx for key, _, _, fx in self.entries}
-
-    def serialize(self) -> list:
-        return [
-            {
-                "class": list(key) if isinstance(key, tuple) else key,
-                "representative": rep.cycles(),
-                "class_size": str(size),
-                "fix": fx,
-            }
-            for key, rep, size, fx in self.entries
-        ]
+        return {key: fx for key, _, _, fx, _ in self.entries}
 
 
 def _class_reps(G: PermGroup, limit: int = ENUMERATION_LIMIT):
@@ -150,20 +147,31 @@ def _class_reps(G: PermGroup, limit: int = ENUMERATION_LIMIT):
 
 
 def permutation_character(ca: CosetAction, limit: int = ENUMERATION_LIMIT) -> PermutationCharacter:
-    entries = []
-    for key, rep, size in _class_reps(ca.group, limit):
-        entries.append((key, rep, size, fix_in_X(ca, rep)))
-    return PermutationCharacter(ca.index, tuple(entries))
+    """The action's class table, built once and kept on it.
+
+    Building it takes the census of H by the classes of G and the class map
+    of G (when G is not S_n), both held to `limit`; a kept table is returned
+    as it is.
+    """
+    if ca._table is None:
+        counts = _class_counts(ca.group, ca.subgroup, limit)
+        ca._table = PermutationCharacter(
+            ca.index,
+            tuple(
+                (key, rep, size, fix_in_X(ca, rep), counts.get(key, 0))
+                for key, rep, size in _class_reps(ca.group, limit)
+            ),
+        )
+    return ca._table
 
 
 def class_fixpoint_identity_holds(ca: CosetAction, limit: int = ENUMERATION_LIMIT) -> bool:
     """fix_X(g) |C| == |H ∩ C| |X| for every class of G, checked exactly;
     the census of H and the class map of G are held to `limit`."""
-    counts = _class_counts(ca.group, ca.subgroup, limit)
-    for key, rep, size in _class_reps(ca.group, limit):
-        if fix_in_X(ca, rep) * size != counts.get(key, 0) * ca.index:
-            return False
-    return True
+    return all(
+        fx * size == count * ca.index
+        for _, _, size, fx, count in permutation_character(ca, limit).entries
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -186,42 +194,26 @@ class RankReport(NamedTuple):
         }
 
 
-def _image_group_fix_sum(gen_images: list, index: int) -> tuple:
-    """BFS closure of the induced generators on X: (order, sum of fix counts)."""
-    ident = np.arange(index, dtype=np.int32)
-    seen = {ident.tobytes()}
-    queue = deque([ident])
-    total_fix = index
-    count = 1
-    while queue:
-        x = queue.popleft()
-        for g in gen_images:
-            y = g[x]
-            key = y.tobytes()
-            if key not in seen:
-                seen.add(key)
-                count += 1
-                total_fix += int(np.count_nonzero(y == ident))
-                queue.append(y)
-    return count, total_fix
-
-
-def rank_subdegrees(ca: CosetAction) -> RankReport:
+def rank_subdegrees(ca: CosetAction, limit: int = ENUMERATION_LIMIT) -> RankReport:
     """Rank and subdegrees, with the Frobenius cross-check.
 
-    The rank is computed two ways: counting orbits of H on X, and averaging
-    fixed points over the elements of H (through the induced image group and
-    the kernel multiplicity).  The two must agree exactly.  The report is
-    built once per action and kept on it; a failed cross-check raises and
-    keeps nothing.
+    The rank is computed two ways: counting the orbits of H on X under the
+    induced generators, and averaging fixed points over the elements of H,
+    sum_C |H ∩ C| fix_X(C) / |H| over the action's class table (held to
+    `limit`).  The two must agree exactly.  The report is built once per
+    action and kept on it; a failed cross-check raises and keeps nothing.
     """
     if ca._rank_report is None:
-        ca._rank_report = _build_rank_report(ca)
+        ca._rank_report = _build_rank_report(ca, limit)
     return ca._rank_report
 
 
-def _build_rank_report(ca: CosetAction) -> RankReport:
+def _build_rank_report(ca: CosetAction, limit: int = ENUMERATION_LIMIT) -> RankReport:
     H = ca.subgroup
+    table = permutation_character(ca, limit).entries  # refuses H before any orbit work
+    total_fix = sum(count * fx for _, _, _, fx, count in table)
+    # the kernel of H on X: the classes of G that fix every coset
+    kernel = sum(count for _, _, _, fx, count in table if fx == ca.index)
     gen_images = [ca.induced_image(h) for h in H.generators]
     # suborbits: orbit partition of X under the induced generators
     seen = np.zeros(ca.index, dtype=bool)
@@ -242,15 +234,13 @@ def _build_rank_report(ca: CosetAction) -> RankReport:
                     queue.append(q)
         subdegrees.append(size)
     rank = len(subdegrees)
-    image_order, image_fix = _image_group_fix_sum(gen_images, ca.index)
-    if H.order % image_order:
-        raise InvariantError("image order does not divide |H|")
-    total_fix = (H.order // image_order) * image_fix
     if total_fix != rank * H.order:
         raise InvariantError(
             "Frobenius identity violated: orbit count and fixed-point average disagree"
         )
-    return RankReport(rank, tuple(sorted(subdegrees)), total_fix, image_order)
+    if H.order % kernel:
+        raise InvariantError("the kernel does not divide |H|")
+    return RankReport(rank, tuple(sorted(subdegrees)), total_fix, H.order // kernel)
 
 
 def subdegree_form_spot_check(ca: CosetAction, samples: int = 3, limit: int = 10**4) -> bool:
@@ -454,7 +444,7 @@ def check_gassmann_bounds(
     index_limit: int = INDEX_LIMIT,
 ) -> None:
     """Refuse, from the orders alone, a Gassmann test whose class censuses or
-    coset tables are over their bounds, in the order gassmann_test meets them.
+    coset tables are over their bounds: the censuses first, then the tables.
     """
     if order_g == math.factorial(degree):  # _class_counts takes censuses of H and K
         for order in (order_h, order_k):
@@ -487,26 +477,25 @@ def gassmann_test(
         if not sub.is_subgroup_of(G):
             raise PreconditionError("H and K must be subgroups of G")
     check_gassmann_bounds(G.degree, G.order, H.order, K.order, order_limit, index_limit)
-    counts_h = _class_counts(G, H, order_limit)
-    counts_k = _class_counts(G, K, order_limit)
+    table_h, table_k = (
+        permutation_character(coset_action(G, sub, index_limit), order_limit) for sub in (H, K)
+    )
+    counts_h, counts_k = (
+        {key: count for key, _, _, _, count in t.entries} for t in (table_h, table_k)
+    )
     mismatch = None
-    for key in sorted(set(counts_h) | set(counts_k)):
-        a, b = counts_h.get(key, 0), counts_k.get(key, 0)
+    for key in sorted(counts_h):
+        a, b = counts_h[key], counts_k[key]
         if a != b:
             mismatch = f"class {key}: {a} vs {b}"
             break
     counts_equal = mismatch is None
-
-    chars_equal = (
-        permutation_character(coset_action(G, H, index_limit), order_limit).as_dict()
-        == permutation_character(coset_action(G, K, index_limit), order_limit).as_dict()
-    )
+    chars_equal = table_h.as_dict() == table_k.as_dict()
 
     distance = None
     if G.order == math.factorial(G.degree):
-        distance = d_between(
-            G.degree, class_profile(H, order_limit), class_profile(K, order_limit)
-        )
+        n = G.degree
+        distance = d_between(n, ClassProfile(n, counts_h), ClassProfile(n, counts_k))
 
     if H.order != K.order:
         conjugate, conj_elem = False, None

@@ -305,9 +305,9 @@ def resolve_catalog(name: str) -> CatalogEntry:
     m = re.fullmatch(r"cyclic:(\d+)@(\d+)", name)
     if m:
         k, n = int(m.group(1)), int(m.group(2))
-        if n < 1 or k > n:
+        if k < 1 or k > n:
             raise ParseError(f"cyclic:{k}@{n}: need 1 <= k <= n")
-        return CatalogEntry(name, n, lambda: max(k, 1), _built("_cyclic_group", k, n))
+        return CatalogEntry(name, n, lambda: k, _built("_cyclic_group", k, n))
     m = re.fullmatch(r"young:(\d+(?:\+\d+)*)", name)
     if m:
         parts = [int(x) for x in m.group(1).split("+")]

@@ -751,5 +751,15 @@ def parse_group_file(text: str) -> PermGroup:
 
 
 def load_group_file(path) -> PermGroup:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_group_file(fh.read())
+    """Parse the group file at `path`; a file that cannot be read as UTF-8
+    text is a ParseError, like a malformed one."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read group file {str(path)!r}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"group file {str(path)!r} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
+    return parse_group_file(text)

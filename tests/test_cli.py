@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from conftest import SIGN_MUTATION, WEIGHT_MUTATION, engine_mutant
 
@@ -347,7 +348,9 @@ def test_rank_report_built_once_per_coset_job(argv, capsys, monkeypatch):
 
     builds = []
     real = coset._build_rank_report
-    monkeypatch.setattr(coset, "_build_rank_report", lambda ca: builds.append(ca) or real(ca))
+    monkeypatch.setattr(
+        coset, "_build_rank_report", lambda ca, limit: builds.append(ca) or real(ca, limit)
+    )
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(builds) == 1
@@ -486,6 +489,12 @@ _REPORT_DIGESTS = {
     "compare young:4+2 young:2+4": "4bbd1635efc738581fcedae9a7783e0e0e8af776cc403c1b664a7043b79cdc3d",
     "compare gl32-point gl32-plane": "0b9811015b1069a889b877aed5113e193ed6c6d9055c99cb584319468fb595f9",
     "coset symmetric:6 young:3+3": "37b73f948c3bb3d67b47ff0199e058a1df1c199c0fb21e955fef0770c6131f40",
+    "coset alternating:6 cyclic:3@6": "7dd925c4071a1143a627d6fdd3787616dfad6932f13158f0d7f4a25b71b99eea",
+    "coset gl32 gl32-point": "c01f28fa867501d13df37b31a2315b7fb8efd7a32dcbc08749e0063d8c78c3f7",
+    "coset symmetric:8 young:4+4": "56c67274b649941b8d6cc7b414527e94d1d5769f57f9d08d3214b871ec3923b2",
+    "compare young:3+3 block:2x3": "2f5bc1583d0b7715eb66320dba9f03aaf9c5cc45da3a76bdc75e07f73bcc2165",
+    "compare symmetric:5 alternating:5": "557d95906f0ec6e543cf99246e41a51fa70aed5eb07b7a1381a093c4860e9401",
+    "check --suite frobenius --actions 8 --seed 7": "24e30a122a840a7cbe348661c6c0cc60e06c9290bf6beb27216f301fc0b40326",
 }
 
 
@@ -497,13 +506,8 @@ def test_reports_match_their_pinned_digests(job, capsys):
 
 
 def test_failed_invariant_exits_1_and_fails_the_frobenius_check(capsys, monkeypatch):
-    real = coset._image_group_fix_sum
-
-    def off_by_one(gen_images, index):
-        order, fix = real(gen_images, index)
-        return order, fix + 1
-
-    monkeypatch.setattr(coset, "_image_group_fix_sum", off_by_one)
+    real = coset.fix_in_X
+    monkeypatch.setattr(coset, "fix_in_X", lambda ca, g: real(ca, g) + 1)
     code, out, err = run_cli(capsys, "coset", "symmetric:4", "young:3+1")
     assert code == 1 and out == ""
     assert "Frobenius identity violated" in err
@@ -512,6 +516,84 @@ def test_failed_invariant_exits_1_and_fails_the_frobenius_check(capsys, monkeypa
     )
     rep = json.loads(out)
     assert code == 0 and rep["all_passed"] is False and len(rep["failures"]) == 5
+
+
+def test_frobenius_check_does_not_read_the_induced_images(capsys, monkeypatch):
+    # identity images give S_4 on the cosets of S_3 rank 4; the class table says 2
+    monkeypatch.setattr(
+        coset.CosetAction, "induced_image", lambda self, g: np.arange(self.index, dtype=np.int32)
+    )
+    code, out, err = run_cli(capsys, "coset", "symmetric:4", "young:3+1")
+    assert code == 1 and out == ""
+    assert "Frobenius identity violated" in err
+
+
+@pytest.mark.parametrize(
+    "argv, order, limit",
+    [
+        (("symmetric:9", "young:7+2", "--order-limit", "1000"), 10080, 1000),
+        (("symmetric:12", "young:10+2"), 7257600, 1000000),
+    ],
+    ids=["s9", "s12"],
+)
+def test_coset_refuses_h_over_the_census_bound_before_any_orbit_work(
+    argv, order, limit, capsys, monkeypatch
+):
+    def unreachable(self, g):
+        raise AssertionError("computed an induced image of a refused job")
+
+    monkeypatch.setattr(coset.CosetAction, "induced_image", unreachable)
+    code, out, err = run_cli(capsys, "coset", *argv)
+    assert code == 3 and out == ""
+    assert err == (
+        f"error: group order {order} exceeds the enumeration bound {limit}; "
+        "use an analytic profile constructor instead\n"
+    )
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_an_unreadable_group_file_is_a_parse_error(kind, tmp_path, capsys):
+    if kind == "directory":
+        path, message = tmp_path, f"cannot read group file {str(tmp_path)!r}: Is a directory"
+    else:
+        path = tmp_path / "h.grp"
+        path.write_bytes(b"\xffdegree 3\n(1 2)\n")
+        message = f"group file {str(path)!r} is not UTF-8 text: invalid start byte at byte 0"
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [("analyze", "cyclic:0@3"), ("coset", "symmetric:3", "cyclic:0@3")]
+)
+def test_a_cyclic_subgroup_of_order_0_is_refused(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: 'cyclic:0@3' is neither an existing group file nor a catalog name\n"
+
+
+_C_JOBS = [("analyze", "block:3x2"), ("coset", "symmetric:4", "young:3+1")]
+
+
+@pytest.mark.parametrize(
+    "c, shown", [("nan", "nan"), ("inf", "inf"), ("1e400", "inf"), ("-inf", "-inf")]
+)
+@pytest.mark.parametrize("job", _C_JOBS, ids=lambda job: job[0])
+def test_a_non_finite_c_is_refused(job, c, shown, capsys):
+    code, out, err = run_cli(capsys, *job, f"--c={c}")
+    assert (code, out, err) == (2, "", f"error: --c must be a finite number, got {shown}\n")
+
+
+@pytest.mark.parametrize("job", _C_JOBS, ids=lambda job: job[0])
+def test_a_report_with_a_finite_c_is_strict_json(job, capsys):
+    def non_json(name):
+        raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+    code, out, _ = run_cli(capsys, *job, "--c", "2.5")
+    assert code == 0
+    rep = json.loads(out, parse_constant=non_json)
+    verdict = rep["verdict"] if job[0] == "analyze" else rep["avg_subdegree"]
+    assert verdict["c"] == 2.5
 
 
 def test_output_file(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hsplab import coset
@@ -75,8 +76,9 @@ def test_induced_action_is_natural_for_point_stabilizer():
     # S_4 on cosets of the stabilizer of 4 is the natural action, relabeled
     ca = coset_action(S4, S3_IN_4)
     pc = permutation_character(ca)
-    for key, rep, size, fx in pc.entries:
+    for key, rep, size, fx, count in pc.entries:
         assert fx == rep.fix()
+        assert count == class_profile(S3_IN_4).count(key)
 
 
 def test_rank_subdegrees_examples():
@@ -107,24 +109,22 @@ def test_normal_subgroup_has_all_subdegrees_one():
 
 
 def test_rank_report_kept_on_the_action_after_the_frobenius_check(monkeypatch):
-    ca = coset_action(S4, KLEIN)
-    real = coset._image_group_fix_sum
-
-    def off_by_one(gen_images, index):
-        order, fix = real(gen_images, index)
-        return order, fix + 1
-
-    monkeypatch.setattr(coset, "_image_group_fix_sum", off_by_one)
+    # the orbit side goes wrong: identity images give rank 4, not 2.  (H must
+    # not be normal: identity images leave the rank of KLEIN in S_4 as it is.)
+    ca = coset_action(S4, S3_IN_4)
+    monkeypatch.setattr(
+        coset.CosetAction, "induced_image", lambda self, g: np.arange(self.index, dtype=np.int32)
+    )
     for _ in range(2):  # a failed check keeps nothing, so it raises again
         with pytest.raises(InvariantError, match="Frobenius identity violated"):
             rank_subdegrees(ca)
     monkeypatch.undo()
 
     rr = rank_subdegrees(ca)
-    assert rr == coset._build_rank_report(coset_action(S4, KLEIN))
-    assert rank_subdegrees(ca) is rr
+    assert rr == coset._build_rank_report(coset_action(S4, S3_IN_4))
+    assert rr.rank == 2 and rank_subdegrees(ca) is rr
     # a new action over the same groups builds its own report
-    assert rank_subdegrees(coset_action(S4, KLEIN)) is not rr
+    assert rank_subdegrees(coset_action(S4, S3_IN_4)) is not rr
 
 
 def test_fixpoint_bounds_examples():
@@ -267,3 +267,21 @@ def test_frobenius_identity_random_actions():
         ca = coset_action(G, H)
         rr = rank_subdegrees(ca)  # raises internally if the identity fails
         assert rr.total_fix == rr.rank * H.order
+
+
+def test_class_table_sums_match_the_element_definitions():
+    # total_fix = sum over h in H of fix_X(h); image_order = |H| / |kernel|,
+    # where the kernel is every h that fixes all of X
+    from hsplab.groups import agl15_group, gl32_group
+
+    rng = random.Random(17)
+    pool = [PermGroup.symmetric(n) for n in (5, 6, 7)] + [agl15_group(), gl32_group()]
+    for i in range(35):
+        G = pool[i % len(pool)]
+        H = PermGroup([G.random_element(rng) for _ in range(rng.randint(1, 2))], G.degree)
+        ca = coset_action(G, H)
+        fixes = [fix_in_X(ca, h) for h in H.elements()]
+        rr = rank_subdegrees(ca)
+        assert rr.total_fix == sum(fixes)
+        assert rr.image_order == H.order // fixes.count(ca.index)
+        assert H.order % fixes.count(ca.index) == 0

@@ -354,7 +354,7 @@ def test_catalog_profiles_match_groups():
 
 
 def test_catalog_errors():
-    for bad in ("cyclic:5@3", "block:1x2", "nonsense", "young:0+2", "cyclic:x@3"):
+    for bad in ("cyclic:5@3", "cyclic:0@3", "block:1x2", "nonsense", "young:0+2", "cyclic:x@3"):
         with pytest.raises(ParseError):
             resolve_catalog(bad)
 
