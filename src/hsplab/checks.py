@@ -276,7 +276,7 @@ def poly_subgroup_verdict(
     Inapplicability (trivial H, or |H| above the polylog size bound) is a
     verdict, not an error.
     """
-    from .perm import Permutation, element_class_map
+    from .perm import Permutation, cycle_type_of_array, element_class_map
 
     if not H.is_subgroup_of(G):
         raise PreconditionError("H is not a subgroup of G")
@@ -299,26 +299,15 @@ def poly_subgroup_verdict(
             size_bound=size_bound,
             **base_kwargs,
         )
-    is_symmetric = G.order == math.factorial(G.degree)
-    if is_symmetric:
-        def class_size_of(arr):
-            return sn_class_size(Permutation(arr).cycle_type())
+    # the class size of each element of H, in H's chain order (the identity first)
+    if G.order == math.factorial(G.degree):
+        sizes = [sn_class_size(cycle_type_of_array(arr)) for arr in H.element_arrays()]
     else:
-        classes, class_id = element_class_map(G)
-        sizes_by_id = [s for _, s in classes]
-
-        def class_size_of(arr):
-            return sizes_by_id[class_id[arr.tobytes()]]
-
-    best = None
-    idimgs = list(range(H.degree))
-    for arr in H.element_arrays():
-        if list(map(int, arr)) == idimgs:
-            continue
-        size = class_size_of(arr)
-        if best is None or size < best[0]:
-            best = (size, Permutation(arr.copy()))
-    min_size, witness = best
+        classes, class_ids = element_class_map(G)
+        ids = class_ids[G.chain.positions(H.chain.images(G.chain.base))]
+        sizes = [classes[i][1] for i in ids.tolist()]
+    best = min(range(1, H.order), key=sizes.__getitem__)  # the first smallest
+    min_size, witness = sizes[best], Permutation(H.chain.element(best))
     threshold = math.log2(G.order) ** c_prime
     return PolyVerdict(
         applicable=True,

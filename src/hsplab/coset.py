@@ -11,7 +11,6 @@ deterministic.
 from __future__ import annotations
 
 import math
-from collections import deque
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -19,7 +18,14 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvariantError, LimitExceeded, PreconditionError
-from .perm import PermGroup, Permutation, class_profile, element_class_map, inv_array
+from .perm import (
+    PermGroup,
+    Permutation,
+    class_profile,
+    element_class_map,
+    inv_array,
+    orbit_labels,
+)
 from .profile import (
     ENUMERATION_LIMIT,
     INDEX_LIMIT,
@@ -32,28 +38,45 @@ from .qfs import d_between, distinguishability_threshold
 from .radical import frac_text
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a C-contiguous int32 matrix as one opaque byte-string key,
+    a view: equal rows have equal keys, and keys sort."""
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _find(keys: np.ndarray, order: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """The index in `keys` of each key of `probe`, or -1 where it is absent;
+    `order` sorts `keys`."""
+    at = np.searchsorted(keys, probe, sorter=order)
+    found = order[np.minimum(at, order.shape[0] - 1)]
+    return np.where(keys[found] == probe, found, -1)
+
+
 class CosetAction:
     """The permutation action of G on X = G/H by right multiplication."""
 
-    def __init__(
-        self, group: PermGroup, subgroup: PermGroup, index: int, reps: np.ndarray, lookup: dict
-    ):
+    def __init__(self, group: PermGroup, subgroup: PermGroup, reps: np.ndarray, order: np.ndarray):
         self.group = group
         self.subgroup = subgroup
-        self.index = index
+        self.index = reps.shape[0]
         self.reps = reps  # (index, degree) canonical representatives, BFS order
-        self._lookup = lookup  # representative bytes -> its row in reps
+        self._order = order  # the rows of reps sorted by their keys
         self._table = None  # built on first use by permutation_character
         self._rank_report = None  # built on first use by rank_subdegrees
+        self._suborbits = None  # set with the rank report
+
+    def _cosets(self, canon: np.ndarray) -> np.ndarray:
+        """The coset of each row of a matrix of canonical representatives."""
+        found = _find(_row_keys(self.reps), self._order, _row_keys(canon))
+        if (found < 0).any():
+            raise PreconditionError("element is not in the parent group")
+        return found
 
     def coset_of(self, x: Permutation) -> int:
         """Index of the coset H*x."""
         z = x.array.copy()
         _kernels.canon_into(z, self.subgroup.chain)
-        try:
-            return self._lookup[z.tobytes()]
-        except KeyError:
-            raise PreconditionError("element is not in the parent group") from None
+        return int(self._cosets(z[None, :])[0])
 
     def representative(self, i: int) -> Permutation:
         return Permutation(self.reps[i].copy())
@@ -62,10 +85,7 @@ class CosetAction:
         """The permutation of {0..index-1} induced by g (as an image array)."""
         self._check_member(g)
         out = _kernels.canon_batch(self.reps, g.array, self.subgroup.chain)
-        return np.array(
-            [self._lookup[out[i].tobytes()] for i in range(self.index)],
-            dtype=np.int32,
-        )
+        return self._cosets(out).astype(np.int32)
 
     def _check_member(self, g: Permutation) -> None:
         if g.degree != self.group.degree or not self.group.contains_array(g.array):
@@ -80,28 +100,32 @@ def coset_action(G: PermGroup, H: PermGroup, limit: int = INDEX_LIMIT) -> CosetA
     index = G.order // H.order
     check_index(index, limit)
     chain = H.chain
-    n = G.degree
-    start = np.arange(n, dtype=np.int32)
-    _kernels.canon_into(start, chain)
-    reps = [start]
-    lookup = {start.tobytes(): 0}
+    reps = np.empty((index, G.degree), dtype=np.int32)
+    reps[0] = _kernels.canon_into(np.arange(G.degree, dtype=np.int32), chain)
+    keys = _row_keys(reps)  # a view: a key is read once its row is filled
+    order = np.zeros(1, dtype=np.int64)
     gen_arrays = [g.array for g in G.generators]
-    frontier_lo = 0
-    while frontier_lo < len(reps):
-        frontier = np.stack(reps[frontier_lo:])
-        frontier_lo = len(reps)
-        for g in gen_arrays:
-            out = _kernels.canon_batch(frontier, g, chain)
-            for i in range(out.shape[0]):
-                key = out[i].tobytes()
-                if key not in lookup:
-                    if len(reps) >= index:
-                        raise InvariantError("coset table exceeded |G:H|")
-                    lookup[key] = len(reps)
-                    reps.append(out[i].copy())
-    if len(reps) != index:
+    lo, count = 0, 1
+    while gen_arrays and lo < count:
+        # one BFS round: the frontier times each generator in turn, the new
+        # cosets numbered in that order, as they are first met
+        frontier = reps[lo:count]
+        lo = count
+        out = np.concatenate([_kernels.canon_batch(frontier, g, chain) for g in gen_arrays])
+        probe = _row_keys(out)
+        fresh = np.flatnonzero(_find(keys[:count], order, probe) < 0)
+        new_keys, first = np.unique(probe[fresh], return_index=True)
+        if count + first.size > index:
+            raise InvariantError("coset table exceeded |G:H|")
+        met = np.sort(first)
+        reps[count:count + met.size] = out[fresh[met]]
+        # the new rows, in key order, go into the sorted order
+        at = np.searchsorted(keys[:count], new_keys, sorter=order)
+        order = np.insert(order, at, count + np.searchsorted(met, first))
+        count += met.size
+    if count != index:
         raise InvariantError("coset table is incomplete")
-    return CosetAction(G, H, index, np.stack(reps), lookup)
+    return CosetAction(G, H, reps, order)
 
 
 def fix_in_X(ca: CosetAction, g: Permutation) -> int:
@@ -200,8 +224,10 @@ def rank_subdegrees(ca: CosetAction, limit: int = ENUMERATION_LIMIT) -> RankRepo
     The rank is computed two ways: counting the orbits of H on X under the
     induced generators, and averaging fixed points over the elements of H,
     sum_C |H ∩ C| fix_X(C) / |H| over the action's class table (held to
-    `limit`).  The two must agree exactly.  The report is built once per
-    action and kept on it; a failed cross-check raises and keeps nothing.
+    `limit`).  The two must agree exactly.  The report, with the suborbit
+    labelling it counted (`_suborbits`, each coset's least suborbit mate),
+    is built once per action and kept on it; a failed cross-check raises
+    and keeps nothing.
     """
     if ca._rank_report is None:
         ca._rank_report = _build_rank_report(ca, limit)
@@ -214,25 +240,10 @@ def _build_rank_report(ca: CosetAction, limit: int = ENUMERATION_LIMIT) -> RankR
     total_fix = sum(count * fx for _, _, _, fx, count in table)
     # the kernel of H on X: the classes of G that fix every coset
     kernel = sum(count for _, _, _, fx, count in table if fx == ca.index)
-    gen_images = [ca.induced_image(h) for h in H.generators]
-    # suborbits: orbit partition of X under the induced generators
-    seen = np.zeros(ca.index, dtype=bool)
-    subdegrees = []
-    for start in range(ca.index):
-        if seen[start]:
-            continue
-        seen[start] = True
-        size = 1
-        queue = deque([start])
-        while queue:
-            p = queue.popleft()
-            for g in gen_images:
-                q = int(g[p])
-                if not seen[q]:
-                    seen[q] = True
-                    size += 1
-                    queue.append(q)
-        subdegrees.append(size)
+    # suborbits: the orbits of H on X, each labelled by its least coset
+    labels = orbit_labels([ca.induced_image(h) for h in H.generators], ca.index)
+    sizes = np.bincount(labels)
+    subdegrees = sorted(sizes[sizes > 0].tolist())
     rank = len(subdegrees)
     if total_fix != rank * H.order:
         raise InvariantError(
@@ -240,19 +251,23 @@ def _build_rank_report(ca: CosetAction, limit: int = ENUMERATION_LIMIT) -> RankR
         )
     if H.order % kernel:
         raise InvariantError("the kernel does not divide |H|")
-    return RankReport(rank, tuple(sorted(subdegrees)), total_fix, H.order // kernel)
+    ca._suborbits = labels
+    return RankReport(rank, tuple(subdegrees), total_fix, H.order // kernel)
 
 
 def subdegree_form_spot_check(ca: CosetAction, samples: int = 3, limit: int = 10**4) -> bool:
     """Spot-verify that subdegrees have the form |H : H ∩ H^g|.
 
-    Checks that the H-orbit of the coset Hg has size |H| / |H ∩ g^-1 H g| for
-    the first few non-trivial cosets; needs |H| within the enumeration bound.
+    Checks that the H-orbit of the coset Hg, read off the suborbits of the
+    rank report, has size |H| / |H ∩ g^-1 H g| for the first few
+    non-trivial cosets; needs |H| within the enumeration bound.
     """
     H = ca.subgroup
     if H.order > limit:
         raise LimitExceeded("spot check enumerates H; subgroup too large")
-    gen_images = [ca.induced_image(h) for h in H.generators]
+    rank_subdegrees(ca)
+    labels = ca._suborbits
+    sizes = np.bincount(labels)
     for i in range(1, min(1 + samples, ca.index)):
         x = ca.reps[i]
         xinv = inv_array(x)
@@ -261,16 +276,7 @@ def subdegree_form_spot_check(ca: CosetAction, samples: int = 3, limit: int = 10
             conj = x[h[xinv]]  # x^-1 h x as an image array
             if H.contains_array(conj):
                 both += 1
-        orbit = {i}
-        queue = deque([i])
-        while queue:
-            p = queue.popleft()
-            for g in gen_images:
-                q = int(g[p])
-                if q not in orbit:
-                    orbit.add(q)
-                    queue.append(q)
-        if len(orbit) * both != H.order:
+        if sizes[labels[i]] * both != H.order:
             return False
     return True
 
@@ -409,12 +415,11 @@ def _class_counts(G: PermGroup, H: PermGroup, limit: int = ENUMERATION_LIMIT) ->
     n = G.degree
     if G.order == math.factorial(n):
         return dict(class_profile(H, limit).counts)
-    _, class_id = element_class_map(G, limit)
-    counts: dict[int, int] = {}
-    for arr in H.element_arrays(limit):
-        cid = class_id[arr.tobytes()]
-        counts[cid] = counts.get(cid, 0) + 1
-    return counts
+    _, class_ids = element_class_map(G, limit)
+    # H's elements, as images of G's base points, keyed by their positions in G
+    positions = G.chain.positions(H.chain.images(G.chain.base))
+    counts = np.bincount(class_ids[positions])
+    return {cid: c for cid, c in enumerate(counts.tolist()) if c}
 
 
 def _conjugacy_search(G: PermGroup, H: PermGroup, K: PermGroup, limit: int):

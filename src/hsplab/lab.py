@@ -209,6 +209,20 @@ def young_profile(parts) -> ClassProfile:
 # ---------------------------------------------------------------------------
 
 
+def sha256_hex(data: bytes) -> str:
+    """The sha256 of `data` in hex, from CPython's built-in module (`_sha2`
+    since 3.12, `_sha256` before), which unlike `hashlib` loads no OpenSSL;
+    `hashlib` serves only an interpreter built without either."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
 class CatalogEntry:
     """A resolved group input: a catalog name, or a group file (kind "file").
 
@@ -262,9 +276,7 @@ class CatalogEntry:
         """The `source` block of a report: the input as given, its kind, a
         sha256 (of a file's bytes, or of "catalog:<name>"), degree and order."""
         if self.digest is None:
-            import hashlib
-
-            self.digest = hashlib.sha256(f"catalog:{self.name}".encode()).hexdigest()
+            self.digest = sha256_hex(f"catalog:{self.name}".encode())
         return {
             "spec": self.name,
             "kind": self.kind,
@@ -375,13 +387,11 @@ def resolve(spec: str) -> CatalogEntry:
     """The entry of a group input: the group file at the path `spec`, parsed
     and its chain built at once, else the catalog name `spec`."""
     if os.path.exists(spec):
-        import hashlib
+        from .perm import load_group_file, read_group_file
 
-        from .perm import load_group_file
-
-        group = load_group_file(spec)
-        with open(spec, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
+        data = read_group_file(spec)
+        group = load_group_file(spec, data)
+        digest = sha256_hex(data)
         return CatalogEntry(
             spec, group.degree, lambda: group.order, lambda: group, kind="file", digest=digest
         )

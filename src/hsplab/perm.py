@@ -253,12 +253,64 @@ class PackedChain(NamedTuple):
                 if lev >= nlev:
                     return
 
+    def images(self, points) -> np.ndarray:
+        """(order, len(points)) matrix whose row i holds the images of
+        `points` under the i-th element in chain order, built level by level
+        as one block matrix (no array per element)."""
+        pts = np.asarray(points, dtype=np.int32)
+        out = pts[None, :]
+        for lev in range(self.num_levels - 1, -1, -1):
+            lo, hi = int(self.level_off[lev]), int(self.level_off[lev + 1])
+            # row (r, k): transversal row k of this level after row r of the
+            # outer levels, so this level varies faster, as in `elements`
+            rows = np.arange(lo, hi)[None, :, None]
+            out = self.trans[rows, out[:, None, :]].reshape(-1, pts.shape[0])
+        return out
+
+    def positions(self, base_images) -> np.ndarray:
+        """Chain positions (int64, so for groups of order below 2^63) of the
+        group elements whose images of the base points are the rows of
+        `base_images`.
+
+        An element is fixed by its images of the base, so sifting them level
+        by level finds its transversal rows, and with them its position.  A
+        row that no element of the group has raises PreconditionError.
+        """
+        # one row per base point, so each level reads and writes whole rows
+        y = np.array(np.asarray(base_images).T, dtype=np.int32, order="C")
+        out = np.zeros(y.shape[1], dtype=np.int64)
+        flat_inv = self.trans_inv.ravel()
+        stride = 1
+        for lev, size in enumerate(self.level_sizes()):
+            k = self.pos[lev, y[lev]]
+            if (k < 0).any():
+                raise PreconditionError("element is not in the group")
+            out += stride * k.astype(np.int64)
+            stride *= size
+            # strip the level's transversal row from the later base images
+            k += int(self.level_off[lev])
+            k *= self.degree
+            for row in y[lev + 1:]:
+                row[:] = flat_inv[row + k]
+        return out
+
+    def element(self, position: int) -> np.ndarray:
+        """The element at `position` in chain order, as an image array."""
+        digits = []
+        for size in self.level_sizes():
+            position, k = divmod(position, size)
+            digits.append(k)
+        arr = np.arange(self.degree, dtype=np.int32)
+        for lev in range(self.num_levels - 1, -1, -1):
+            arr = self.trans[int(self.level_off[lev]) + digits[lev]][arr]
+        return arr
+
 
 class _Level:
     """One level of a stabilizer chain: a base point, the strong generators
     that fix every earlier base point, and the BFS transversal of the point's
     orbit under them.  The incremental Schreier–Sims grows its levels, and
-    `_build_chain` packs the levels of the final strong generators.
+    `_pack_chain` packs the levels of the final strong generators.
 
     Generators are kept both as image arrays and as Python lists (for the
     point-by-point orbit walk).  ``refresh`` rebuilds the transversal; the
@@ -423,9 +475,10 @@ def _schreier_sims(gens: list, base) -> list:
     return strong + added
 
 
-def _build_chain(gen_arrays: list, degree: int) -> PackedChain:
+def _pack_chain(strong: list, degree: int) -> PackedChain:
+    """The packed chain of the strong generators `strong`, distinct and not
+    the identity, relative to the base 0, 1, ..., degree - 1."""
     idarr = np.arange(degree, dtype=np.int32)
-    strong = _schreier_sims(gen_arrays, range(degree))
     # level b is generated by the strong generators that fix every point below b
     first = (np.array(strong) != idarr).argmax(axis=1).tolist() if strong else []
     lists = [g.tolist() for g in strong]
@@ -459,7 +512,12 @@ def _build_chain(gen_arrays: list, degree: int) -> PackedChain:
 class PermGroup:
     """A permutation group given by generators, with an exact stabilizer chain."""
 
-    def __init__(self, generators: Iterable[Permutation], degree: int | None = None):
+    def __init__(
+        self, generators: Iterable[Permutation], degree: int | None = None, *, strong: bool = False
+    ):
+        """`strong` says that the generators are already a strong generating
+        set for the base 0, 1, ..., degree - 1, distinct and not the
+        identity, so the chain is packed from them without a Schreier–Sims."""
         gens = tuple(generators)
         if degree is None:
             if not gens:
@@ -470,7 +528,10 @@ class PermGroup:
                 raise PreconditionError("generators have mixed degrees")
         self.degree = degree
         self.generators = gens
-        self._chain = _build_chain([g.array for g in gens], degree)
+        arrays = [g.array for g in gens]
+        if not strong:
+            arrays = _schreier_sims(arrays, range(degree))
+        self._chain = _pack_chain(arrays, degree)
         self._class_map = None  # built on first use by element_class_map
 
     @classmethod
@@ -548,8 +609,10 @@ class PermGroup:
         p0 = point - 1
         base = [p0] + [x for x in range(self.degree) if x != p0]
         strong = _schreier_sims([g.array for g in self.generators], base)
+        # those fixing p0 generate each stabilizer of p0 and a prefix of the
+        # other points in increasing order: a strong set for the natural base
         stab = [Permutation(g) for g in strong if g[p0] == p0]
-        return PermGroup(stab, degree=self.degree)
+        return PermGroup(stab, degree=self.degree, strong=True)
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order}, ngens={len(self.generators)})"
@@ -685,10 +748,12 @@ def minimal_degree(H: PermGroup, limit: int = ENUMERATION_LIMIT) -> int:
 def element_class_map(G: PermGroup, limit: int = ENUMERATION_LIMIT):
     """Conjugacy classes of an arbitrary group, with a class lookup.
 
-    Returns (classes, class_id): classes is a list of (representative, size),
-    the representative being the first element of its class in chain
-    enumeration order, so the result is deterministic; class_id maps an
-    element's image-array bytes to its index in classes.  The map is built
+    Returns (classes, class_ids): classes is a list of (representative,
+    size), the representative being the first element of its class in chain
+    enumeration order, so the result is deterministic; class_ids is an int64
+    array holding the index in classes of each element of G, in chain order.
+    The class of elements x of G (image rows) is therefore
+    ``class_ids[G.chain.positions(x[:, G.chain.base])]``.  The map is built
     once per group and kept on it; callers must not modify it.  The
     enumeration bound is checked on every call.
     """
@@ -699,28 +764,41 @@ def element_class_map(G: PermGroup, limit: int = ENUMERATION_LIMIT):
 
 
 def _build_class_map(G: PermGroup):
-    gen_pairs = [(g.array, inv_array(g.array)) for g in G.generators]
-    assigned: dict[bytes, int] = {}
-    classes = []
-    for e in G.chain.elements():
-        key = e.tobytes()
-        if key in assigned:
-            continue
-        cid = len(classes)
-        assigned[key] = cid
-        size = 1
-        queue = deque([e])
-        while queue:
-            x = queue.popleft()
-            for g, ginv in gen_pairs:
-                y = g[x[ginv]]
-                ykey = y.tobytes()
-                if ykey not in assigned:
-                    assigned[ykey] = cid
-                    size += 1
-                    queue.append(y)
-        classes.append((Permutation(e), size))
-    return classes, assigned
+    ch = G.chain
+    # conjugation by each generator g as a map of chain positions: g^-1 x g
+    # sends b to g(x(g^-1(b))), so its base images are g's images of x's
+    # images of the points g^-1(base)
+    maps = []
+    for g in G.generators:
+        arr = g.array
+        maps.append(ch.positions(arr[ch.images(inv_array(arr)[ch.base])]).astype(np.int32))
+    label = orbit_labels(maps, G.order)
+    first = label == np.arange(G.order)  # each class's first element in chain order
+    class_ids = (np.cumsum(first) - 1)[label]
+    sizes = np.bincount(class_ids).tolist()
+    reps = np.flatnonzero(first).tolist()
+    classes = [(Permutation(ch.element(r)), size) for r, size in zip(reps, sizes)]
+    return classes, class_ids
+
+
+def orbit_labels(maps, size: int) -> np.ndarray:
+    """The least point of the orbit of each point of range(size) under the
+    group generated by `maps`, permutations of range(size) as index arrays.
+
+    Min-label propagation: each round, every point and its image under each
+    map take the smaller of their two labels, then every point takes its
+    label's label (a label is a point of the same orbit, never above the
+    point), until a round changes nothing.
+    """
+    label = np.arange(size)
+    while True:
+        before = label.copy()
+        for m in maps:
+            np.minimum(label, label[m], out=label)
+            label[m] = np.minimum(label[m], label)
+        label = label[label]
+        if np.array_equal(label, before):
+            return label
 
 
 # ---------------------------------------------------------------------------
@@ -750,14 +828,24 @@ def parse_group_file(text: str) -> PermGroup:
     return PermGroup(gens, degree=degree)
 
 
-def load_group_file(path) -> PermGroup:
-    """Parse the group file at `path`; a file that cannot be read as UTF-8
-    text is a ParseError, like a malformed one."""
+def read_group_file(path) -> bytes:
+    """The bytes of the group file at `path`; a file that cannot be read is a
+    ParseError, like a malformed one."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read group file {str(path)!r}: {exc.strerror or exc}") from None
+
+
+def load_group_file(path, data: bytes | None = None) -> PermGroup:
+    """Parse the group file at `path`, whose bytes are `data` when the caller
+    has read them already; a file that cannot be read as UTF-8 text is a
+    ParseError, like a malformed one."""
+    if data is None:
+        data = read_group_file(path)
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"group file {str(path)!r} is not UTF-8 text: {exc.reason} at byte {exc.start}"

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import inspect
 import random
+from collections import deque
 
 import numpy as np
 import pytest
 
 from hsplab import characters
-from hsplab.perm import PermGroup, Permutation
+from hsplab.perm import PermGroup, Permutation, inv_array
 
 #: Two engine mutations the class-sum certificate must catch, as (function,
 #: fragment, replacement): the sign of a 2-strip dropped, and an h_a edge
@@ -132,6 +133,36 @@ class GroupTable:
 
     def mask_elements(self, mask: np.ndarray):
         return [self.elements[i] for i in np.flatnonzero(mask)]
+
+
+def bfs_class_map(G: PermGroup):
+    """Oracle for `perm.element_class_map`: (classes, class_id), classes as
+    (representative, size) and class_id mapping each element's image-array
+    bytes to its class.  Walks the elements in chain order; the first one in
+    no class yet starts a new class, filled by BFS under conjugation by the
+    generators."""
+    gen_pairs = [(g.array, inv_array(g.array)) for g in G.generators]
+    assigned: dict[bytes, int] = {}
+    classes = []
+    for e in G.chain.elements():
+        key = e.tobytes()
+        if key in assigned:
+            continue
+        cid = len(classes)
+        assigned[key] = cid
+        size = 1
+        queue = deque([e])
+        while queue:
+            x = queue.popleft()
+            for g, ginv in gen_pairs:
+                y = g[x[ginv]]
+                ykey = y.tobytes()
+                if ykey not in assigned:
+                    assigned[ykey] = cid
+                    size += 1
+                    queue.append(y)
+        classes.append((Permutation(e), size))
+    return classes, assigned
 
 
 def random_subgroup(rng: random.Random, G: PermGroup, max_gens: int = 3) -> PermGroup:

@@ -681,8 +681,9 @@ def test_importing_the_package_and_cli_loads_no_numpy():
 
 
 # What a job loads: the analytic jobs none of the group layer, the
-# library-only checks or csv; sweep and check no OpenSSL (hashlib).  `random`
-# is not asserted on: a `site` hook may import it before hsplab runs.
+# library-only checks or csv; no job OpenSSL (hashlib: the input digests come
+# from the built-in sha256).  `random` is not asserted on: a `site` hook may
+# import it before hsplab runs.
 _ANALYTIC_UNUSED = ["numpy", "csv", "hsplab.perm", "hsplab.groups", "hsplab.checks"]
 _HASHLIB = ["hashlib", "_hashlib"]
 
@@ -690,14 +691,26 @@ _HASHLIB = ["hashlib", "_hashlib"]
 @pytest.mark.parametrize(
     "argv, unused",
     [
-        (["analyze", "block:4x2"], _ANALYTIC_UNUSED),
+        (["analyze", "block:4x2"], _ANALYTIC_UNUSED + _HASHLIB),
         (["sweep", "--family", "block", "--r", "2", "--start", "2", "--end", "5"],
          _ANALYTIC_UNUSED + _HASHLIB),
         (["check", "--suite", "frobenius", "--actions", "2", "--seed", "1"], _HASHLIB),
+        (["analyze", "gl32"], _HASHLIB),
+        (["coset", "gl32", "gl32-point"], _HASHLIB),
+        (["compare", "gl32-point", "gl32-plane"], _HASHLIB),
+        (["analyze", "@point.grp"], _HASHLIB),
+        (["coset", "@gl32.grp", "@point.grp"], _HASHLIB),
+        (["compare", "@point.grp", "@plane.grp", "--parent", "@gl32.grp"], _HASHLIB),
     ],
-    ids=["analyze", "sweep", "check-frobenius"],
+    ids=[
+        "analyze", "sweep", "check-frobenius", "analyze-group", "coset", "compare",
+        "analyze-file", "coset-files", "compare-files",
+    ],
 )
-def test_a_job_loads_only_what_its_subcommand_runs(argv, unused):
+def test_a_job_loads_only_what_its_subcommand_runs(argv, unused, tmp_path):
+    for name, text in _FANO_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg for arg in argv]  # files
     code = (
         "import contextlib, io, sys\nfrom hsplab.cli import main\n"
         f"with contextlib.redirect_stdout(io.StringIO()):\n    code = main({argv!r})\n"

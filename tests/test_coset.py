@@ -285,3 +285,61 @@ def test_class_table_sums_match_the_element_definitions():
         assert rr.total_fix == sum(fixes)
         assert rr.image_order == H.order // fixes.count(ca.index)
         assert H.order % fixes.count(ca.index) == 0
+
+
+def _dict_coset_table(G: PermGroup, H: PermGroup) -> np.ndarray:
+    """Oracle for the coset table: the BFS over canonical representatives,
+    each found row looked up by its bytes in a dict."""
+    from hsplab import _kernels
+
+    start = np.arange(G.degree, dtype=np.int32)
+    _kernels.canon_into(start, H.chain)
+    reps, seen = [start], {start.tobytes()}
+    lo = 0
+    while lo < len(reps):
+        frontier = np.stack(reps[lo:])
+        lo = len(reps)
+        for g in G.generators:
+            for row in _kernels.canon_batch(frontier, g.array, H.chain):
+                if row.tobytes() not in seen:
+                    seen.add(row.tobytes())
+                    reps.append(row.copy())
+    return np.stack(reps)
+
+
+def test_coset_table_matches_the_dict_bfs(s5_subgroups):
+    S5 = PermGroup.symmetric(5)
+    rng = random.Random(12)
+    pairs = [(S5, H) for H in s5_subgroups]
+    for n in (6, 7, 8):
+        G = PermGroup.alternating(n) if n % 2 else PermGroup.symmetric(n)
+        pairs += [(G, PermGroup([G.random_element(rng)], n)) for _ in range(3)]
+    for G, H in pairs:
+        ca = coset_action(G, H)
+        assert np.array_equal(ca.reps, _dict_coset_table(G, H))
+        for g in G.generators:  # each coset Hx goes to the coset H(xg)
+            image = ca.induced_image(g)
+            assert sorted(image.tolist()) == list(range(ca.index))
+            for i in range(min(ca.index, 40)):
+                assert ca.coset_of(ca.representative(i) * g) == image[i]
+
+
+def test_coset_lookup_refuses_an_element_outside_the_parent():
+    ca = coset_action(PermGroup.alternating(4), PermGroup.from_cycles(["(1 2 3)"], 4))
+    with pytest.raises(PreconditionError):
+        ca.coset_of(parse_cycles("(1 2)", 4))
+
+
+def test_spot_check_reads_the_suborbits_of_the_rank_report(monkeypatch):
+    walks = []
+    real = coset.orbit_labels
+    monkeypatch.setattr(coset, "orbit_labels", lambda *a: walks.append(a) or real(*a))
+    rng = random.Random(6)
+    for _ in range(4):
+        G = PermGroup.symmetric(6)
+        ca = coset_action(G, PermGroup([G.random_element(rng) for _ in range(2)], 6))
+        walks.clear()
+        assert subdegree_form_spot_check(ca)
+        rank_subdegrees(ca)
+        assert subdegree_form_spot_check(ca)
+        assert len(walks) == 1

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,9 @@ from hsplab.lab import (
     class_sandwich_check,
     product_profile,
     profile_of,
+    resolve,
     resolve_catalog,
+    sha256_hex,
     support_census,
     symmetric_profile,
     young_profile,
@@ -384,3 +387,38 @@ def test_catalog_profile_degree_cap():
     assert entry.profile is None
     with pytest.raises(LimitExceeded):
         profile_of(entry)
+
+
+# ---------------------------------------------------------------------------
+# input digests and group files
+# ---------------------------------------------------------------------------
+
+
+def test_the_builtin_sha256_matches_hashlib(tmp_path, monkeypatch):
+    import hashlib
+
+    for name in ("gl32", "symmetric:7", "young:20+20"):
+        want = hashlib.sha256(f"catalog:{name}".encode()).hexdigest()
+        assert resolve_catalog(name).describe()["digest"] == want
+    path = tmp_path / "h.grp"
+    path.write_bytes(b"# \xc3\xa9\r\ndegree 4\r\n(1 2 3)\r\n" + b"#" * 100_000 + b"\n")
+    assert resolve(str(path)).describe()["digest"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    blobs = [b"", b"abc", bytes(range(256)) * 300]
+    assert [sha256_hex(b) for b in blobs] == [hashlib.sha256(b).hexdigest() for b in blobs]
+    # an interpreter without the built-in modules falls back to hashlib
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert [sha256_hex(b) for b in blobs] == [hashlib.sha256(b).hexdigest() for b in blobs]
+
+
+def test_a_group_file_is_read_once(tmp_path, monkeypatch):
+    path = tmp_path / "h.grp"
+    path.write_text("degree 3\n(1 2)\n")
+    opened = []
+    real_open = open
+    monkeypatch.setattr(
+        "builtins.open", lambda file, *a, **k: opened.append(str(file)) or real_open(file, *a, **k)
+    )
+    entry = resolve(str(path))
+    assert opened == [str(path)]
+    assert (entry.kind, entry.order) == ("file", 2)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsplab import perm
 from hsplab.errors import LimitExceeded, ParseError, PreconditionError
 from hsplab.lab import resolve_catalog
 from hsplab.perm import (
@@ -21,12 +22,15 @@ from hsplab.perm import (
     is_transitive,
     minimal_blocks,
     minimal_degree,
+    orbit_labels,
     orbits,
     parse_cycles,
     parse_group_file,
     _schreier_sims,
 )
 from hsplab.profile import ClassProfile, sn_class_size
+
+from conftest import bfs_class_map, random_subgroup
 
 
 def brute_force_elements(gens, degree):
@@ -178,6 +182,23 @@ def test_point_stabilizer():
     assert stab.order == 6
     assert all(g(4) == 4 for g in stab.generators)
     assert stab.is_subgroup_of(S4)
+
+
+def test_point_stabilizer_runs_one_schreier_sims(monkeypatch):
+    rng = random.Random(4)
+    groups = [resolve_catalog(s).group for s in ("gl32", "agl15", "young:3+2", "block:3x2")]
+    groups += [random_subgroup(rng, PermGroup.symmetric(7)) for _ in range(5)]
+    calls = []
+    real = perm._schreier_sims
+    monkeypatch.setattr(perm, "_schreier_sims", lambda *a: calls.append(a) or real(*a))
+    for G in groups:
+        for point in (1, G.degree):
+            calls.clear()
+            stab = G.point_stabilizer(point)
+            assert len(calls) == 1
+            # the chain is the one a fresh Schreier–Sims on the generators packs
+            rebuilt = PermGroup(stab.generators, G.degree)
+            assert _chain_digest(stab) == _chain_digest(rebuilt)
 
 
 def test_long_cycle_chain_has_one_level():
@@ -486,13 +507,72 @@ def test_element_class_map_examples():
 
 def test_element_class_map_classes_are_conjugation_closed():
     G = PermGroup.from_cycles(["(1 2)", "(1 2 3 4)"], 4)
-    classes, class_id = element_class_map(G)
+    classes, class_ids = element_class_map(G)
     assert sum(s for _, s in classes) == G.order
-    assert len(class_id) == G.order
+    assert len(class_ids) == G.order
+    base = G.chain.base
     for cid, (rep, size) in enumerate(classes):
         orbit = {rep.conjugate_by(g) for g in G.elements()}
         assert len(orbit) == size
-        assert {class_id[x.array.tobytes()] for x in orbit} == {cid}
+        rows = np.array([x.array for x in orbit])
+        assert set(class_ids[G.chain.positions(rows[:, base])].tolist()) == {cid}
+
+
+def _assert_class_map_matches_the_bfs(G: PermGroup) -> None:
+    classes, class_ids = element_class_map(G)
+    want_classes, want_id = bfs_class_map(G)
+    assert [(rep.images, size) for rep, size in classes] == [
+        (rep.images, size) for rep, size in want_classes
+    ]
+    assert class_ids.tolist() == [want_id[e.tobytes()] for e in G.element_arrays()]
+
+
+def test_element_class_map_matches_the_bfs_on_every_subgroup_of_s4_and_s5(
+    s4_subgroups, s5_subgroups
+):
+    for H in s4_subgroups + s5_subgroups:
+        _assert_class_map_matches_the_bfs(H)
+
+
+@pytest.mark.parametrize("spec", ["gl32", "agl15", "alternating:7"])
+def test_element_class_map_matches_the_bfs_on_catalog_groups(spec):
+    _assert_class_map_matches_the_bfs(resolve_catalog(spec).group)
+
+
+def test_element_class_map_matches_the_bfs_on_random_subgroups():
+    rng = random.Random(2024)
+    for _ in range(50):
+        G = PermGroup.symmetric(rng.randint(6, 8))
+        _assert_class_map_matches_the_bfs(random_subgroup(rng, G))
+
+
+def test_chain_images_positions_and_elements_agree_with_the_enumeration():
+    rng = random.Random(8)
+    groups = [resolve_catalog(s).group for s in ("gl32", "block:3x2", "cyclic:1@4")]
+    groups += [random_subgroup(rng, PermGroup.symmetric(7)) for _ in range(5)]
+    for G in groups:
+        ch = G.chain
+        elements = np.array(list(ch.elements()))
+        assert np.array_equal(ch.images(range(G.degree)), elements)
+        assert np.array_equal(ch.images([2, 0]), elements[:, [2, 0]])
+        assert np.array_equal(ch.positions(elements[:, ch.base]), np.arange(G.order))
+        for i in rng.sample(range(G.order), min(G.order, 10)):
+            assert np.array_equal(ch.element(i), elements[i])
+
+
+def test_chain_positions_refuse_points_outside_the_orbits():
+    G = PermGroup.from_cycles(["(1 2)", "(3 4)"], 4)
+    assert G.chain.positions(np.array([[1, 3]])).tolist() == [3]
+    with pytest.raises(PreconditionError):
+        G.chain.positions(np.array([[2, 2]]))
+
+
+def test_orbit_labels_name_each_orbit_by_its_least_point():
+    cycle = np.roll(np.arange(1000), 1)  # one long orbit, labelled in few rounds
+    assert orbit_labels([cycle], 1000).tolist() == [0] * 1000
+    swap = np.array([0, 2, 1, 3, 5, 4])
+    assert orbit_labels([swap], 6).tolist() == [0, 1, 1, 3, 4, 4]
+    assert orbit_labels([], 3).tolist() == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------

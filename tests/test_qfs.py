@@ -366,6 +366,22 @@ def test_poly_verdict_general_parent():
     assert v.min_class_size == 21  # transvection class in GL(3,2)
 
 
+@pytest.mark.parametrize("spec", ["gl32-point", "gl32-plane"])
+def test_poly_verdict_witness_is_the_first_smallest_class_in_chain_order(spec):
+    from hsplab.groups import gl32_group
+    from hsplab.lab import resolve_catalog
+
+    from conftest import bfs_class_map
+
+    G, H = gl32_group(), resolve_catalog(spec).group
+    classes, class_id = bfs_class_map(G)
+    sizes = [classes[class_id[h.tobytes()]][1] for h in H.element_arrays()]
+    first = min(range(1, H.order), key=sizes.__getitem__)
+    v = poly_subgroup_verdict(G, H, 2.0, 3.0)
+    assert v.applicable and v.min_class_size == sizes[first]
+    assert v.witness.array.tolist() == list(H.element_arrays())[first].tolist()
+
+
 # ---------------------------------------------------------------------------
 # random corpus properties (small here; the full corpus runs in acceptance)
 # ---------------------------------------------------------------------------

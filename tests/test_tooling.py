@@ -57,3 +57,31 @@ def test_the_analytic_import_path_loads_nothing_it_does_not_run():
             if module.removeprefix("hsplab.").split(".")[0] in _OFF_THE_PATH:
                 found.append(f"{name}: {module}")
     assert not found, found
+
+
+def _imports_outside_import_error_handlers(node):
+    """Modules imported anywhere under `node`, except inside an `except
+    ImportError:` handler (a fallback for a missing module)."""
+    if isinstance(node, ast.Import):
+        yield from (alias.name for alias in node.names)
+    elif isinstance(node, ast.ImportFrom) and node.module:
+        yield node.module
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ExceptHandler) and isinstance(child.type, ast.Name) and (
+            child.type.id == "ImportError"
+        ):
+            continue
+        yield from _imports_outside_import_error_handlers(child)
+
+
+def test_no_module_imports_hashlib():
+    # digests come from CPython's built-in sha256 module; hashlib, which loads
+    # OpenSSL, is only the fallback for an interpreter built without it
+    found = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "hashlib" in _imports_outside_import_error_handlers(
+            ast.parse(path.read_text(encoding="utf-8"))
+        )
+    ]
+    assert not found, found
