@@ -10,17 +10,17 @@ permutation per row, with numpy operations over all rows at once:
 
 - canonicalization (:func:`canon_into`, :func:`canon_batch`,
   :func:`fix_count`) makes one ``argmin`` and one gather per chain level;
-- the census (:func:`census_rows`) builds the inner chain levels as one block
-  matrix, walks the outer levels one element at a time, and counts the
-  cycles of each block by pointer doubling.
+- the census (:func:`census_rows`) counts the cycles of each block of the
+  chain's elements (``PackedChain.blocks``) by pointer doubling.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: Largest block (rows x degree entries) that the census works on at once.
-CENSUS_BLOCK = 1 << 16
+#: Largest block (rows x degree entries) of elements that the census, the
+#: element lists and the Schreier–Sims tests build at once.
+BLOCK_ENTRIES = 1 << 16
 
 
 def _canon_rows(z, chain):
@@ -87,17 +87,8 @@ def census_rows(chain, n: int, order: int):
     in chain enumeration order.
     """
     out = np.empty((order, n), dtype=np.int16)
-    # inner levels 0..split-1 vary fastest in chain order, so they form one
-    # block matrix; each outer element P then gives the block inner[:, P]
-    inner = np.arange(n, dtype=np.int32)[None, :]
-    split = 0
-    for size in chain.level_sizes():
-        if inner.shape[0] * size * n > CENSUS_BLOCK:
-            break
-        lo = int(chain.level_off[split])
-        inner = inner[:, chain.trans[lo:lo + size]].swapaxes(0, 1).reshape(-1, n)
-        split += 1
-    rows = inner.shape[0]
-    for r, outer in enumerate(chain.elements(first_level=split)):
-        _cycle_counts(inner[:, outer], out[r * rows:(r + 1) * rows])
+    r = 0
+    for block in chain.blocks(BLOCK_ENTRIES):
+        _cycle_counts(block, out[r:r + block.shape[0]])
+        r += block.shape[0]
     return out

@@ -80,10 +80,10 @@ def is_partition(lam) -> bool:
     return not lam or (lam[-1] >= 1 and all(map(ge, lam, lam[1:])))
 
 
-@cache
 def dimension(lam: Partition) -> int:
     """Irrep dimension from the beads beta_i = lam_i + k-1-i (k = #parts):
-    d = n! * prod_{i<j} (beta_i - beta_j) / prod_i beta_i!."""
+    d = n! * prod_{i<j} (beta_i - beta_j) / prod_i beta_i!.  Checks `lam`;
+    callers that walk `partitions(n)` read the cached `_dimension`."""
     if not is_partition(lam):
         raise ValueError(f"{lam} is not a partition")
     return _dimension(lam)
@@ -266,7 +266,7 @@ def _certify(n: int, items: tuple, vec: tuple) -> None:
     (a) sum_lam d_lam v(lam) = n! c_id and (b) sum_lam v(lam)^2 =
     sum_t c_t^2 z_t.  Both hold for any counts, subgroup census or not."""
     c_id = next((c for t, c in items if len(t) == n), 0)  # the type (1^n)
-    mass = sum(dimension(lam) * v for lam, v in zip(partitions(n), vec) if v)
+    mass = sum(_dimension(lam) * v for lam, v in zip(partitions(n), vec) if v)
     if mass != math.factorial(n) * c_id:
         raise InvariantError(
             f"class-sum certificate (a) sum_lam d_lam v(lam) = n! c_id fails at n={n}: "

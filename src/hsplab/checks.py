@@ -26,8 +26,8 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import characters, lab
-from .characters import Partition, dimension, is_partition, partitions
-from .errors import InvariantError, LimitExceeded, PreconditionError
+from .characters import Partition, _dimension, is_partition, partitions
+from .errors import InvariantError, LimitExceeded, ParseError, PreconditionError
 from .lab import DEGREE_LIMIT, support_census
 from .profile import ENUMERATION_LIMIT, ClassProfile, sn_class_size
 from .radical import frac_text
@@ -383,7 +383,13 @@ def mn_character(lam: Partition, mu: Partition) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _at_least_one(flag: str, value: int) -> None:
+    if value < 1:
+        raise ParseError(f"{flag} must be at least 1, got {value}")
+
+
 def _check_orthogonality(args) -> dict:
+    _at_least_one("--max-n", args.max_n)
     limit = characters.ORTHOGONALITY_LIMIT
     if args.max_n > limit:
         raise LimitExceeded(f"full-table orthogonality check is capped at n={limit}")
@@ -391,7 +397,7 @@ def _check_orthogonality(args) -> dict:
     ok = True
     for n in range(1, args.max_n + 1):
         rep = characters.orthogonality_check(n)
-        square_sum = sum(dimension(lam) ** 2 for lam in partitions(n))
+        square_sum = sum(_dimension(lam) ** 2 for lam in partitions(n))
         ok_n = rep.passed and square_sum == math.factorial(n)
         ok = ok and ok_n
         results.append(
@@ -402,6 +408,7 @@ def _check_orthogonality(args) -> dict:
 
 
 def _check_sandwich(args) -> dict:
+    _at_least_one("--max-n", args.max_n)
     if args.max_n > args.degree_limit:
         raise LimitExceeded(f"class-size sandwich check is capped at n={args.degree_limit}")
     results = []
@@ -428,6 +435,7 @@ def _check_frobenius(args) -> dict:
     from .groups import agl15_group, gl32_group
     from .perm import PermGroup
 
+    _at_least_one("--actions", args.actions)
     rng = random.Random(args.seed)
     parents = [PermGroup.symmetric(n) for n in (5, 6, 7, 8)] + [gl32_group(), agl15_group()]
     actions = 0

@@ -223,49 +223,43 @@ class PackedChain(NamedTuple):
     def level_sizes(self) -> list:
         return [int(self.level_off[l + 1] - self.level_off[l]) for l in range(self.num_levels)]
 
-    def elements(self, first_level: int = 0) -> Iterator[np.ndarray]:
-        """All group elements as image arrays, in deterministic chain order.
-
-        With ``first_level`` = s only levels s, s+1, ... are walked, giving
-        the stabilizer of the first s base points, in chain order.
-        """
-        idarr = np.arange(self.degree, dtype=np.int32)
-        nlev = self.num_levels
-        if nlev == first_level:
-            yield idarr
-            return
-        sizes = self.level_sizes()
-        partial = [idarr] * (nlev + 1)
-        idx = [0] * nlev
-        lev = nlev - 1
-        while True:
-            if idx[lev] < sizes[lev]:
-                u = self.trans[int(self.level_off[lev]) + idx[lev]]
-                partial[lev] = u[partial[lev + 1]]
-                idx[lev] += 1
-                if lev == first_level:
-                    yield partial[lev]
-                else:
-                    lev -= 1
-                    idx[lev] = 0
-            else:
-                lev += 1
-                if lev >= nlev:
-                    return
+    def _compose(self, points, stop: int) -> np.ndarray:
+        """The images of `points` under the elements of levels 0..stop-1,
+        one row per element in chain order (level 0 fastest), built level by
+        level as one block matrix."""
+        pts = np.asarray(points, dtype=np.int32)
+        out = np.arange(self.degree, dtype=np.int32)[None, :]
+        for lev in range(stop):
+            lo, hi = int(self.level_off[lev]), int(self.level_off[lev + 1])
+            # the slowest level need only map the points
+            u = self.trans[lo:hi] if lev < stop - 1 else self.trans[lo:hi, pts]
+            # row (k, r) applies transversal row k of this level, then row r
+            # of the faster levels: this level is the slowest digit so far
+            out = out[:, u].swapaxes(0, 1).reshape(-1, u.shape[1])
+        return out if stop else pts[None, :]
 
     def images(self, points) -> np.ndarray:
         """(order, len(points)) matrix whose row i holds the images of
-        `points` under the i-th element in chain order, built level by level
-        as one block matrix (no array per element)."""
-        pts = np.asarray(points, dtype=np.int32)
-        out = pts[None, :]
-        for lev in range(self.num_levels - 1, -1, -1):
-            lo, hi = int(self.level_off[lev]), int(self.level_off[lev + 1])
-            # row (r, k): transversal row k of this level after row r of the
-            # outer levels, so this level varies faster, as in `elements`
-            rows = np.arange(lo, hi)[None, :, None]
-            out = self.trans[rows, out[:, None, :]].reshape(-1, pts.shape[0])
-        return out
+        `points` under the i-th element in chain order."""
+        return self._compose(points, self.num_levels)
+
+    def blocks(self, max_entries: int) -> Iterator[np.ndarray]:
+        """Every element as an image row, in chain order, a block at a time.
+
+        The fastest levels whose elements fit in `max_entries` matrix
+        entries (at least the identity row) form one matrix; each block is
+        that matrix composed with the next element of the slower levels.
+        """
+        rows, split = 1, 0
+        for size in self.level_sizes():
+            if rows * size * self.degree > max_entries:
+                break
+            rows *= size
+            split += 1
+        inner = self._compose(np.arange(self.degree), split)
+        # the element at a multiple of `rows` is the identity on the fast levels
+        for start in range(0, self.order, rows):
+            yield inner[:, self.element(start)]
 
     def positions(self, base_images) -> np.ndarray:
         """Chain positions (int64, so for groups of order below 2^63) of the
@@ -296,13 +290,12 @@ class PackedChain(NamedTuple):
 
     def element(self, position: int) -> np.ndarray:
         """The element at `position` in chain order, as an image array."""
-        digits = []
-        for size in self.level_sizes():
-            position, k = divmod(position, size)
-            digits.append(k)
+        off = self.level_off.tolist()
         arr = np.arange(self.degree, dtype=np.int32)
-        for lev in range(self.num_levels - 1, -1, -1):
-            arr = self.trans[int(self.level_off[lev]) + digits[lev]][arr]
+        # level 0 is the last factor applied: x -> u_0(u_1(...(x)))
+        for lo, hi in zip(off, off[1:]):
+            position, k = divmod(position, hi - lo)
+            arr = arr[self.trans[lo + k]]
         return arr
 
 
@@ -365,10 +358,6 @@ class _Level:
             pos[self.orbit] = np.arange(len(self.orbit))
             self._mats = (np.array(self.gens), pos)
         return self._mats
-
-
-#: Matrix entries per block of Schreier generators tested at once.
-_SCHREIER_BLOCK = 1 << 16
 
 
 def _schreier_sims(gens: list, base) -> list:
@@ -442,7 +431,7 @@ def _schreier_sims(gens: list, base) -> list:
         ngens = gmat.shape[0]
         gsel = np.arange(ngens)[None, :, None]
         tail = base_arr[i + 1:]
-        step = max(1, _SCHREIER_BLOCK // (ngens * degree))
+        step = max(1, _kernels.BLOCK_ENTRIES // (ngens * degree))
         found = None
         for lo in range(0, len(level.orbit), step):
             # row (beta, g) of g1, beta-major: u_beta then g.  It differs from
@@ -586,7 +575,8 @@ class PermGroup:
     def element_arrays(self, limit: int = ENUMERATION_LIMIT) -> Iterator[np.ndarray]:
         """All elements as image arrays, in deterministic chain order."""
         check_enumeration(self.order, limit)
-        yield from self._chain.elements()
+        for block in self._chain.blocks(_kernels.BLOCK_ENTRIES):
+            yield from block
 
     def elements(self, limit: int = ENUMERATION_LIMIT) -> Iterator[Permutation]:
         for arr in self.element_arrays(limit):
@@ -595,12 +585,11 @@ class PermGroup:
     def random_element(self, rng) -> Permutation:
         """Uniform random element drawn via the chain (deterministic per rng)."""
         ch = self._chain
-        arr = np.arange(self.degree, dtype=np.int32)
-        for l in range(ch.num_levels - 1, -1, -1):
+        position = 0
+        for l in range(ch.num_levels - 1, -1, -1):  # one digit per level, slowest first
             lo, hi = int(ch.level_off[l]), int(ch.level_off[l + 1])
-            u = ch.trans[rng.randrange(lo, hi)]
-            arr = u[arr]
-        return Permutation(arr)
+            position = position * (hi - lo) + rng.randrange(lo, hi) - lo
+        return Permutation(ch.element(position))
 
     def point_stabilizer(self, point: int) -> "PermGroup":
         """The stabilizer of a (1-based) point, as a new group."""

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .characters import Partition, class_sums, dimension, partitions
+from .characters import Partition, _dimension, class_sums, dimension, partitions
 from .errors import InvariantError, PreconditionError
 from .profile import ClassProfile, centralizer_order, class_size_split
 from .radical import DECIMAL_DIGITS, SqrtSum, frac_text
@@ -87,7 +87,7 @@ def weak_distribution(n: int, prof: ClassProfile) -> IrrepDistribution:
     """P_H(lam) = d_lam / n! * sum_t count(t) chi_lam(t), exactly: the weight
     of lam is d_lam * v(lam), with v the checked class sums of prof."""
     _check_profile(n, prof)
-    weights = {lam: dimension(lam) * v for lam, v in _census_sums(n, prof).items()}
+    weights = {lam: _dimension(lam) * v for lam, v in _census_sums(n, prof).items()}
     fact = math.factorial(n)
     mass = sum(weights.values())
     if mass != fact:
@@ -100,7 +100,7 @@ def weak_distribution(n: int, prof: ClassProfile) -> IrrepDistribution:
 def plancherel(n: int) -> IrrepDistribution:
     """The identity-subgroup distribution: P(lam) = d_lam^2 / n!, read from
     dimensions alone, with no class sums."""
-    return IrrepDistribution(n, 1, {lam: dimension(lam) ** 2 for lam in partitions(n)})
+    return IrrepDistribution(n, 1, {lam: _dimension(lam) ** 2 for lam in partitions(n)})
 
 
 def dh_exact(n: int, prof: ClassProfile) -> Fraction:
@@ -116,7 +116,7 @@ def dh_exact(n: int, prof: ClassProfile) -> Fraction:
     c_id = prof.count((1,) * n)
     total = 0
     for lam, v in _census_sums(n, prof).items():
-        d = dimension(lam)
+        d = _dimension(lam)
         total += d * abs(v - c_id * d)
     return Fraction(total, math.factorial(n))
 

@@ -8,14 +8,22 @@ subgroups), which doubles as an independent oracle for chain-based orders.
 from __future__ import annotations
 
 import inspect
+import os
 import random
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hsplab import characters
 from hsplab.perm import PermGroup, Permutation, inv_array
+
+# pytest puts src/ on sys.path (pyproject's `pythonpath`); the tests' child
+# processes inherit the environment, so they find the same hsplab through it
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")))
+)
 
 #: Two engine mutations the class-sum certificate must catch, as (function,
 #: fragment, replacement): the sign of a 2-strip dropped, and an h_a edge
@@ -138,13 +146,13 @@ class GroupTable:
 def bfs_class_map(G: PermGroup):
     """Oracle for `perm.element_class_map`: (classes, class_id), classes as
     (representative, size) and class_id mapping each element's image-array
-    bytes to its class.  Walks the elements in chain order; the first one in
-    no class yet starts a new class, filled by BFS under conjugation by the
-    generators."""
+    bytes to its class.  Walks the elements in chain order, each built by the
+    digit walk of `PackedChain.element`; the first one in no class yet starts
+    a new class, filled by BFS under conjugation by the generators."""
     gen_pairs = [(g.array, inv_array(g.array)) for g in G.generators]
     assigned: dict[bytes, int] = {}
     classes = []
-    for e in G.chain.elements():
+    for e in map(G.chain.element, range(G.order)):
         key = e.tobytes()
         if key in assigned:
             continue
@@ -163,6 +171,17 @@ def bfs_class_map(G: PermGroup):
                     queue.append(y)
         classes.append((Permutation(e), size))
     return classes, assigned
+
+
+def block_bounds(G: PermGroup) -> dict:
+    """Block bounds (matrix entries) for `PackedChain.blocks` on G: one entry
+    (a block per element), the fastest level alone, and the whole group."""
+    sizes = G.chain.level_sizes()
+    return {
+        "one entry": 1,
+        "one level": G.degree * (sizes[0] if sizes else 1),
+        "unbounded": G.degree * G.order,
+    }
 
 
 def random_subgroup(rng: random.Random, G: PermGroup, max_gens: int = 3) -> PermGroup:

@@ -261,7 +261,6 @@ def test_character_cache_thread_safety():
     # dimension memoizes each row's rest; threads filling it at once, from
     # the largest degree down, must agree with the hook-length oracle
     lams = [lam for n in range(24, 14, -1) for lam in partitions(n)[::7]]
-    dimension.cache_clear()
     characters._dimension.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

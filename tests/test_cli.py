@@ -429,6 +429,16 @@ def test_check_refuses_a_max_n_over_its_cap_before_any_work(
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "suite, flag, value",
+    [("orthogonality", "--max-n", "0"), ("sandwich", "--max-n", "-1"), ("frobenius", "--actions", "-2")],
+)
+def test_check_refuses_a_count_below_one(suite, flag, value, capsys):
+    code, out, err = run_cli(capsys, "check", "--suite", suite, flag, value)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be at least 1, got {value}\n"
+
+
 @pytest.mark.parametrize("suite, max_n", [("orthogonality", 12), ("sandwich", 40)])
 def test_check_accepts_a_max_n_at_its_cap(suite, max_n, capsys, monkeypatch):
     # the README examples; the checks are stubbed, so nothing large runs

@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import random_subgroup
+from conftest import block_bounds, random_subgroup
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -135,11 +135,14 @@ def _census_groups():
 
 
 @pytest.mark.parametrize("G", list(_census_groups()), ids=repr)
-def test_census_rows_follow_chain_order(G):
-    rows = _kernels.census_rows(G.chain, G.degree, G.order)
-    assert rows.dtype == np.int16
-    expected = [cycle_type_of_array(a) for a in G.chain.elements()]
-    assert [_row_type(row) for row in rows] == expected
+def test_census_rows_follow_chain_order(G, monkeypatch):
+    # the reference: chain order by the digit walk of `element`
+    expected = [cycle_type_of_array(G.chain.element(i)) for i in range(G.order)]
+    for bound in block_bounds(G).values():
+        monkeypatch.setattr(_kernels, "BLOCK_ENTRIES", bound)
+        rows = _kernels.census_rows(G.chain, G.degree, G.order)
+        assert rows.dtype == np.int16
+        assert [_row_type(row) for row in rows] == expected
 
 
 @pytest.mark.parametrize(
@@ -156,7 +159,7 @@ def test_census_rows_do_not_depend_on_the_block_size(G, monkeypatch):
     assert len(sizes) > 2
     # one row per block, then a block made of the first two levels only
     for block in (1, G.degree * sizes[0] * sizes[1]):
-        monkeypatch.setattr(_kernels, "CENSUS_BLOCK", block)
+        monkeypatch.setattr(_kernels, "BLOCK_ENTRIES", block)
         assert np.array_equal(_kernels.census_rows(G.chain, G.degree, G.order), reference)
 
 

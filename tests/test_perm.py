@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsplab import perm
+from hsplab import _kernels, perm
 from hsplab.errors import LimitExceeded, ParseError, PreconditionError
 from hsplab.lab import resolve_catalog
 from hsplab.perm import (
@@ -30,7 +30,7 @@ from hsplab.perm import (
 )
 from hsplab.profile import ClassProfile, sn_class_size
 
-from conftest import bfs_class_map, random_subgroup
+from conftest import bfs_class_map, block_bounds, random_subgroup
 
 
 def brute_force_elements(gens, degree):
@@ -174,6 +174,20 @@ def test_random_element_deterministic_and_member():
     b = [G.random_element(random.Random(11)) for _ in range(10)]
     assert a == b
     assert all(g in G for g in a)
+
+
+def test_random_element_draws_one_transversal_row_per_level_slowest_first():
+    # the subgroups that `check --suite frobenius` draws rest on these calls
+    for G in (PermGroup.symmetric(6), resolve_catalog("gl32").group, PermGroup([], degree=3)):
+        ch = G.chain
+        rng, ref = random.Random(5), random.Random(5)
+        for _ in range(20):
+            arr = np.arange(G.degree, dtype=np.int32)
+            for l in range(ch.num_levels - 1, -1, -1):
+                lo, hi = int(ch.level_off[l]), int(ch.level_off[l + 1])
+                arr = ch.trans[ref.randrange(lo, hi)][arr]
+            assert np.array_equal(G.random_element(rng).array, arr)
+        assert rng.random() == ref.random()
 
 
 def test_point_stabilizer():
@@ -546,18 +560,25 @@ def test_element_class_map_matches_the_bfs_on_random_subgroups():
         _assert_class_map_matches_the_bfs(random_subgroup(rng, G))
 
 
-def test_chain_images_positions_and_elements_agree_with_the_enumeration():
+def test_chain_images_positions_and_elements_agree_with_the_enumeration(monkeypatch):
     rng = random.Random(8)
     groups = [resolve_catalog(s).group for s in ("gl32", "block:3x2", "cyclic:1@4")]
     groups += [random_subgroup(rng, PermGroup.symmetric(7)) for _ in range(5)]
     for G in groups:
         ch = G.chain
-        elements = np.array(list(ch.elements()))
+        # the reference: chain order by the digit walk of `element`
+        elements = np.array([ch.element(i) for i in range(G.order)])
         assert np.array_equal(ch.images(range(G.degree)), elements)
         assert np.array_equal(ch.images([2, 0]), elements[:, [2, 0]])
         assert np.array_equal(ch.positions(elements[:, ch.base]), np.arange(G.order))
-        for i in rng.sample(range(G.order), min(G.order, 10)):
-            assert np.array_equal(ch.element(i), elements[i])
+        sizes = ch.level_sizes()
+        rows = {"one entry": 1, "one level": sizes[0] if sizes else 1, "unbounded": G.order}
+        for name, bound in block_bounds(G).items():
+            blocks = list(ch.blocks(bound))
+            assert [b.shape[0] for b in blocks] == [rows[name]] * (G.order // rows[name])
+            assert np.array_equal(np.concatenate(blocks), elements)
+            monkeypatch.setattr(_kernels, "BLOCK_ENTRIES", bound)
+            assert np.array_equal(np.array(list(G.element_arrays())), elements)
 
 
 def test_chain_positions_refuse_points_outside_the_orbits():
