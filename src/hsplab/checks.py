@@ -448,11 +448,11 @@ def _check_frobenius(args) -> dict:
         index = G.order // H.order
         if index > args.index_limit:
             continue
-        ca = coset_mod.coset_action(G, H, args.index_limit)
+        ca = coset_mod.coset_action(G, H, args.index_limit, args.order_limit)
         try:
             # raises if the Frobenius identity fails
-            coset_mod.rank_subdegrees(ca, args.order_limit)
-            if not coset_mod.class_fixpoint_identity_holds(ca, args.order_limit):
+            coset_mod.rank_subdegrees(ca)
+            if not coset_mod.class_fixpoint_identity_holds(ca):
                 failures.append({"parent_order": str(G.order), "subgroup_order": str(H.order)})
         except InvariantError:
             failures.append({"parent_order": str(G.order), "subgroup_order": str(H.order)})

@@ -26,7 +26,7 @@ import time
 from . import lab, qfs
 from .errors import HspError, LimitExceeded, ParseError, PreconditionError
 from .lab import DEGREE_LIMIT
-from .profile import ENUMERATION_LIMIT, INDEX_LIMIT, check_index
+from .profile import ENUMERATION_LIMIT, INDEX_LIMIT
 from .radical import DECIMAL_DIGITS, decimal_text, frac_text
 
 # hsplab calls no BLAS routine, so numpy need not start an OpenBLAS worker pool.
@@ -132,21 +132,20 @@ def cmd_compare(args) -> dict:
         raise PreconditionError("subgroups act on different degrees")
     n = src_a.degree
     if args.parent:
-        parent = lab.resolve(args.parent)
-        parent_desc = parent.describe()
+        parent, spec = lab.resolve(args.parent), None
     else:
         implied_a, implied_b = src_a.parent, src_b.parent
         if implied_a is not None and implied_b is not None and implied_a.name == implied_b.name:
             parent, spec = implied_a, "(implied by catalog)"
         else:
             parent, spec = lab.resolve_catalog(f"symmetric:{n}"), f"symmetric:{n}"
-        parent_desc = {"spec": spec, "degree": n, "order": str(parent.order)}
     # refuse before any chain is built; a mismatch, or an order that does not
     # divide |G|, is left to gassmann_test to report
     if parent.degree == n and all(parent.order % s.order == 0 for s in (src_a, src_b)):
-        coset_mod.check_gassmann_bounds(
-            n, parent.order, src_a.order, src_b.order, args.order_limit, args.index_limit
-        )
+        for s in (src_a, src_b):
+            coset_mod.check_action_bounds(
+                n, parent.order, s.order, args.order_limit, args.index_limit
+            )
     report_g = coset_mod.gassmann_test(
         parent.group,
         src_a.group,
@@ -164,7 +163,9 @@ def cmd_compare(args) -> dict:
         "command": "compare",
         "a": src_a.describe(),
         "b": src_b.describe(),
-        "parent": parent_desc,
+        "parent": parent.describe()
+        if spec is None
+        else {"spec": spec, "degree": n, "order": str(parent.order)},
         "gassmann": report_g.serialize(),
         "sn_profile_distance": None if sn_distance is None else frac_text(sn_distance),
         "distance_zero": report_g.class_counts_equal,
@@ -188,16 +189,18 @@ def cmd_coset(args) -> dict:
     # refuse before any chain is built; a mismatch, or an order that does not
     # divide |G|, is left to coset_action to report
     if parent.degree == sub.degree and parent.order % sub.order == 0:
-        check_index(parent.order // sub.order, args.index_limit)
-    ca = coset_mod.coset_action(parent.group, sub.group, args.index_limit)
-    rr = coset_mod.rank_subdegrees(ca, args.order_limit)
+        coset_mod.check_action_bounds(
+            sub.degree, parent.order, sub.order, args.order_limit, args.index_limit
+        )
+    ca = coset_mod.coset_action(parent.group, sub.group, args.index_limit, args.order_limit)
+    rr = coset_mod.rank_subdegrees(ca)
     report = {
         "command": "coset",
         "parent": parent.describe(),
         "subgroup": sub.describe(),
         "index": ca.index,
         "rank_subdegrees": rr.serialize(),
-        "class_identity_holds": coset_mod.class_fixpoint_identity_holds(ca, args.order_limit),
+        "class_identity_holds": coset_mod.class_fixpoint_identity_holds(ca),
         "avg_subdegree": coset_mod.avg_subdegree_verdict(ca, args.c).serialize(),
     }
     if sub.order >= 2:
@@ -232,13 +235,17 @@ def cmd_sweep(args) -> dict | list:
     if args.end < args.start:
         rows = []
     else:
-        entries = [lab.resolve_catalog(spec) for spec in _sweep_entries(args)]
-        for entry in entries:  # refuse before any row is computed
+        # refuse before any row is computed; a family's degree grows with its
+        # row, so the first row over the limit ends the list
+        entries = []
+        for spec in _sweep_entries(args):
+            entry = lab.resolve_catalog(spec)
             if entry.degree > args.degree_limit:
                 raise LimitExceeded(
                     f"sweep row {entry.name}: degree {entry.degree} exceeds limit "
                     f"{args.degree_limit}"
                 )
+            entries.append(entry)
 
         def one(entry: lab.CatalogEntry) -> dict:
             spec, n = entry.name, entry.degree

@@ -55,9 +55,17 @@ def _find(keys: np.ndarray, order: np.ndarray, probe: np.ndarray) -> np.ndarray:
 class CosetAction:
     """The permutation action of G on X = G/H by right multiplication."""
 
-    def __init__(self, group: PermGroup, subgroup: PermGroup, reps: np.ndarray, order: np.ndarray):
+    def __init__(
+        self,
+        group: PermGroup,
+        subgroup: PermGroup,
+        reps: np.ndarray,
+        order: np.ndarray,
+        order_limit: int,
+    ):
         self.group = group
         self.subgroup = subgroup
+        self.order_limit = order_limit  # bounds the class table's census of H or class map of G
         self.index = reps.shape[0]
         self.reps = reps  # (index, degree) canonical representatives, BFS order
         self._order = order  # the rows of reps sorted by their keys
@@ -92,7 +100,11 @@ class CosetAction:
             raise PreconditionError("element is not in the parent group")
 
 
-def coset_action(G: PermGroup, H: PermGroup, limit: int = INDEX_LIMIT) -> CosetAction:
+def coset_action(
+    G: PermGroup, H: PermGroup, limit: int = INDEX_LIMIT, order_limit: int = ENUMERATION_LIMIT
+) -> CosetAction:
+    """The action of G on G/H, its coset table held to `limit` cosets and its
+    class table (built on first use) to `order_limit` elements."""
     if G.degree != H.degree:
         raise PreconditionError("G and H act on different degrees")
     if not H.is_subgroup_of(G):
@@ -125,7 +137,7 @@ def coset_action(G: PermGroup, H: PermGroup, limit: int = INDEX_LIMIT) -> CosetA
         count += met.size
     if count != index:
         raise InvariantError("coset table is incomplete")
-    return CosetAction(G, H, reps, order)
+    return CosetAction(G, H, reps, order, order_limit)
 
 
 def fix_in_X(ca: CosetAction, g: Permutation) -> int:
@@ -155,46 +167,40 @@ class PermutationCharacter(NamedTuple):
         return {key: fx for key, _, _, fx, _ in self.entries}
 
 
-def _class_reps(G: PermGroup, limit: int = ENUMERATION_LIMIT):
-    """(key, representative, class size) per conjugacy class of G.
-
-    For the full symmetric group the classes are the cycle types; otherwise
-    the classes are enumerated (subject to the enumeration bound `limit`).
-    """
-    n = G.degree
-    if G.order == math.factorial(n):
-        from .characters import partitions
-
-        return [(t, _sn_type_rep(t, n), sn_class_size(t)) for t in partitions(n)]
-    classes, _ = element_class_map(G, limit)
-    return [(i, rep, size) for i, (rep, size) in enumerate(classes)]
-
-
-def permutation_character(ca: CosetAction, limit: int = ENUMERATION_LIMIT) -> PermutationCharacter:
+def permutation_character(ca: CosetAction) -> PermutationCharacter:
     """The action's class table, built once and kept on it.
 
-    Building it takes the census of H by the classes of G and the class map
-    of G (when G is not S_n), both held to `limit`; a kept table is returned
-    as it is.
+    For G = S_n the classes are the cycle types, read with H's census, which
+    is taken before anything of G is built; otherwise they are the classes of
+    G's class map, with H's elements found by their positions in it.  Both
+    enumerations are held to the action's `order_limit`.
     """
     if ca._table is None:
-        counts = _class_counts(ca.group, ca.subgroup, limit)
+        G, H, n = ca.group, ca.subgroup, ca.group.degree
+        if G.order == math.factorial(n):
+            from .characters import partitions
+
+            counts = class_profile(H, ca.order_limit).counts
+            classes = [
+                (t, _sn_type_rep(t, n), sn_class_size(t), counts.get(t, 0)) for t in partitions(n)
+            ]
+        else:
+            reps, class_ids = element_class_map(G, ca.order_limit)
+            # H's elements, as images of G's base points, keyed by their positions in G
+            positions = G.chain.positions(H.chain.images(G.chain.base))
+            counts = np.bincount(class_ids[positions], minlength=len(reps)).tolist()
+            classes = [(i, rep, size, c) for i, ((rep, size), c) in enumerate(zip(reps, counts))]
         ca._table = PermutationCharacter(
             ca.index,
-            tuple(
-                (key, rep, size, fix_in_X(ca, rep), counts.get(key, 0))
-                for key, rep, size in _class_reps(ca.group, limit)
-            ),
+            tuple((key, rep, size, fix_in_X(ca, rep), c) for key, rep, size, c in classes),
         )
     return ca._table
 
 
-def class_fixpoint_identity_holds(ca: CosetAction, limit: int = ENUMERATION_LIMIT) -> bool:
-    """fix_X(g) |C| == |H ∩ C| |X| for every class of G, checked exactly;
-    the census of H and the class map of G are held to `limit`."""
+def class_fixpoint_identity_holds(ca: CosetAction) -> bool:
+    """fix_X(g) |C| == |H ∩ C| |X| for every class of G, checked exactly."""
     return all(
-        fx * size == count * ca.index
-        for _, _, size, fx, count in permutation_character(ca, limit).entries
+        fx * size == count * ca.index for _, _, size, fx, count in permutation_character(ca).entries
     )
 
 
@@ -218,25 +224,24 @@ class RankReport(NamedTuple):
         }
 
 
-def rank_subdegrees(ca: CosetAction, limit: int = ENUMERATION_LIMIT) -> RankReport:
+def rank_subdegrees(ca: CosetAction) -> RankReport:
     """Rank and subdegrees, with the Frobenius cross-check.
 
     The rank is computed two ways: counting the orbits of H on X under the
     induced generators, and averaging fixed points over the elements of H,
-    sum_C |H ∩ C| fix_X(C) / |H| over the action's class table (held to
-    `limit`).  The two must agree exactly.  The report, with the suborbit
-    labelling it counted (`_suborbits`, each coset's least suborbit mate),
-    is built once per action and kept on it; a failed cross-check raises
-    and keeps nothing.
+    sum_C |H ∩ C| fix_X(C) / |H| over the action's class table.  The two
+    must agree exactly.  The report, with the suborbit labelling it counted
+    (`_suborbits`, each coset's least suborbit mate), is built once per
+    action and kept on it; a failed cross-check raises and keeps nothing.
     """
     if ca._rank_report is None:
-        ca._rank_report = _build_rank_report(ca, limit)
+        ca._rank_report = _build_rank_report(ca)
     return ca._rank_report
 
 
-def _build_rank_report(ca: CosetAction, limit: int = ENUMERATION_LIMIT) -> RankReport:
+def _build_rank_report(ca: CosetAction) -> RankReport:
     H = ca.subgroup
-    table = permutation_character(ca, limit).entries  # refuses H before any orbit work
+    table = permutation_character(ca).entries  # refuses H before any orbit work
     total_fix = sum(count * fx for _, _, _, fx, count in table)
     # the kernel of H on X: the classes of G that fix every coset
     kernel = sum(count for _, _, _, fx, count in table if fx == ca.index)
@@ -410,18 +415,6 @@ class GassmannReport(NamedTuple):
         }
 
 
-def _class_counts(G: PermGroup, H: PermGroup, limit: int = ENUMERATION_LIMIT) -> dict:
-    """|H ∩ C| per conjugacy class C of G that meets H, keyed as in _class_reps."""
-    n = G.degree
-    if G.order == math.factorial(n):
-        return dict(class_profile(H, limit).counts)
-    _, class_ids = element_class_map(G, limit)
-    # H's elements, as images of G's base points, keyed by their positions in G
-    positions = G.chain.positions(H.chain.images(G.chain.base))
-    counts = np.bincount(class_ids[positions])
-    return {cid: c for cid, c in enumerate(counts.tolist()) if c}
-
-
 def _conjugacy_search(G: PermGroup, H: PermGroup, K: PermGroup, limit: int):
     """Transporter search: an element g with H^g = K, or None.
 
@@ -440,24 +433,18 @@ def _conjugacy_search(G: PermGroup, H: PermGroup, K: PermGroup, limit: int):
     return False, None
 
 
-def check_gassmann_bounds(
-    degree: int,
-    order_g: int,
-    order_h: int,
-    order_k: int,
-    order_limit: int = ENUMERATION_LIMIT,
-    index_limit: int = INDEX_LIMIT,
+def check_action_bounds(
+    degree: int, order_g: int, order_h: int, order_limit: int, index_limit: int
 ) -> None:
-    """Refuse, from the orders alone, a Gassmann test whose class censuses or
-    coset tables are over their bounds: the censuses first, then the tables.
+    """Refuse, from the orders alone, the action of G on G/H and its class
+    table when either is over its bound: the index first, then what the
+    table enumerates, H's census when G = S_n or G's class map otherwise.
     """
-    if order_g == math.factorial(degree):  # _class_counts takes censuses of H and K
-        for order in (order_h, order_k):
-            check_enumeration(order, order_limit, census=True)
-    else:  # _class_counts maps the classes of G
+    check_index(order_g // order_h, index_limit)
+    if order_g == math.factorial(degree):
+        check_enumeration(order_h, order_limit, census=True)
+    else:
         check_enumeration(order_g, order_limit)
-    for order in (order_h, order_k):
-        check_index(order_g // order, index_limit)
 
 
 def gassmann_test(
@@ -481,9 +468,10 @@ def gassmann_test(
     for sub in (H, K):
         if not sub.is_subgroup_of(G):
             raise PreconditionError("H and K must be subgroups of G")
-    check_gassmann_bounds(G.degree, G.order, H.order, K.order, order_limit, index_limit)
+    for sub in (H, K):
+        check_action_bounds(G.degree, G.order, sub.order, order_limit, index_limit)
     table_h, table_k = (
-        permutation_character(coset_action(G, sub, index_limit), order_limit) for sub in (H, K)
+        permutation_character(coset_action(G, sub, index_limit, order_limit)) for sub in (H, K)
     )
     counts_h, counts_k = (
         {key: count for key, _, _, _, count in t.entries} for t in (table_h, table_k)

@@ -15,7 +15,6 @@ Cycle types and the census type ``ClassProfile`` live in ``hsplab.profile``.
 from __future__ import annotations
 
 import re
-from collections import deque
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -614,26 +613,10 @@ class PermGroup:
 
 def orbits(G: PermGroup) -> list:
     """Orbits on {1..n} as sorted tuples, ordered by smallest point."""
-    n = G.degree
-    seen = [False] * n
-    gens = [g.array for g in G.generators]
-    out = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        orb = [start]
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            p = queue.popleft()
-            for g in gens:
-                q = int(g[p])
-                if not seen[q]:
-                    seen[q] = True
-                    orb.append(q)
-                    queue.append(q)
-        out.append(tuple(sorted(x + 1 for x in orb)))
-    return out
+    out: dict[int, list] = {}
+    for p, least in enumerate(orbit_labels([g.array for g in G.generators], G.degree).tolist()):
+        out.setdefault(least, []).append(p + 1)
+    return [tuple(orb) for orb in out.values()]
 
 
 def is_transitive(G: PermGroup) -> bool:
@@ -652,18 +635,17 @@ def _minimal_block_with(n: int, gens: list, beta: int) -> list:
             parent[x], x = root, parent[x]
         return root
 
-    queue = deque()
     parent[beta] = 0
-    queue.append((0, beta))
-    while queue:
-        a, b = queue.popleft()
+    pending = [(0, beta)]  # merged pairs whose images are still to be merged
+    while pending:
+        a, b = pending.pop()
         for g in gens:
             ra, rb = find(int(g[a])), find(int(g[b]))
             if ra != rb:
                 if ra > rb:
                     ra, rb = rb, ra
                 parent[rb] = ra
-                queue.append((ra, rb))
+                pending.append((ra, rb))
     classes: dict[int, list] = {}
     for x in range(n):
         classes.setdefault(find(x), []).append(x)

@@ -26,18 +26,32 @@ INDEX_LIMIT = 10**5
 CycleType = tuple  # partition of the degree, descending, 1s included
 
 
+def _count_text(x: int) -> str:
+    """A positive count in decimal, or, past the interpreter's limit on
+    int-to-str conversion, its number of decimal digits, found without str."""
+    try:
+        return str(x)
+    except ValueError:
+        digits = (x.bit_length() * 30103) // 100000  # <= floor(log10 x) + 1
+        while 10**digits <= x:
+            digits += 1
+        return f"of {digits} digits"
+
+
 def check_enumeration(order: int, limit: int = ENUMERATION_LIMIT, census: bool = False) -> None:
     """Refuse to enumerate a group of `order` elements when that is over
     `limit`; a refused census also points at the analytic constructors."""
     if order > limit:
         advice = "; use an analytic profile constructor instead" if census else ""
-        raise LimitExceeded(f"group order {order} exceeds the enumeration bound {limit}{advice}")
+        raise LimitExceeded(
+            f"group order {_count_text(order)} exceeds the enumeration bound {limit}{advice}"
+        )
 
 
 def check_index(index: int, limit: int = INDEX_LIMIT) -> None:
     """Refuse a coset table of `index` cosets when that is over `limit`."""
     if index > limit:
-        raise LimitExceeded(f"index {index} exceeds the coset table bound {limit}")
+        raise LimitExceeded(f"index {_count_text(index)} exceeds the coset table bound {limit}")
 
 
 class _ProfileFields(NamedTuple):

@@ -214,6 +214,73 @@ def test_sweep_refuses_before_computing_any_row(capsys, monkeypatch):
     assert err == "error: sweep row young:39+2: degree 41 exceeds limit 40\n"
 
 
+def test_sweep_resolves_no_row_past_the_first_over_the_degree_limit(capsys, monkeypatch):
+    resolved = []
+    real = lab.resolve_catalog
+    monkeypatch.setattr(lab, "resolve_catalog", lambda spec: resolved.append(spec) or real(spec))
+    code, out, err = run_cli(capsys, "sweep", "--family", "cyclic", "--start", "2", "--end", "100000")
+    assert code == 3 and out == ""
+    assert err == "error: sweep row cyclic:41@41: degree 41 exceeds limit 40\n"
+    assert len(resolved) <= 40 and resolved[-1] == "cyclic:41@41"
+
+
+@pytest.fixture
+def default_int_digits():
+    """CPython's default limit on int-to-str conversion, 4300 digits."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+_CENSUS_ADVICE = "; use an analytic profile constructor instead"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["compare", "symmetric:2000", "symmetric:2000"],
+            f"group order of 5736 digits exceeds the enumeration bound 1000000{_CENSUS_ADVICE}",
+        ),
+        (
+            ["coset", "symmetric:2000", "cyclic:2@2000"],
+            "index of 5736 digits exceeds the coset table bound 100000",
+        ),
+        (
+            ["compare", "cyclic:2@2000", "cyclic:2@2000"],
+            "index of 5736 digits exceeds the coset table bound 100000",
+        ),
+        (
+            ["analyze", "symmetric:2000", "--degree-limit", "3000"],
+            f"group order of 5736 digits exceeds the enumeration bound 1000000{_CENSUS_ADVICE}",
+        ),
+    ],
+    ids=["compare-census", "coset-index", "compare-index", "analyze-census"],
+)
+def test_an_order_past_the_int_to_str_limit_is_refused_by_its_size(
+    argv, message, capsys, default_int_digits
+):
+    # 2000! has 5736 decimal digits, more than str() converts by default
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_a_count_is_printed_in_full_while_the_interpreter_can(default_int_digits):
+    for count, shown in [
+        (10**4299, str(10**4299)),
+        (10**4300 - 1, str(10**4300 - 1)),
+        (10**4300, "of 4301 digits"),
+        (10**4301 - 1, "of 4301 digits"),
+        (10**4301, "of 4302 digits"),
+        (2**20000, "of 6021 digits"),
+    ]:
+        with pytest.raises(LimitExceeded) as exc:
+            profile.check_index(count, 5)
+        assert str(exc.value) == f"index {shown} exceeds the coset table bound 5"
+
+
 _BIG_A120 = math.factorial(120) // 2
 
 
@@ -348,9 +415,7 @@ def test_rank_report_built_once_per_coset_job(argv, capsys, monkeypatch):
 
     builds = []
     real = coset._build_rank_report
-    monkeypatch.setattr(
-        coset, "_build_rank_report", lambda ca, limit: builds.append(ca) or real(ca, limit)
-    )
+    monkeypatch.setattr(coset, "_build_rank_report", lambda ca: builds.append(ca) or real(ca))
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(builds) == 1
@@ -536,6 +601,35 @@ def test_frobenius_check_does_not_read_the_induced_images(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "coset", "symmetric:4", "young:3+1")
     assert code == 1 and out == ""
     assert "Frobenius identity violated" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("symmetric:300", "young:299+1"),
+            f"group order {math.factorial(299)} exceeds the enumeration bound 1000000"
+            "; use an analytic profile constructor instead",
+        ),
+        (
+            ("alternating:10", "cyclic:5@10", "--index-limit", "1000000"),
+            "group order 1814400 exceeds the enumeration bound 1000000",
+        ),
+        # young:5+5 is not in A_10, which the orders alone cannot tell
+        (("alternating:10", "young:5+5"), "group order 1814400 exceeds the enumeration bound 1000000"),
+    ],
+    ids=["census", "class-map", "class-map-before-the-subgroup-check"],
+)
+def test_coset_refuses_its_class_table_from_the_orders_before_any_chain(
+    argv, message, capsys, monkeypatch
+):
+    def unbuildable(*args, **kwargs):
+        raise AssertionError("built a chain of a refused job")
+
+    monkeypatch.setattr(perm, "_schreier_sims", unbuildable)
+    code, out, err = run_cli(capsys, "coset", *argv)
+    assert code == 3 and out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

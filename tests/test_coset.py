@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,11 +21,15 @@ from hsplab.errors import InvariantError, LimitExceeded, PreconditionError
 from hsplab.perm import PermGroup, Permutation, class_profile, parse_cycles
 from hsplab.qfs import dh_exact
 
+from conftest import GroupTable
+
 S3 = PermGroup.symmetric(3)
 S4 = PermGroup.symmetric(4)
 A3 = PermGroup.from_cycles(["(1 2 3)"], 3)
 S3_IN_4 = PermGroup.from_cycles(["(1 2)", "(1 2 3)"], 4)
 KLEIN = PermGroup.from_cycles(["(1 2)(3 4)", "(1 3)(2 4)"], 4)
+S8 = PermGroup.symmetric(8)
+C8 = PermGroup.from_cycles(["(1 2 3 4 5 6 7 8)"], 8)
 
 
 def test_coset_action_examples():
@@ -154,8 +159,6 @@ def test_avg_subdegree_examples():
     assert v.implied_distinguishable  # normal subgroups are distinguishable
     v = avg_subdegree_verdict(coset_action(S4, S3_IN_4), 1.0)
     assert v.average_subdegree == 2
-    S8 = PermGroup.symmetric(8)
-    C8 = PermGroup.from_cycles(["(1 2 3 4 5 6 7 8)"], 8)
     v = avg_subdegree_verdict(coset_action(S8, C8), 1.0)
     assert v.average_subdegree == Fraction(5040, v.rank)
     # negative side: |H| = 8 is itself below the polylog threshold, so the
@@ -237,7 +240,8 @@ def test_gassmann_refuses_from_the_orders_before_any_census(monkeypatch):
     def uncounted(*args, **kwargs):
         raise AssertionError("took a census of a refused test")
 
-    monkeypatch.setattr(coset, "_class_counts", uncounted)
+    monkeypatch.setattr(coset, "class_profile", uncounted)
+    monkeypatch.setattr(coset, "element_class_map", uncounted)
     S9 = PermGroup.symmetric(9)
     with pytest.raises(LimitExceeded, match="index 181440 exceeds the coset table bound 100000"):
         gassmann_test(S9, S9, PermGroup.from_cycles(["(1 2)"], 9))
@@ -269,22 +273,81 @@ def test_frobenius_identity_random_actions():
         assert rr.total_fix == rr.rank * H.order
 
 
-def test_class_table_sums_match_the_element_definitions():
+def check_class_table_sums(G: PermGroup, H: PermGroup) -> None:
     # total_fix = sum over h in H of fix_X(h); image_order = |H| / |kernel|,
     # where the kernel is every h that fixes all of X
+    ca = coset_action(G, H)
+    fixes = [fix_in_X(ca, h) for h in H.elements()]
+    rr = rank_subdegrees(ca)
+    assert rr.total_fix == sum(fixes)
+    assert rr.image_order == H.order // fixes.count(ca.index)
+    assert H.order % fixes.count(ca.index) == 0
+    assert class_fixpoint_identity_holds(ca)
+
+
+def test_class_table_sums_match_the_element_definitions():
     from hsplab.groups import agl15_group, gl32_group
 
     rng = random.Random(17)
     pool = [PermGroup.symmetric(n) for n in (5, 6, 7)] + [agl15_group(), gl32_group()]
     for i in range(35):
         G = pool[i % len(pool)]
-        H = PermGroup([G.random_element(rng) for _ in range(rng.randint(1, 2))], G.degree)
-        ca = coset_action(G, H)
-        fixes = [fix_in_X(ca, h) for h in H.elements()]
-        rr = rank_subdegrees(ca)
-        assert rr.total_fix == sum(fixes)
-        assert rr.image_order == H.order // fixes.count(ca.index)
-        assert H.order % fixes.count(ca.index) == 0
+        check_class_table_sums(
+            G, PermGroup([G.random_element(rng) for _ in range(rng.randint(1, 2))], G.degree)
+        )
+
+
+@pytest.mark.parametrize(
+    "G, count",
+    [(PermGroup.symmetric(6), 1455), (PermGroup.alternating(6), 501)],
+    ids=["S6-cycle-types", "A6-class-map"],
+)
+def test_class_table_sums_over_every_subgroup(G, count):
+    # S_6 builds its class table from H's census by cycle type, A_6 from its
+    # class map; each table is checked against every subgroup's elements
+    table = GroupTable(G)
+    masks = table.all_subgroup_masks()
+    assert len(masks) == count
+    for mask in masks:
+        check_class_table_sums(G, table.subgroup_from_mask(mask))
+
+
+_TABLE_READERS = {
+    "permutation_character": permutation_character,
+    "rank_subdegrees": rank_subdegrees,
+    "class_fixpoint_identity_holds": class_fixpoint_identity_holds,
+    "fixpoint_bounds": fixpoint_bounds,
+    "avg_subdegree_verdict": lambda ca: avg_subdegree_verdict(ca, 1.0),
+}
+
+
+def _gl32_on_points():
+    from hsplab.groups import gl32_group, gl32_point_stabilizer
+
+    return gl32_group(), gl32_point_stabilizer()
+
+
+@pytest.mark.parametrize(
+    "pair, order_limit, refused",
+    [
+        (lambda: (S8, C8), 5, "group order 8 exceeds the enumeration bound 5"),
+        (_gl32_on_points, 167, "group order 168 exceeds the enumeration bound 167"),
+    ],
+    ids=["S8-census", "gl32-class-map"],
+)
+def test_an_action_holds_its_class_table_to_its_own_order_limit(pair, order_limit, refused):
+    # every reader of the class table refuses, whichever reads it first
+    G, H = pair()
+    ca = coset_action(G, H, order_limit=order_limit)
+    for order in itertools.permutations(_TABLE_READERS):
+        for name in order:
+            with pytest.raises(LimitExceeded, match=refused):
+                _TABLE_READERS[name](ca)
+    assert ca._table is None and ca._rank_report is None
+    ca = coset_action(G, H, order_limit=order_limit + 1000)
+    for read in _TABLE_READERS.values():
+        read(ca)
+    assert rank_subdegrees(ca) == rank_subdegrees(coset_action(G, H))
 
 
 def _dict_coset_table(G: PermGroup, H: PermGroup) -> np.ndarray:

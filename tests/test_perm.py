@@ -407,6 +407,32 @@ def test_orbit_examples():
     assert is_transitive(PermGroup.symmetric(4))
     assert orbits(PermGroup.from_cycles(["(1 2)(3 4)"], 4)) == [(1, 2), (3, 4)]
     assert not is_transitive(PermGroup.from_cycles(["(1 2)"], 4))
+    assert orbits(PermGroup([], degree=3)) == [(1,), (2,), (3,)]
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_orbits_match_the_closure_on_random_subgroups(n):
+    # oracle: the orbit of each point, closed under the generators one image
+    # at a time; orbits listed by least point, each sorted
+    rng = random.Random(300 + n)
+    for _ in range(12):
+        H = random_subgroup(rng, PermGroup.symmetric(n), max_gens=2)
+        if rng.random() < 0.5:  # more fixed points and small orbits
+            H = PermGroup([g for g in H.generators if rng.random() < 0.7], degree=n)
+        gens = [g.array.tolist() for g in H.generators]
+        expected = []
+        for p in range(n):
+            if any(p + 1 in orb for orb in expected):
+                continue
+            orb = {p}
+            grown = True
+            while grown:
+                new = {g[q] for q in orb for g in gens} - orb
+                orb |= new
+                grown = bool(new)
+            expected.append(tuple(sorted(q + 1 for q in orb)))
+        assert orbits(H) == expected
+        assert is_transitive(H) == (len(expected) == 1)
 
 
 def test_minimal_blocks_examples():
