@@ -8,8 +8,8 @@ Permutations are 0-based int32 image arrays; ``mult(a, b)[i] = b[a[i]]``
 (apply ``a`` first, then ``b``).  Every kernel works on a *row matrix*, one
 permutation per row, with numpy operations over all rows at once:
 
-- canonicalization (:func:`canon_into`, :func:`canon_batch`,
-  :func:`fix_count`) makes one ``argmin`` and one gather per chain level;
+- canonicalization (:func:`canon_batch`, :func:`fix_count`) makes one
+  ``argmin`` and one gather per chain level;
 - the census (:func:`census_rows`) counts the cycles of each block of the
   chain's elements (``PackedChain.blocks``) by pointer doubling.
 """
@@ -38,12 +38,6 @@ def _canon_rows(z, chain):
         moved = np.flatnonzero(k)
         if moved.size:
             z[moved] = np.take_along_axis(z[moved], chain.trans[lo + k[moved]], axis=1)
-    return z
-
-
-def canon_into(z, chain):
-    """Canonicalize the int32 image array ``z`` in place; returns ``z``."""
-    _canon_rows(z[None, :], chain)
     return z
 
 

@@ -445,8 +445,11 @@ def _check_frobenius(args) -> dict:
         attempts += 1
         G = parents[rng.randrange(len(parents))]
         H = _random_subgroup(rng, G)
-        index = G.order // H.order
-        if index > args.index_limit:
+        try:
+            coset_mod.check_action_bounds(
+                G.degree, G.order, H.order, args.order_limit, args.index_limit
+            )
+        except LimitExceeded:
             continue
         ca = coset_mod.coset_action(G, H, args.index_limit, args.order_limit)
         try:

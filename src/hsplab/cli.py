@@ -305,17 +305,18 @@ def cmd_check(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--degree-limit", type=int, default=DEGREE_LIMIT)
-    p.add_argument("--order-limit", type=int, default=ENUMERATION_LIMIT)
-    p.add_argument("--index-limit", type=int, default=INDEX_LIMIT)
-    p.add_argument("--output", help="write the report to this file instead of stdout")
+def _add_limits(p: argparse.ArgumentParser, *names: str) -> None:
+    """A `--<name>-limit` flag for each limit that the subcommand reads."""
+    defaults = {"degree": DEGREE_LIMIT, "order": ENUMERATION_LIMIT, "index": INDEX_LIMIT}
+    for name in names:
+        p.add_argument(f"--{name}-limit", type=int, default=defaults[name])
 
 
 def _analyze_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("source", help="group file or catalog name (e.g. cyclic:2@3, block:4x2)")
     p.add_argument("--c", type=float, default=1.0, help="verdict exponent in (log2 n!)^(-c)")
     p.add_argument("--full-distribution", action="store_true")
+    _add_limits(p, "degree", "order")
     p.set_defaults(fn=cmd_analyze)
 
 
@@ -323,6 +324,7 @@ def _compare_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--parent", help="parent group (default: catalog-implied, else symmetric:n)")
+    _add_limits(p, "degree", "order", "index")
     p.set_defaults(fn=cmd_compare)
 
 
@@ -330,6 +332,7 @@ def _coset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("parent")
     p.add_argument("subgroup")
     p.add_argument("--c", type=float, default=1.0)
+    _add_limits(p, "order", "index")
     p.set_defaults(fn=cmd_coset)
 
 
@@ -340,6 +343,7 @@ def _sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=int, default=2, help="block size for --family block")
     p.add_argument("--fixed-part", type=int, default=2, help="second part for --family young")
     p.add_argument("--format", choices=["json", "csv"], default="json")
+    _add_limits(p, "degree", "order")
     p.set_defaults(fn=cmd_sweep)
 
 
@@ -350,6 +354,7 @@ def _check_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-n", type=int, default=8)
     p.add_argument("--actions", type=int, default=20)
     p.add_argument("--seed", type=int, default=2024)
+    _add_limits(p, "degree", "order", "index")
     p.set_defaults(fn=cmd_check)
 
 
@@ -381,7 +386,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
         if only in (None, name):
             p = sub.add_parser(name, help=help_line)
             add_args(p)
-            _add_common(p)
+            p.add_argument("--output", help="write the report to this file instead of stdout")
     return top
 
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .errors import InvariantError, LimitExceeded, PreconditionError
+from .errors import InvariantError, PreconditionError
 from .perm import (
     PermGroup,
     Permutation,
@@ -71,7 +71,6 @@ class CosetAction:
         self._order = order  # the rows of reps sorted by their keys
         self._table = None  # built on first use by permutation_character
         self._rank_report = None  # built on first use by rank_subdegrees
-        self._suborbits = None  # set with the rank report
 
     def _cosets(self, canon: np.ndarray) -> np.ndarray:
         """The coset of each row of a matrix of canonical representatives."""
@@ -79,15 +78,6 @@ class CosetAction:
         if (found < 0).any():
             raise PreconditionError("element is not in the parent group")
         return found
-
-    def coset_of(self, x: Permutation) -> int:
-        """Index of the coset H*x."""
-        z = x.array.copy()
-        _kernels.canon_into(z, self.subgroup.chain)
-        return int(self._cosets(z[None, :])[0])
-
-    def representative(self, i: int) -> Permutation:
-        return Permutation(self.reps[i].copy())
 
     def induced_image(self, g: Permutation) -> np.ndarray:
         """The permutation of {0..index-1} induced by g (as an image array)."""
@@ -113,7 +103,8 @@ def coset_action(
     check_index(index, limit)
     chain = H.chain
     reps = np.empty((index, G.degree), dtype=np.int32)
-    reps[0] = _kernels.canon_into(np.arange(G.degree, dtype=np.int32), chain)
+    # the coset H, whose lex-least element is the identity
+    reps[0] = np.arange(G.degree, dtype=np.int32)
     keys = _row_keys(reps)  # a view: a key is read once its row is filled
     order = np.zeros(1, dtype=np.int64)
     gen_arrays = [g.array for g in G.generators]
@@ -230,9 +221,8 @@ def rank_subdegrees(ca: CosetAction) -> RankReport:
     The rank is computed two ways: counting the orbits of H on X under the
     induced generators, and averaging fixed points over the elements of H,
     sum_C |H ∩ C| fix_X(C) / |H| over the action's class table.  The two
-    must agree exactly.  The report, with the suborbit labelling it counted
-    (`_suborbits`, each coset's least suborbit mate), is built once per
-    action and kept on it; a failed cross-check raises and keeps nothing.
+    must agree exactly.  The report is built once per action and kept on it;
+    a failed cross-check raises and keeps nothing.
     """
     if ca._rank_report is None:
         ca._rank_report = _build_rank_report(ca)
@@ -256,34 +246,7 @@ def _build_rank_report(ca: CosetAction) -> RankReport:
         )
     if H.order % kernel:
         raise InvariantError("the kernel does not divide |H|")
-    ca._suborbits = labels
     return RankReport(rank, tuple(subdegrees), total_fix, H.order // kernel)
-
-
-def subdegree_form_spot_check(ca: CosetAction, samples: int = 3, limit: int = 10**4) -> bool:
-    """Spot-verify that subdegrees have the form |H : H ∩ H^g|.
-
-    Checks that the H-orbit of the coset Hg, read off the suborbits of the
-    rank report, has size |H| / |H ∩ g^-1 H g| for the first few
-    non-trivial cosets; needs |H| within the enumeration bound.
-    """
-    H = ca.subgroup
-    if H.order > limit:
-        raise LimitExceeded("spot check enumerates H; subgroup too large")
-    rank_subdegrees(ca)
-    labels = ca._suborbits
-    sizes = np.bincount(labels)
-    for i in range(1, min(1 + samples, ca.index)):
-        x = ca.reps[i]
-        xinv = inv_array(x)
-        both = 0
-        for h in H.element_arrays():
-            conj = x[h[xinv]]  # x^-1 h x as an image array
-            if H.contains_array(conj):
-                both += 1
-        if sizes[labels[i]] * both != H.order:
-            return False
-    return True
 
 
 def fixpoint_bounds(ca: CosetAction) -> tuple:
@@ -442,7 +405,7 @@ def check_action_bounds(
     """
     check_index(order_g // order_h, index_limit)
     if order_g == math.factorial(degree):
-        check_enumeration(order_h, order_limit, census=True)
+        check_enumeration(order_h, order_limit)
     else:
         check_enumeration(order_g, order_limit)
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 import os
+import re
+import sys
 from functools import cached_property, partial
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -38,10 +40,6 @@ class SupportCensus(NamedTuple):
 
     degree: int
     counts: dict
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
 
     def serialize(self) -> dict:
         return {str(k): str(v) for k, v in sorted(self.counts.items())}
@@ -74,24 +72,6 @@ class SandwichReport(NamedTuple):
     passed: bool
     tightest_lower: SandwichWitness
     tightest_upper: SandwichWitness
-
-    def serialize(self) -> dict:
-        def w(x: SandwichWitness) -> dict:
-            return {
-                "cycle_type": list(x.cycle_type),
-                "support": x.support,
-                "class_size": str(x.class_size),
-                "lower": str(x.lower),
-                "upper": str(x.upper),
-            }
-
-        return {
-            "n": self.n,
-            "num_types": self.num_types,
-            "passed": self.passed,
-            "tightest_lower": w(self.tightest_lower),
-            "tightest_upper": w(self.tightest_upper),
-        }
 
 
 def class_sandwich_check(n: int, limit: int = DEGREE_LIMIT) -> SandwichReport:
@@ -135,10 +115,13 @@ def block_group_profile(m: int, r: int) -> ClassProfile:
     A block permutation of cycle type lam (a partition of m) moves points in
     r parallel cycles per part: each part c contributes r cycles of length c,
     with multiplicity the S_m class size of lam.  |H| = m!, and the minimal
-    support is 2r.
+    support is 2r.  With r = 1 the group is S_m itself, whose profile also
+    carries S_m as its one factor.
     """
     if m < 2 or r < 1:
         raise PreconditionError("need m >= 2 blocks of size r >= 1")
+    if r == 1:
+        return symmetric_profile(m)
     from .characters import partitions
 
     counts = {}
@@ -308,21 +291,30 @@ def _built(name: str, *args) -> Callable[[], PermGroup]:
     return build
 
 
+def _numbers(name: str) -> list:
+    """The numbers in a catalog name, in order.  One with more digits than
+    int() converts (4300 by default) is a ParseError."""
+    try:
+        return [int(x) for x in re.findall(r"\d+", name)]
+    except ValueError:
+        raise ParseError(
+            f"a catalog number has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def resolve_catalog(name: str) -> CatalogEntry:
     """Resolve a catalog name to a lazily built group and, where available,
     an analytic profile.  Grammar: cyclic:k@n, young:a+b+..., block:mxr,
     alternating:n, symmetric:n, agl15, gl32, gl32-point, gl32-plane."""
-    import re
-
     m = re.fullmatch(r"cyclic:(\d+)@(\d+)", name)
     if m:
-        k, n = int(m.group(1)), int(m.group(2))
+        k, n = _numbers(name)
         if k < 1 or k > n:
             raise ParseError(f"cyclic:{k}@{n}: need 1 <= k <= n")
         return CatalogEntry(name, n, lambda: k, _built("_cyclic_group", k, n))
     m = re.fullmatch(r"young:(\d+(?:\+\d+)*)", name)
     if m:
-        parts = [int(x) for x in m.group(1).split("+")]
+        parts = _numbers(name)
         if any(p < 1 for p in parts):
             raise ParseError(f"{name}: parts must be positive")
         n = sum(parts)
@@ -335,7 +327,7 @@ def resolve_catalog(name: str) -> CatalogEntry:
         )
     m = re.fullmatch(r"block:(\d+)x(\d+)", name)
     if m:
-        mm, r = int(m.group(1)), int(m.group(2))
+        mm, r = _numbers(name)
         if mm < 2 or r < 1:
             raise ParseError(f"{name}: need m >= 2 and r >= 1")
         return CatalogEntry(
@@ -347,7 +339,7 @@ def resolve_catalog(name: str) -> CatalogEntry:
         )
     m = re.fullmatch(r"alternating:(\d+)", name)
     if m:
-        n = int(m.group(1))
+        (n,) = _numbers(name)
         if n < 1:
             raise ParseError(f"{name}: degree must be positive")
         return CatalogEntry(
@@ -358,7 +350,7 @@ def resolve_catalog(name: str) -> CatalogEntry:
         )
     m = re.fullmatch(r"symmetric:(\d+)", name)
     if m:
-        n = int(m.group(1))
+        (n,) = _numbers(name)
         if n < 1:
             raise ParseError(f"{name}: degree must be positive")
         return CatalogEntry(
@@ -407,7 +399,7 @@ def profile_of(entry: CatalogEntry, limit: int = ENUMERATION_LIMIT) -> ClassProf
     """Analytic profile when available, else an enumeration census."""
     if entry.profile is not None:
         return entry.profile
-    check_enumeration(entry.order, limit, census=True)  # before any chain is built
+    check_enumeration(entry.order, limit)  # before any chain is built
     from .perm import class_profile
 
     return class_profile(entry.group, limit)

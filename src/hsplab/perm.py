@@ -47,29 +47,9 @@ class Permutation:
             raise ValueError("degree must be positive")
         return cls(np.arange(degree, dtype=np.int32))
 
-    @classmethod
-    def from_images(cls, images: Iterable[int]) -> "Permutation":
-        """Build from 1-based images: images[i] is the image of point i+1."""
-        arr = np.asarray([i - 1 for i in images], dtype=np.int32)
-        n = arr.shape[0]
-        if n < 1:
-            raise ValueError("degree must be positive")
-        if sorted(arr.tolist()) != list(range(n)):
-            raise ValueError("images do not form a bijection of {1..n}")
-        return cls(arr)
-
-    @classmethod
-    def from_cycles(cls, text: str, degree: int) -> "Permutation":
-        return parse_cycles(text, degree)
-
     @property
     def degree(self) -> int:
         return self._arr.shape[0]
-
-    @property
-    def images(self) -> tuple:
-        """1-based image tuple: images[i-1] is the image of point i."""
-        return tuple(int(x) + 1 for x in self._arr)
 
     @property
     def array(self) -> np.ndarray:
@@ -86,37 +66,8 @@ class Permutation:
             raise PreconditionError("cannot compose permutations of mixed degrees")
         return Permutation(other._arr[self._arr])
 
-    def __pow__(self, k: int) -> "Permutation":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = np.arange(self.degree, dtype=np.int32)
-        square = self._arr
-        while k:
-            if k & 1:
-                result = square[result]
-            square = square[square]
-            k >>= 1
-        return Permutation(result)
-
-    def inverse(self) -> "Permutation":
-        return Permutation(inv_array(self._arr))
-
-    def conjugate_by(self, g: "Permutation") -> "Permutation":
-        """g^-1 * self * g."""
-        ginv = inv_array(g._arr)
-        return Permutation(g._arr[self._arr[ginv]])
-
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self._arr, np.arange(self.degree, dtype=np.int32)))
-
-    def cycle_type(self) -> CycleType:
-        return cycle_type_of_array(self._arr)
-
     def support(self) -> int:
         return int(np.count_nonzero(self._arr != np.arange(self.degree, dtype=np.int32)))
-
-    def fix(self) -> int:
-        return self.degree - self.support()
 
     def cycles(self) -> str:
         """Cycle notation, e.g. '(1 2)(3 4)'; '()' for the identity."""
@@ -500,12 +451,7 @@ def _pack_chain(strong: list, degree: int) -> PackedChain:
 class PermGroup:
     """A permutation group given by generators, with an exact stabilizer chain."""
 
-    def __init__(
-        self, generators: Iterable[Permutation], degree: int | None = None, *, strong: bool = False
-    ):
-        """`strong` says that the generators are already a strong generating
-        set for the base 0, 1, ..., degree - 1, distinct and not the
-        identity, so the chain is packed from them without a Schreier–Sims."""
+    def __init__(self, generators: Iterable[Permutation], degree: int | None = None):
         gens = tuple(generators)
         if degree is None:
             if not gens:
@@ -516,10 +462,7 @@ class PermGroup:
                 raise PreconditionError("generators have mixed degrees")
         self.degree = degree
         self.generators = gens
-        arrays = [g.array for g in gens]
-        if not strong:
-            arrays = _schreier_sims(arrays, range(degree))
-        self._chain = _pack_chain(arrays, degree)
+        self._chain = _pack_chain(_schreier_sims([g.array for g in gens], range(degree)), degree)
         self._class_map = None  # built on first use by element_class_map
 
     @classmethod
@@ -577,10 +520,6 @@ class PermGroup:
         for block in self._chain.blocks(_kernels.BLOCK_ENTRIES):
             yield from block
 
-    def elements(self, limit: int = ENUMERATION_LIMIT) -> Iterator[Permutation]:
-        for arr in self.element_arrays(limit):
-            yield Permutation(arr)
-
     def random_element(self, rng) -> Permutation:
         """Uniform random element drawn via the chain (deterministic per rng)."""
         ch = self._chain
@@ -589,18 +528,6 @@ class PermGroup:
             lo, hi = int(ch.level_off[l]), int(ch.level_off[l + 1])
             position = position * (hi - lo) + rng.randrange(lo, hi) - lo
         return Permutation(ch.element(position))
-
-    def point_stabilizer(self, point: int) -> "PermGroup":
-        """The stabilizer of a (1-based) point, as a new group."""
-        if not 1 <= point <= self.degree:
-            raise ValueError(f"point {point} out of range 1..{self.degree}")
-        p0 = point - 1
-        base = [p0] + [x for x in range(self.degree) if x != p0]
-        strong = _schreier_sims([g.array for g in self.generators], base)
-        # those fixing p0 generate each stabilizer of p0 and a prefix of the
-        # other points in increasing order: a strong set for the natural base
-        stab = [Permutation(g) for g in strong if g[p0] == p0]
-        return PermGroup(stab, degree=self.degree, strong=True)
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order}, ngens={len(self.generators)})"
@@ -689,7 +616,7 @@ def is_primitive(G: PermGroup) -> bool:
 
 def class_profile(H: PermGroup, limit: int = ENUMERATION_LIMIT) -> ClassProfile:
     """Exact census of H by S_n cycle type via chain enumeration."""
-    check_enumeration(H.order, limit, census=True)
+    check_enumeration(H.order, limit)
     if H.degree > 32000:  # census rows are int16 multiplicity vectors
         raise LimitExceeded("censuses support degrees up to 32000")
     n = H.degree

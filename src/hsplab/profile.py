@@ -38,13 +38,11 @@ def _count_text(x: int) -> str:
         return f"of {digits} digits"
 
 
-def check_enumeration(order: int, limit: int = ENUMERATION_LIMIT, census: bool = False) -> None:
-    """Refuse to enumerate a group of `order` elements when that is over
-    `limit`; a refused census also points at the analytic constructors."""
+def check_enumeration(order: int, limit: int = ENUMERATION_LIMIT) -> None:
+    """Refuse to enumerate a group of `order` elements when that is over `limit`."""
     if order > limit:
-        advice = "; use an analytic profile constructor instead" if census else ""
         raise LimitExceeded(
-            f"group order {_count_text(order)} exceeds the enumeration bound {limit}{advice}"
+            f"group order {_count_text(order)} exceeds the enumeration bound {limit}"
         )
 
 
@@ -97,10 +95,6 @@ class ClassProfile(_ProfileFields):
     @classmethod
     def _make(cls, fields) -> "ClassProfile":  # so _replace builds through __new__
         return cls(*fields)
-
-    @classmethod
-    def identity(cls, degree: int) -> "ClassProfile":
-        return cls(degree, {(1,) * degree: 1})
 
     @property
     def order(self) -> int:

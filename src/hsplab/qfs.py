@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .characters import Partition, _dimension, class_sums, dimension, partitions
+from .characters import Partition, _dimension, class_sums, partitions
 from .errors import InvariantError, PreconditionError
 from .profile import ClassProfile, centralizer_order, class_size_split
 from .radical import DECIMAL_DIGITS, SqrtSum, frac_text
@@ -48,13 +48,6 @@ class IrrepDistribution(NamedTuple):
             raise PreconditionError("distributions live on different degrees")
         total = sum(abs(w - other.weights[lam]) for lam, w in self.weights.items())
         return Fraction(total, math.factorial(self.degree))
-
-    def trivial_multiplicity(self, lam: Partition) -> Fraction:
-        """v(lam) / |H| = weights[lam] / (d_lam |H|): the multiplicity of the
-        trivial irrep in the restriction; a non-negative integer for every
-        honest profile."""
-        lam = tuple(lam)
-        return Fraction(self.weights[lam], dimension(lam) * self.subgroup_order)
 
     def serialize(self) -> list:
         return [

@@ -85,15 +85,6 @@ class SqrtSum:
         rational = Fraction(*sums.pop(1, (0, 1)))
         return cls(rational, {f: Fraction(num, den) for f, (num, den) in sums.items() if num})
 
-    @property
-    def is_rational(self) -> bool:
-        return not self.radicals
-
-    def as_fraction(self) -> Fraction:
-        if self.radicals:
-            raise ValueError("value is irrational")
-        return self.rational
-
     def square(self):
         """Exact rational square, when one exists (else None)."""
         if not self.radicals:
@@ -157,18 +148,6 @@ class SqrtSum:
 
     def __ge__(self, other):
         return self.compare_to(other) >= 0
-
-    def __add__(self, other: "SqrtSum") -> "SqrtSum":
-        if not isinstance(other, SqrtSum):
-            return SqrtSum(self.rational + Fraction(other), dict(self.radicals))
-        rad = dict(self.radicals)
-        for f, q in other.radicals.items():
-            q0 = rad.get(f, Fraction(0)) + q
-            if q0:
-                rad[f] = q0
-            else:
-                rad.pop(f, None)
-        return SqrtSum(self.rational + other.rational, rad)
 
     def decimal(self, digits: int = DECIMAL_DIGITS) -> str:
         """Deterministic decimal string with `digits` significant figures."""

@@ -340,7 +340,9 @@ def test_factored_route_equals_the_census_route_on_every_composition(n):
 def test_factored_route_on_young_times_block_products(alpha, m, r):
     prof = product_profile(young_profile(alpha), block_group_profile(m, r))
     n = prof.degree
-    assert prof.factors[-1].factors is None and len(prof.factors) == len(alpha) + 1
+    assert len(prof.factors) == len(alpha) + 1
+    # block:mx1 is S_m itself; a block group with r > 1 is a census factor
+    assert prof.factors[-1] == m if r == 1 else prof.factors[-1].factors is None
     factored = class_sums(prof)
     assert factored == class_sums(ClassProfile(n, prof.counts)) == mn_class_sums(n, prof.counts)
     # the other order: a census factor above the S_a factors
@@ -435,8 +437,9 @@ def test_class_sums_accept_unsorted_types():
 
 def test_class_sums_drop_zero_counts():
     prof = ClassProfile(4, {(4,): 0, (1, 1, 1, 1): 1})
-    assert prof == ClassProfile.identity(4)
-    assert class_sums(prof) == class_sums(ClassProfile.identity(4))
+    identity = ClassProfile(4, {(1, 1, 1, 1): 1})
+    assert prof == identity
+    assert class_sums(prof) == class_sums(identity)
     # a negative count is kept, and spellings that cancel drop out
     assert ClassProfile(3, {(3,): -1, (2, 1): 1, (1, 2): -1}).counts == {(3,): -1}
     assert set(class_sums(ClassProfile(4, {(4,): 0})).values()) == {0}

@@ -15,7 +15,7 @@ from conftest import SIGN_MUTATION, WEIGHT_MUTATION, engine_mutant
 
 from hsplab import characters, coset, groups, lab, perm, profile, qfs
 from hsplab.cli import build_parser, main
-from hsplab.errors import LimitExceeded
+from hsplab.errors import LimitExceeded, ParseError
 
 
 def run_cli(capsys, *argv):
@@ -233,15 +233,12 @@ def default_int_digits():
     sys.set_int_max_str_digits(before)
 
 
-_CENSUS_ADVICE = "; use an analytic profile constructor instead"
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
         (
             ["compare", "symmetric:2000", "symmetric:2000"],
-            f"group order of 5736 digits exceeds the enumeration bound 1000000{_CENSUS_ADVICE}",
+            "group order of 5736 digits exceeds the enumeration bound 1000000",
         ),
         (
             ["coset", "symmetric:2000", "cyclic:2@2000"],
@@ -253,7 +250,7 @@ _CENSUS_ADVICE = "; use an analytic profile constructor instead"
         ),
         (
             ["analyze", "symmetric:2000", "--degree-limit", "3000"],
-            f"group order of 5736 digits exceeds the enumeration bound 1000000{_CENSUS_ADVICE}",
+            "group order of 5736 digits exceeds the enumeration bound 1000000",
         ),
     ],
     ids=["compare-census", "coset-index", "compare-index", "analyze-census"],
@@ -265,6 +262,31 @@ def test_an_order_past_the_int_to_str_limit_is_refused_by_its_size(
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
     assert err == f"error: {message}\n"
+
+
+_LONG_NUMBER = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        f"cyclic:{_LONG_NUMBER}@3",
+        f"young:2+{_LONG_NUMBER}",
+        f"block:2x{_LONG_NUMBER}",
+        f"alternating:{_LONG_NUMBER}",
+        f"symmetric:{_LONG_NUMBER}",
+    ],
+    ids=["cyclic", "young", "block", "alternating", "symmetric"],
+)
+def test_a_catalog_number_past_the_int_conversion_limit_is_a_parse_error(
+    spec, capsys, default_int_digits
+):
+    with pytest.raises(ParseError) as refused:
+        lab.resolve_catalog(spec)
+    assert str(refused.value) == "a catalog number has more than 4300 digits"
+    code, out, err = run_cli(capsys, "analyze", spec)
+    assert (code, out) == (2, "")
+    assert err == f"error: {spec!r} is neither an existing group file nor a catalog name\n"
 
 
 def test_a_count_is_printed_in_full_while_the_interpreter_can(default_int_digits):
@@ -293,13 +315,11 @@ _BIG_A120 = math.factorial(120) // 2
         ),
         (
             ["analyze", "alternating:120", "--degree-limit", "300"],
-            f"group order {_BIG_A120} exceeds the enumeration bound 1000000; "
-            "use an analytic profile constructor instead",
+            f"group order {_BIG_A120} exceeds the enumeration bound 1000000",
         ),
         (
             ["compare", "symmetric:50", "symmetric:50"],
-            f"group order {math.factorial(50)} exceeds the enumeration bound 1000000; "
-            "use an analytic profile constructor instead",
+            f"group order {math.factorial(50)} exceeds the enumeration bound 1000000",
         ),
         (
             ["compare", "symmetric:9", "cyclic:2@9"],
@@ -521,6 +541,17 @@ def test_check_accepts_a_max_n_at_its_cap(suite, max_n, capsys, monkeypatch):
     assert calls == [(n, limit) for n in range(1, max_n + 1)]
 
 
+def test_the_frobenius_suite_skips_a_draw_over_the_order_limit(capsys):
+    # GL(3,2)'s class map (168 elements) and every census of more than 100
+    # elements are over the bound: those draws are skipped, as over-index ones are
+    code, out, err = run_cli(
+        capsys, "check", "--suite", "frobenius", "--actions", "5", "--order-limit", "100"
+    )
+    assert code == 0, err
+    rep = json.loads(out)
+    assert rep["actions"] == 5 and rep["all_passed"] is True
+
+
 def test_compare_refuses_a_parent_class_map_over_the_order_limit(capsys, monkeypatch):
     def unbuildable(*args, **kwargs):
         raise AssertionError("built a group of a refused input")
@@ -541,9 +572,9 @@ def test_compare_holds_every_enumeration_to_the_order_limit(pair, capsys, monkey
     limits = []
     real = profile.check_enumeration
 
-    def recording(order, limit=profile.ENUMERATION_LIMIT, census=False):
+    def recording(order, limit=profile.ENUMERATION_LIMIT):
         limits.append(limit)
-        real(order, limit, census)
+        real(order, limit)
 
     for module in (profile, perm, coset, lab):
         monkeypatch.setattr(module, "check_enumeration", recording)
@@ -570,6 +601,7 @@ _REPORT_DIGESTS = {
     "compare young:3+3 block:2x3": "2f5bc1583d0b7715eb66320dba9f03aaf9c5cc45da3a76bdc75e07f73bcc2165",
     "compare symmetric:5 alternating:5": "557d95906f0ec6e543cf99246e41a51fa70aed5eb07b7a1381a093c4860e9401",
     "check --suite frobenius --actions 8 --seed 7": "24e30a122a840a7cbe348661c6c0cc60e06c9290bf6beb27216f301fc0b40326",
+    "analyze block:12x1": "23f029934c46f3481fcef86881d692a28a35632e49d09f8899a5647fb886558a",
 }
 
 
@@ -608,8 +640,7 @@ def test_frobenius_check_does_not_read_the_induced_images(capsys, monkeypatch):
     [
         (
             ("symmetric:300", "young:299+1"),
-            f"group order {math.factorial(299)} exceeds the enumeration bound 1000000"
-            "; use an analytic profile constructor instead",
+            f"group order {math.factorial(299)} exceeds the enumeration bound 1000000",
         ),
         (
             ("alternating:10", "cyclic:5@10", "--index-limit", "1000000"),
@@ -649,10 +680,7 @@ def test_coset_refuses_h_over_the_census_bound_before_any_orbit_work(
     monkeypatch.setattr(coset.CosetAction, "induced_image", unreachable)
     code, out, err = run_cli(capsys, "coset", *argv)
     assert code == 3 and out == ""
-    assert err == (
-        f"error: group order {order} exceeds the enumeration bound {limit}; "
-        "use an analytic profile constructor instead\n"
-    )
+    assert err == f"error: group order {order} exceeds the enumeration bound {limit}\n"
 
 
 @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
@@ -705,6 +733,32 @@ def test_output_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "analyze", "cyclic:2@3", "--output", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["dh"] == "1/3"
+
+
+# Each subcommand takes the limit flags that it reads, and no others.
+_LIMITS_READ = {
+    ("analyze", "block:3x2"): ("degree", "order"),
+    ("compare", "young:2+2", "young:2+2"): ("degree", "order", "index"),
+    ("coset", "symmetric:5", "young:3+2"): ("order", "index"),
+    ("sweep", "--family", "cyclic", "--start", "2", "--end", "3"): ("degree", "order"),
+    ("check", "--suite", "frobenius"): ("degree", "order", "index"),
+}
+
+
+@pytest.mark.parametrize("argv", list(_LIMITS_READ), ids=lambda argv: argv[0])
+def test_a_subcommand_takes_only_the_limits_it_reads(argv, capsys):
+    read = _LIMITS_READ[argv]
+    flags = [arg for name in read for arg in (f"--{name}-limit", "7")]
+    args = build_parser(argv[0]).parse_args([*argv, *flags])
+    assert {k: v for k, v in vars(args).items() if k.endswith("_limit")} == {
+        f"{name}_limit": 7 for name in read
+    }
+    for name in {"degree", "order", "index"} - set(read):
+        with pytest.raises(SystemExit) as refused:
+            main([*argv, f"--{name}-limit", "5"])
+        out, err = capsys.readouterr()
+        assert (refused.value.code, out) == (2, "")
+        assert err.endswith(f"hsplab: error: unrecognized arguments: --{name}-limit 5\n")
 
 
 # A job builds only its own subcommand's parser; what it prints must not
@@ -1072,9 +1126,9 @@ def record_enumeration_limits(monkeypatch) -> list:
     limits = []
     real = profile.check_enumeration
 
-    def recording(order, limit=profile.ENUMERATION_LIMIT, census=False):
+    def recording(order, limit=profile.ENUMERATION_LIMIT):
         limits.append(limit)
-        real(order, limit, census)
+        real(order, limit)
 
     for module in (profile, perm, coset, lab):
         monkeypatch.setattr(module, "check_enumeration", recording)

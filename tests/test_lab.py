@@ -45,7 +45,7 @@ def test_support_census_examples():
 def test_support_census_total_and_min():
     prof = block_group_profile(5, 2)
     census = support_census(prof)
-    assert census.total == prof.order - 1
+    assert sum(census.counts.values()) == prof.order - 1
     assert min(census.counts) == prof.minimal_support() == 4
     assert 1 not in census.counts and 0 not in census.counts
 
@@ -72,7 +72,7 @@ def test_club_check_examples():
     assert by_k[4].count == 6 and not by_k[4].satisfied  # 6 > 8^(4/7)
     assert rep.minimal_support == 4
 
-    rep = club_check(ClassProfile.identity(6))
+    rep = club_check(ClassProfile(6, {(1,) * 6: 1}))
     assert rep.rows == () and rep.minimal_support is None
 
 
@@ -184,11 +184,13 @@ def test_block_profile_examples():
     )
 
 
-@pytest.mark.parametrize("m", range(2, 8))
+@pytest.mark.parametrize("m", range(2, 13))
 def test_block_profile_r1_equals_symmetric(m):
-    assert dict(block_group_profile(m, 1).counts) == dict(
-        class_profile(PermGroup.symmetric(m)).counts
-    )
+    # block:mx1 is S_m in its natural action: its profile is S_m's, factor included
+    prof = block_group_profile(m, 1)
+    assert prof == symmetric_profile(m) and prof.factors == (m,)
+    if m < 8:
+        assert dict(prof.counts) == dict(class_profile(PermGroup.symmetric(m)).counts)
 
 
 def test_block_profile_minimal_degree_is_2r():
@@ -377,8 +379,11 @@ def test_profile_of_refuses_from_the_order_before_building(monkeypatch):
 
     monkeypatch.setattr(perm.PermGroup, "__init__", unbuildable)
     entry = resolve_catalog("alternating:120")
-    with pytest.raises(LimitExceeded, match="use an analytic profile constructor instead"):
+    with pytest.raises(LimitExceeded) as refused:
         profile_of(entry)
+    assert str(refused.value) == (
+        f"group order {math.factorial(120) // 2} exceeds the enumeration bound 1000000"
+    )
     assert entry.order == math.factorial(120) // 2
 
 

@@ -10,14 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsplab import _kernels, perm
+from hsplab import _kernels
 from hsplab.errors import LimitExceeded, ParseError, PreconditionError
 from hsplab.lab import resolve_catalog
 from hsplab.perm import (
     PermGroup,
     Permutation,
     class_profile,
+    cycle_type_of_array,
     element_class_map,
+    inv_array,
     is_primitive,
     is_transitive,
     minimal_blocks,
@@ -55,12 +57,12 @@ def brute_force_elements(gens, degree):
 
 
 def test_parse_transposition():
-    assert parse_cycles("(1 2)", 3).images == (2, 1, 3)
+    assert parse_cycles("(1 2)", 3).array.tolist() == [1, 0, 2]
 
 
 def test_parse_empty_is_identity():
     p = parse_cycles("", 5)
-    assert p.is_identity() and p.degree == 5
+    assert p == Permutation.identity(5) and p.degree == 5
 
 
 def test_parse_five_cycle_composition():
@@ -72,12 +74,12 @@ def test_parse_five_cycle_composition():
         x = p(x)
         seen.append(x)
     assert seen == [1, 2, 3, 4, 5]
-    assert p.cycle_type() == (5,)
+    assert cycle_type_of_array(p.array) == (5,)
 
 
 def test_parse_multi_cycle():
     p = parse_cycles("(1 2)(3 4)", 4)
-    assert p.images == (2, 1, 4, 3)
+    assert p.array.tolist() == [1, 0, 3, 2]
 
 
 def test_parse_errors_are_distinct():
@@ -93,22 +95,22 @@ def test_parse_errors_are_distinct():
 
 def test_cycle_type_support_fix_examples():
     e = Permutation.identity(4)
-    assert e.cycle_type() == (1, 1, 1, 1) and e.support() == 0
+    assert cycle_type_of_array(e.array) == (1, 1, 1, 1) and e.support() == 0
     p = parse_cycles("(1 2)(3 4)", 4)
-    assert p.cycle_type() == (2, 2) and p.support() == 4 and p.fix() == 0
+    assert cycle_type_of_array(p.array) == (2, 2) and p.support() == 4
     q = parse_cycles("(1 2 3)", 5)
-    assert q.cycle_type() == (3, 1, 1) and q.support() == 3 and q.fix() == 2
+    assert cycle_type_of_array(q.array) == (3, 1, 1) and q.support() == 3
 
 
 @given(st.integers(2, 20).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
 @settings(max_examples=60, deadline=None)
 def test_permutation_properties(images):
-    p = Permutation.from_images(images)
-    assert (p * p.inverse()).is_identity()
-    assert p.support() + p.fix() == p.degree
-    assert sum(p.cycle_type()) == p.degree
+    p = Permutation([i - 1 for i in images])
+    assert p * Permutation(inv_array(p.array)) == Permutation.identity(p.degree)
+    assert [p(i) for i in range(1, p.degree + 1)] == images
+    assert sum(cycle_type_of_array(p.array)) == p.degree
     assert parse_cycles(p.cycles(), p.degree) == p
-    moved = [part for part in p.cycle_type() if part >= 2]
+    moved = [part for part in cycle_type_of_array(p.array) if part >= 2]
     assert p.support() == sum(moved)
 
 
@@ -191,28 +193,10 @@ def test_random_element_draws_one_transversal_row_per_level_slowest_first():
 
 
 def test_point_stabilizer():
-    S4 = PermGroup.symmetric(4)
-    stab = S4.point_stabilizer(4)
-    assert stab.order == 6
-    assert all(g(4) == 4 for g in stab.generators)
-    assert stab.is_subgroup_of(S4)
-
-
-def test_point_stabilizer_runs_one_schreier_sims(monkeypatch):
-    rng = random.Random(4)
-    groups = [resolve_catalog(s).group for s in ("gl32", "agl15", "young:3+2", "block:3x2")]
-    groups += [random_subgroup(rng, PermGroup.symmetric(7)) for _ in range(5)]
-    calls = []
-    real = perm._schreier_sims
-    monkeypatch.setattr(perm, "_schreier_sims", lambda *a: calls.append(a) or real(*a))
-    for G in groups:
-        for point in (1, G.degree):
-            calls.clear()
-            stab = G.point_stabilizer(point)
-            assert len(calls) == 1
-            # the chain is the one a fresh Schreier–Sims on the generators packs
-            rebuilt = PermGroup(stab.generators, G.degree)
-            assert _chain_digest(stab) == _chain_digest(rebuilt)
+    # the catalog's gl32-point is the stabilizer of the point 1 in GL(3,2)
+    G, H = (resolve_catalog(spec).group for spec in ("gl32", "gl32-point"))
+    stab = {arr.tobytes() for arr in G.element_arrays() if arr[0] == 0}
+    assert {arr.tobytes() for arr in H.element_arrays()} == stab and len(stab) == H.order == 24
 
 
 def test_long_cycle_chain_has_one_level():
@@ -552,7 +536,7 @@ def test_element_class_map_classes_are_conjugation_closed():
     assert len(class_ids) == G.order
     base = G.chain.base
     for cid, (rep, size) in enumerate(classes):
-        orbit = {rep.conjugate_by(g) for g in G.elements()}
+        orbit = {Permutation(g[rep.array[inv_array(g)]]) for g in G.element_arrays()}  # g^-1 rep g
         assert len(orbit) == size
         rows = np.array([x.array for x in orbit])
         assert set(class_ids[G.chain.positions(rows[:, base])].tolist()) == {cid}
@@ -561,8 +545,8 @@ def test_element_class_map_classes_are_conjugation_closed():
 def _assert_class_map_matches_the_bfs(G: PermGroup) -> None:
     classes, class_ids = element_class_map(G)
     want_classes, want_id = bfs_class_map(G)
-    assert [(rep.images, size) for rep, size in classes] == [
-        (rep.images, size) for rep, size in want_classes
+    assert [(rep.array.tolist(), size) for rep, size in classes] == [
+        (rep.array.tolist(), size) for rep, size in want_classes
     ]
     assert class_ids.tolist() == [want_id[e.tobytes()] for e in G.element_arrays()]
 
@@ -647,6 +631,6 @@ def test_parse_group_file_errors():
 
 
 def test_class_profile_identity():
-    prof = ClassProfile.identity(5)
+    prof = ClassProfile(5, {(1,) * 5: 1})
     assert prof.order == 1 and prof.count((1, 1, 1, 1, 1)) == 1
     prof.validate()

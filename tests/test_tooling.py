@@ -85,3 +85,63 @@ def test_no_module_imports_hashlib():
         )
     ]
     assert not found, found
+
+
+# Functions that nothing in the package reads, kept on purpose: the
+# namedtuple protocol, the check of a census that comes from outside the
+# program, the tests' cache reset, and the cache counters that the benchmark
+# reads.
+_UNREAD_BY_DESIGN = {
+    "ClassProfile._make",
+    "ClassProfile.validate",
+    "clear_character_cache",
+    "character_cache_info",
+}
+
+
+def _functions(node, prefix=""):
+    """(qualified name, node) of every function and method under `node`,
+    nested ones included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child
+            yield from _functions(child, f"{prefix}{child.name}.")
+        elif isinstance(child, ast.ClassDef):
+            yield from _functions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _functions(child, prefix)
+
+
+def _loaded_name(node):
+    """The identifier that `node` reads: a name, an attribute, or a string
+    that is an identifier (as the `_EXPORTS` table names its functions)."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return node.attr
+    if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+        return node.value
+    return None
+
+
+def test_every_function_in_the_package_is_read_by_the_package():
+    # what only the tests call belongs in the tests, or nowhere
+    functions, loads = [], {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions += [(path, name, fn) for name, fn in _functions(tree)]
+        for node in ast.walk(tree):
+            name = _loaded_name(node)
+            if name is not None:
+                loads.setdefault(name, []).append((path, node.lineno))
+    unread = [
+        f"{path.name}:{qualname}"
+        for path, qualname, fn in functions
+        if not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and qualname not in _UNREAD_BY_DESIGN
+        and all(  # every load of the name is inside the function itself
+            where == path and fn.lineno <= line <= fn.end_lineno
+            for where, line in loads.get(fn.name, [])
+        )
+    ]
+    assert functions and not unread, unread
