@@ -31,9 +31,20 @@ _EXPORTS = {
         ),
         "coset",
     ),
+    "mn_character": "checks",
     **dict.fromkeys(
-        ("babai_check", "club_check", "liebeck_report", "mn_character", "poly_subgroup_verdict"),
-        "checks",
+        (
+            "babai_check",
+            "club_check",
+            "is_primitive",
+            "is_transitive",
+            "liebeck_report",
+            "minimal_blocks",
+            "minimal_degree",
+            "orbits",
+            "poly_subgroup_verdict",
+        ),
+        "paper",
     ),
     **dict.fromkeys(
         ("HspError", "InvariantError", "LimitExceeded", "ParseError", "PreconditionError"),
@@ -62,12 +73,7 @@ _EXPORTS = {
             "Permutation",
             "class_profile",
             "element_class_map",
-            "is_primitive",
-            "is_transitive",
             "load_group_file",
-            "minimal_blocks",
-            "minimal_degree",
-            "orbits",
             "parse_cycles",
             "parse_group_file",
         ),

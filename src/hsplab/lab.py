@@ -7,7 +7,7 @@ Everything a catalog `analyze` or `sweep` runs lives here, and none of it
 needs numpy: a catalog entry builds its group through `hsplab.groups` only
 when the group is asked for.  The library-only paper checks (the
 support-count diagnostic, the Liebeck and Babai reports) live in
-`hsplab.checks`.
+`hsplab.paper`.
 """
 
 from __future__ import annotations
@@ -58,50 +58,25 @@ def support_census(prof: ClassProfile) -> SupportCensus:
 # ---------------------------------------------------------------------------
 
 
-class SandwichWitness(NamedTuple):
-    cycle_type: tuple
-    support: int
-    class_size: int
-    lower: int
-    upper: int
-
-
 class SandwichReport(NamedTuple):
     n: int
     num_types: int
     passed: bool
-    tightest_lower: SandwichWitness
-    tightest_upper: SandwichWitness
 
 
 def class_sandwich_check(n: int, limit: int = DEGREE_LIMIT) -> SandwichReport:
-    """Verify C(n,k) <= |C| <= n^k for every class of S_n (k = support).
-
-    Returns the extremal witnesses: the classes where each side is tightest,
-    compared by exact cross-multiplication.
-    """
+    """Verify C(n,k) <= |C| <= n^k for every class of S_n (k = support)."""
     if n > limit:
         raise LimitExceeded(f"class-size sandwich check is capped at n={limit}")
     from .characters import partitions
 
+    types = partitions(n)
     passed = True
-    best_lo = None  # (size, binom, witness): minimize size/binom
-    best_hi = None  # (size, power, witness): maximize size/power
-    count = 0
-    for t in partitions(n):
-        count += 1
+    for t in types:
         k = n - t.count(1)
-        size = sn_class_size(t)
-        binom = math.comb(n, k)
-        power = n**k
-        if not (binom <= size <= power):
+        if not (math.comb(n, k) <= sn_class_size(t) <= n**k):
             passed = False
-        wit = SandwichWitness(t, k, size, binom, power)
-        if best_lo is None or size * best_lo[1] < best_lo[0] * binom:
-            best_lo = (size, binom, wit)
-        if best_hi is None or size * best_hi[1] > best_hi[0] * power:
-            best_hi = (size, power, wit)
-    return SandwichReport(n, count, passed, best_lo[2], best_hi[2])
+    return SandwichReport(n, len(types), passed)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +277,10 @@ def _numbers(name: str) -> list:
         ) from None
 
 
+class _UnknownName(ParseError):
+    """A name that matches no catalog family."""
+
+
 def resolve_catalog(name: str) -> CatalogEntry:
     """Resolve a catalog name to a lazily built group and, where available,
     an analytic profile.  Grammar: cyclic:k@n, young:a+b+..., block:mxr,
@@ -372,12 +351,13 @@ def resolve_catalog(name: str) -> CatalogEntry:
         return CatalogEntry(
             name, 7, lambda: 24, _built("gl32_plane_stabilizer"), parent_name="gl32"
         )
-    raise ParseError(f"unknown catalog name: {name!r}")
+    raise _UnknownName(f"unknown catalog name: {name!r}")
 
 
 def resolve(spec: str) -> CatalogEntry:
     """The entry of a group input: the group file at the path `spec`, parsed
-    and its chain built at once, else the catalog name `spec`."""
+    and its chain built at once, else the catalog name `spec`.  A name of a
+    catalog family that the family refuses gets the family's own message."""
     if os.path.exists(spec):
         from .perm import load_group_file, read_group_file
 
@@ -389,7 +369,7 @@ def resolve(spec: str) -> CatalogEntry:
         )
     try:
         return resolve_catalog(spec)
-    except ParseError:
+    except _UnknownName:
         raise ParseError(
             f"{spec!r} is neither an existing group file nor a catalog name"
         ) from None

@@ -15,13 +15,14 @@ Cycle types and the census type ``ClassProfile`` live in ``hsplab.profile``.
 from __future__ import annotations
 
 import re
+import sys
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from . import _kernels
 from .errors import InvariantError, LimitExceeded, ParseError, PreconditionError
-from .profile import ENUMERATION_LIMIT, ClassProfile, CycleType, check_enumeration
+from .profile import ENUMERATION_LIMIT, ClassProfile, check_enumeration
 
 
 def inv_array(a: np.ndarray) -> np.ndarray:
@@ -96,23 +97,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({self.cycles()!r}, degree={self.degree})"
-
-
-def cycle_type_of_array(arr: np.ndarray) -> CycleType:
-    n = arr.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    parts = []
-    for i in range(n):
-        if not seen[i]:
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = int(arr[j])
-                length += 1
-            parts.append(length)
-    parts.sort(reverse=True)
-    return tuple(parts)
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -534,82 +518,6 @@ class PermGroup:
 
 
 # ---------------------------------------------------------------------------
-# orbits, blocks, primitivity
-# ---------------------------------------------------------------------------
-
-
-def orbits(G: PermGroup) -> list:
-    """Orbits on {1..n} as sorted tuples, ordered by smallest point."""
-    out: dict[int, list] = {}
-    for p, least in enumerate(orbit_labels([g.array for g in G.generators], G.degree).tolist()):
-        out.setdefault(least, []).append(p + 1)
-    return [tuple(orb) for orb in out.values()]
-
-
-def is_transitive(G: PermGroup) -> bool:
-    return len(orbits(G)) == 1
-
-
-def _minimal_block_with(n: int, gens: list, beta: int) -> list:
-    """Finest block system whose block contains {0, beta} (Atkinson)."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    parent[beta] = 0
-    pending = [(0, beta)]  # merged pairs whose images are still to be merged
-    while pending:
-        a, b = pending.pop()
-        for g in gens:
-            ra, rb = find(int(g[a])), find(int(g[b]))
-            if ra != rb:
-                if ra > rb:
-                    ra, rb = rb, ra
-                parent[rb] = ra
-                pending.append((ra, rb))
-    classes: dict[int, list] = {}
-    for x in range(n):
-        classes.setdefault(find(x), []).append(x)
-    return sorted(classes.values())
-
-
-def minimal_blocks(G: PermGroup):
-    """A minimal non-trivial block system, or None if G is primitive.
-
-    Scans candidate points in increasing order and returns the system with the
-    smallest block size (ties by smallest candidate), so output is
-    deterministic.  Requires a transitive group.
-    """
-    if not is_transitive(G):
-        raise PreconditionError("block systems are defined for transitive groups only")
-    n = G.degree
-    if n == 1:
-        return None
-    gens = [g.array for g in G.generators]
-    best = None
-    for beta in range(1, n):
-        system = _minimal_block_with(n, gens, beta)
-        size = len(system[0]) if len(system) > 1 else n
-        if 1 < size < n and (best is None or size < len(best[0])):
-            best = system
-            if size == 2:
-                break
-    if best is None:
-        return None
-    return [tuple(x + 1 for x in block) for block in best]
-
-
-def is_primitive(G: PermGroup) -> bool:
-    return minimal_blocks(G) is None
-
-
-# ---------------------------------------------------------------------------
 # censuses and conjugacy classes
 # ---------------------------------------------------------------------------
 
@@ -634,13 +542,6 @@ def class_profile(H: PermGroup, limit: int = ENUMERATION_LIMIT) -> ClassProfile:
             parts.extend([length] * row[length - 1])
         counts[tuple(parts)] = c
     return ClassProfile(n, counts)
-
-
-def minimal_degree(H: PermGroup, limit: int = ENUMERATION_LIMIT) -> int:
-    """m(H): minimum support of a non-identity element."""
-    if H.order <= 1:
-        raise PreconditionError("minimal degree is undefined for the trivial group")
-    return class_profile(H, limit).minimal_support()
 
 
 def element_class_map(G: PermGroup, limit: int = ENUMERATION_LIMIT):
@@ -719,7 +620,12 @@ def parse_group_file(text: str) -> PermGroup:
     m = re.fullmatch(r"degree\s+(\d+)", lines[0])
     if not m:
         raise ParseError("group file must start with a 'degree n' line")
-    degree = int(m.group(1))
+    try:
+        degree = int(m.group(1))
+    except ValueError:  # past the interpreter's int-conversion limit
+        raise ParseError(
+            f"the group file's degree has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
     if degree < 1:
         raise ParseError("degree must be positive")
     gens = [parse_cycles(line, degree) for line in lines[1:]]

@@ -7,7 +7,7 @@ convention; it only shifts the constant c).
 
 Everything here works from a cycle-type census and needs no group: the
 small-subgroup dichotomy `poly_subgroup_verdict`, which enumerates a
-subgroup, lives in `hsplab.checks`.
+subgroup, lives in `hsplab.paper`.
 """
 
 from __future__ import annotations

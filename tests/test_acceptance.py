@@ -31,7 +31,8 @@ from hsplab.groups import (
     young_gens,
 )
 from hsplab.lab import block_group_profile, class_sandwich_check, product_profile, young_profile
-from hsplab.perm import ClassProfile, PermGroup, class_profile, cycle_type_of_array
+from hsplab.paper import cycle_type_of_array
+from hsplab.perm import ClassProfile, PermGroup, class_profile
 from hsplab.qfs import d_between, dh_exact, plancherel, thm1_bounds, weak_distribution
 
 

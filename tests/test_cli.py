@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -285,8 +286,36 @@ def test_a_catalog_number_past_the_int_conversion_limit_is_a_parse_error(
         lab.resolve_catalog(spec)
     assert str(refused.value) == "a catalog number has more than 4300 digits"
     code, out, err = run_cli(capsys, "analyze", spec)
+    assert (code, out, err) == (2, "", "error: a catalog number has more than 4300 digits\n")
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("cyclic:5@3", "cyclic:5@3: need 1 <= k <= n"),
+        ("young:0+2", "young:0+2: parts must be positive"),
+        ("block:1x2", "block:1x2: need m >= 2 and r >= 1"),
+        ("symmetric:0", "symmetric:0: degree must be positive"),
+        # no catalog family matches these
+        ("cyclic:5", "'cyclic:5' is neither an existing group file nor a catalog name"),
+        (f"bogus:{_LONG_NUMBER}", f"'bogus:{_LONG_NUMBER}' is neither an existing group file "
+         "nor a catalog name"),
+    ],
+    ids=["cyclic", "young", "block", "symmetric", "no-family", "no-family-long"],
+)
+def test_a_catalog_family_refuses_a_name_in_its_own_words(spec, message, capsys):
+    code, out, err = run_cli(capsys, "analyze", spec)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_group_file_degree_past_the_int_conversion_limit_is_a_parse_error(
+    tmp_path, capsys, default_int_digits
+):
+    path = tmp_path / "huge.grp"
+    path.write_text(f"degree {_LONG_NUMBER}\n(1 2)\n")
+    code, out, err = run_cli(capsys, "analyze", str(path))
     assert (code, out) == (2, "")
-    assert err == f"error: {spec!r} is neither an existing group file nor a catalog name\n"
+    assert err == "error: the group file's degree has more than 4300 digits\n"
 
 
 def test_a_count_is_printed_in_full_while_the_interpreter_can(default_int_digits):
@@ -701,7 +730,7 @@ def test_an_unreadable_group_file_is_a_parse_error(kind, tmp_path, capsys):
 def test_a_cyclic_subgroup_of_order_0_is_refused(argv, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == "error: 'cyclic:0@3' is neither an existing group file nor a catalog name\n"
+    assert err == "error: cyclic:0@3: need 1 <= k <= n\n"
 
 
 _C_JOBS = [("analyze", "block:3x2"), ("coset", "symmetric:4", "young:3+1")]
@@ -838,10 +867,12 @@ def test_importing_the_package_and_cli_loads_no_numpy():
     assert proc.stdout.strip() == "False"
 
 
-# What a job loads: the analytic jobs none of the group layer, the
-# library-only checks or csv; no job OpenSSL (hashlib: the input digests come
-# from the built-in sha256).  `random` is not asserted on: a `site` hook may
-# import it before hsplab runs.
+# What a job loads: its own subcommand's module and no other's, never the
+# library-only paper checks; the analytic jobs none of the group layer, the
+# `check` suites or csv; no job OpenSSL (hashlib: the input digests come from
+# the built-in sha256).  `random` is not asserted on: a `site` hook may import
+# it before hsplab runs.
+_SUBCOMMANDS = ("analyze", "compare", "coset", "sweep", "check")
 _ANALYTIC_UNUSED = ["numpy", "csv", "hsplab.perm", "hsplab.groups", "hsplab.checks"]
 _HASHLIB = ["hashlib", "_hashlib"]
 
@@ -869,16 +900,34 @@ def test_a_job_loads_only_what_its_subcommand_runs(argv, unused, tmp_path):
     for name, text in _FANO_FILES.items():
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg for arg in argv]  # files
+    own = f"hsplab.commands.{argv[0]}"
+    unused = [
+        *unused, "hsplab.paper", *(f"hsplab.commands.{name}" for name in _SUBCOMMANDS)
+    ]
+    unused.remove(own)
     code = (
         "import contextlib, io, sys\nfrom hsplab.cli import main\n"
         f"with contextlib.redirect_stdout(io.StringIO()):\n    code = main({argv!r})\n"
-        f"print(code, sorted(m for m in {unused!r} if m in sys.modules))\n"
+        f"print(code, {own!r} in sys.modules, sorted(m for m in {unused!r} if m in sys.modules))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ}, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0 []"
+    assert proc.stdout.strip() == "0 True []"
+
+
+def test_importing_the_cli_loads_the_character_layer_and_no_subcommand():
+    # an in-process replay reads the character cache before its first job
+    code = (
+        "import sys\nimport hsplab.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('hsplab.c')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ}, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['hsplab.characters', 'hsplab.cli']"
 
 
 def _import_cli_child(env: dict) -> subprocess.CompletedProcess:
@@ -1050,6 +1099,67 @@ def test_the_entry_runs_atexit_handlers_and_skips_finalisation(entry, stderr):
     )
     assert (proc.returncode, proc.stderr) == (0, stderr)
     assert json.loads(proc.stdout)["dh"] == "1/3"
+
+
+# The process entry runs the job with the cyclic garbage collector off;
+# `main`, which the library and the tests call, leaves it alone.
+
+
+def test_the_process_entry_runs_the_job_without_the_collector():
+    code = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('collector enabled:', gc.isenabled()))\n"
+        "sys.argv[1:] = ['analyze', 'cyclic:2@3']\n"
+        "from hsplab.cli import run\nsys.exit(run())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ}, capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report, _, tail = proc.stdout.rpartition("}\n")
+    assert json.loads(report + "}")["dh"] == "1/3"
+    assert tail == "collector enabled: False\n"
+
+
+def test_main_leaves_the_collector_enabled(capsys):
+    assert gc.isenabled()
+    assert run_cli(capsys, "analyze", "cyclic:2@3")[0] == 0
+    assert gc.isenabled()
+
+
+def _unreachable_after(argv: list) -> int:
+    """The objects that one `main` job in a fresh process, run with the
+    collector off, leaves unreachable: what a job under `run` never frees."""
+    code = (
+        "import contextlib, gc, io\ngc.disable()\nfrom hsplab.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    code = main({argv!r})\n"
+        "print(code, gc.collect())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ}, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    status, count = map(int, proc.stdout.split())
+    assert status == 0
+    return count
+
+
+# (a small input, a large one) of one subcommand; the large coset is the
+# order-40320 action of S_8 on the 5040 cosets of C_8
+@pytest.mark.parametrize(
+    "small, large",
+    [
+        (["analyze", "young:3+2"], ["analyze", "young:20+20"]),
+        (["sweep", "--family", "young", "--start", "3", "--end", "5"],
+         ["sweep", "--family", "young", "--start", "3", "--end", "16"]),
+        (["coset", "symmetric:5", "young:3+2"], ["coset", "symmetric:8", "cyclic:8@8"]),
+    ],
+    ids=["analyze", "sweep", "coset"],
+)
+def test_a_job_without_the_collector_leaves_garbage_that_does_not_grow_with_its_input(
+    small, large
+):
+    assert abs(_unreachable_after(large) - _unreachable_after(small)) <= 10
 
 
 # ---------------------------------------------------------------------------

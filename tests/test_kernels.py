@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from hsplab import _kernels
 from hsplab.coset import coset_action, fix_in_X, rank_subdegrees
-from hsplab.perm import PermGroup, Permutation, cycle_type_of_array, inv_array, parse_cycles
+from hsplab.paper import cycle_type_of_array
+from hsplab.perm import PermGroup, Permutation, inv_array, parse_cycles
 
 GROUPS = [
     PermGroup.from_cycles(["(1 2)", "(1 2 3)"], 3),

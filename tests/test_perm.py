@@ -13,19 +13,21 @@ from hypothesis import strategies as st
 from hsplab import _kernels
 from hsplab.errors import LimitExceeded, ParseError, PreconditionError
 from hsplab.lab import resolve_catalog
-from hsplab.perm import (
-    PermGroup,
-    Permutation,
-    class_profile,
+from hsplab.paper import (
     cycle_type_of_array,
-    element_class_map,
-    inv_array,
     is_primitive,
     is_transitive,
     minimal_blocks,
     minimal_degree,
-    orbit_labels,
     orbits,
+)
+from hsplab.perm import (
+    PermGroup,
+    Permutation,
+    class_profile,
+    element_class_map,
+    inv_array,
+    orbit_labels,
     parse_cycles,
     parse_group_file,
     _schreier_sims,

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsplab.characters import class_sums, dimension, partitions
-from hsplab.checks import mn_character, poly_subgroup_verdict
+from hsplab.checks import mn_character
 from hsplab.errors import InvariantError, PreconditionError
-from hsplab.perm import PermGroup, class_profile, cycle_type_of_array
+from hsplab.paper import cycle_type_of_array, poly_subgroup_verdict
+from hsplab.perm import PermGroup, class_profile
 from hsplab.profile import ClassProfile, sn_class_size
 from hsplab.qfs import (
     BoundsReport,

@@ -8,24 +8,38 @@ import hsplab
 PACKAGE = Path(hsplab.__file__).parent
 
 
+def _name(path: Path) -> str:
+    """A source file's path within the package, as the failures name it."""
+    return path.relative_to(PACKAGE).as_posix()
+
+
+def _module(path: Path) -> str:
+    """The dotted name of the module in the package's source file `path`."""
+    parts = ["hsplab", *path.relative_to(PACKAGE).with_suffix("").parts]
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
 def test_no_assert_statements_in_the_package():
     # invariants raise; they do not assert, so they still run under python -O
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(PACKAGE.glob("*.py"))
+        f"{_name(path)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
-    assert sorted(PACKAGE.glob("*.py")) and not found, found
+    assert sorted(PACKAGE.rglob("*.py")) and not found, found
 
 
 # The modules on the import path of an analytic job (a catalog `analyze` or
 # `sweep`).  What only other jobs need is imported inside the functions that
-# use it, so these jobs never load numpy, the group layer, the library-only
-# checks or OpenSSL.
-_ANALYTIC_PATH = ("cli", "lab", "qfs", "characters", "profile", "radical", "errors")
+# use it, so these jobs never load numpy, the group layer, the `check` suites,
+# the library-only paper checks or OpenSSL.
+_ANALYTIC_PATH = (
+    "cli", "commands", "commands.analyze", "commands.sweep",
+    "lab", "qfs", "characters", "profile", "radical", "errors",
+)
 _OFF_THE_PATH = {
-    "numpy", "perm", "coset", "_kernels", "groups", "checks", "csv", "random", "hashlib"
+    "numpy", "perm", "coset", "_kernels", "groups", "checks", "paper", "csv", "random", "hashlib"
 }
 
 
@@ -52,10 +66,40 @@ def _runtime_imports(body: list):
 def test_the_analytic_import_path_loads_nothing_it_does_not_run():
     found = []
     for name in _ANALYTIC_PATH:
-        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        path = PACKAGE.joinpath(*name.split("."))
+        path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         for module in _runtime_imports(tree.body):
             if module.removeprefix("hsplab.").split(".")[0] in _OFF_THE_PATH:
                 found.append(f"{name}: {module}")
+    assert not found, found
+
+
+def _absolute_imports(path: Path):
+    """(line, module) of every import anywhere in the source file `path`,
+    relative ones resolved: both `from X import y` and the module X.y."""
+    package = _module(path).split(".")
+    if path.name != "__init__.py":
+        package.pop()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            target = ".".join(base + ([node.module] if node.module else []))
+            yield node.lineno, target
+            yield from ((node.lineno, f"{target}.{alias.name}") for alias in node.names)
+
+
+def test_no_module_imports_the_cli():
+    # under `python -m hsplab.cli` the CLI module runs as __main__, so an
+    # import of hsplab.cli would compile and run it a second time
+    found = [
+        f"{_name(path)}:{line}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for line, module in _absolute_imports(path)
+        if module == "hsplab.cli"
+    ]
     assert not found, found
 
 
@@ -78,8 +122,8 @@ def test_no_module_imports_hashlib():
     # digests come from CPython's built-in sha256 module; hashlib, which loads
     # OpenSSL, is only the fallback for an interpreter built without it
     found = [
-        path.name
-        for path in sorted(PACKAGE.glob("*.py"))
+        _name(path)
+        for path in sorted(PACKAGE.rglob("*.py"))
         if "hashlib" in _imports_outside_import_error_handlers(
             ast.parse(path.read_text(encoding="utf-8"))
         )
@@ -127,7 +171,7 @@ def _loaded_name(node):
 def test_every_function_in_the_package_is_read_by_the_package():
     # what only the tests call belongs in the tests, or nowhere
     functions, loads = [], {}
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         functions += [(path, name, fn) for name, fn in _functions(tree)]
         for node in ast.walk(tree):
@@ -135,7 +179,7 @@ def test_every_function_in_the_package_is_read_by_the_package():
             if name is not None:
                 loads.setdefault(name, []).append((path, node.lineno))
     unread = [
-        f"{path.name}:{qualname}"
+        f"{_name(path)}:{qualname}"
         for path, qualname, fn in functions
         if not (fn.name.startswith("__") and fn.name.endswith("__"))
         and qualname not in _UNREAD_BY_DESIGN
