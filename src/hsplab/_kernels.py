@@ -8,8 +8,10 @@ Permutations are 0-based int32 image arrays; ``mult(a, b)[i] = b[a[i]]``
 (apply ``a`` first, then ``b``).  Every kernel works on a *row matrix*, one
 permutation per row, with numpy operations over all rows at once:
 
-- canonicalization (:func:`canon_batch`, :func:`fix_count`) makes one
-  ``argmin`` and one gather per chain level;
+- canonicalization (:func:`canon_batch`) makes one ``argmin`` and one
+  gather per chain level;
+- the fix count (:func:`fix_count`) sifts each row's conjugate of g through
+  the chain one point at a time, dropping a row at its first failing point;
 - the census (:func:`census_rows`) counts the cycles of each block of the
   chain's elements (``PackedChain.blocks``) by pointer doubling.
 """
@@ -46,10 +48,42 @@ def canon_batch(reps, g, chain):
     return _canon_rows(g[reps], chain)
 
 
-def fix_count(reps, g, chain) -> int:
-    """Number of rows r whose coset(reps[r] * g) has canonical rep reps[r]:
-    for a table of canonical reps, the number of cosets that g fixes."""
-    return int(np.count_nonzero((_canon_rows(g[reps], chain) == reps).all(axis=1)))
+def fix_count(reps, reps_inv, g, chain, moved) -> int:
+    """Number of cosets H x that g fixes, over the rows x of a coset table
+    `reps` (one row per coset) of G/H; `reps_inv` holds the inverse of each
+    row, and `moved` the points that G moves (a superset serves as well).
+
+    H x g = H x exactly when y = x g x^-1 lies in H.  The membership sift
+    computes y one point at a time, over the rows still in play: first the
+    base points, each image stripped through the transversal inverses already
+    chosen for its row, which must land in its level's orbit; then every
+    other point that G moves, whose stripped image must be the point itself
+    (y and H lie in G, so they fix every point that G fixes).  A row drops
+    out at its first failing point.
+    """
+    n = reps.shape[1]
+    flat, flat_inv, trans_inv = reps.ravel(), reps_inv.ravel(), chain.trans_inv.ravel()
+    base = chain.base.tolist()
+    rest = sorted(set(moved).difference(base))
+    rows = np.arange(0, flat.size, n)  # the flat offset of each row in play
+    # row l: the flat offset in trans_inv of the inverse chosen at level l
+    strips = np.empty((len(base), rows.size), dtype=np.int64)
+    for step, p in enumerate(base + rest):
+        # y(p) = x^-1(g(x(p))), then each chosen inverse in level order
+        y = flat_inv[rows + g[flat[rows + p]]]
+        for off in strips[:step]:
+            y = trans_inv[off + y]
+        if step < len(base):
+            k = chain.pos[step, y]
+            keep = np.flatnonzero(k >= 0)
+        else:
+            keep = np.flatnonzero(y == p)
+        rows, strips = rows[keep], strips[:, keep]
+        if step < len(base):
+            strips[step] = (chain.level_off[step] + k[keep]) * n
+        if not rows.size:
+            return 0
+    return int(rows.size)
 
 
 def _cycle_counts(block, out):

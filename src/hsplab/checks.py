@@ -6,8 +6,9 @@
 - The bodies of the `check` suites (`SUITES`, by suite name).
 
 None of this needs numpy at import: the group layer is imported inside the
-Frobenius suite, the one suite that builds groups.  The paper checks that no
-CLI command runs live in `hsplab.paper`.
+Frobenius suite, the one suite that builds groups, and `hsplab.lab` inside
+the sandwich suite, so a Frobenius job loads none of the analytic stack.
+The paper checks that no CLI command runs live in `hsplab.paper`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from . import characters, lab
+from . import characters
 from .characters import Partition, _dimension, is_partition, partitions
 from .errors import InvariantError, LimitExceeded, ParseError, PreconditionError
 
@@ -112,6 +113,8 @@ def _check_orthogonality(args) -> dict:
 
 
 def _check_sandwich(args) -> dict:
+    from . import lab
+
     _at_least_one("--max-n", args.max_n)
     if args.max_n > args.degree_limit:
         raise LimitExceeded(f"class-size sandwich check is capped at n={args.degree_limit}")

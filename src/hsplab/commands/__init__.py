@@ -14,8 +14,7 @@ import argparse
 import math
 
 from ..errors import ParseError
-from ..lab import DEGREE_LIMIT
-from ..profile import ENUMERATION_LIMIT, INDEX_LIMIT
+from ..profile import DEGREE_LIMIT, ENUMERATION_LIMIT, INDEX_LIMIT
 
 
 def add_limits(p: argparse.ArgumentParser, *names: str) -> None:

@@ -6,7 +6,7 @@ import argparse
 import time
 
 from .. import lab, qfs
-from ..errors import PreconditionError
+from ..errors import InvariantError, PreconditionError
 from ..radical import frac_text
 from . import add_limits
 
@@ -52,6 +52,17 @@ def run(args) -> dict:
         order_limit=args.order_limit,
         index_limit=args.index_limit,
     )
+    if not report_g.consistent:
+        verdicts = {
+            "class_counts_equal": report_g.class_counts_equal,
+            "perm_chars_equal": report_g.perm_chars_equal,
+        }
+        if report_g.profile_distance is not None:
+            verdicts["profile_distance_zero"] = report_g.profile_distance == 0
+        raise InvariantError(
+            "Gassmann conditions disagree: "
+            + ", ".join(f"{name}={str(value).lower()}" for name, value in verdicts.items())
+        )
     if n > args.degree_limit:
         sn_distance = None
     else:

@@ -6,6 +6,7 @@ import argparse
 import time
 
 from .. import lab
+from ..errors import InvariantError
 from ..radical import frac_text
 from . import add_c, add_limits, check_c
 
@@ -47,5 +48,9 @@ def run(args) -> dict:
     if sub.order >= 2:
         b1, b2 = coset.fixpoint_bounds(ca)
         report["fixpoint_bounds"] = {"bound_i": frac_text(b1), "bound_ii": frac_text(b2)}
+    if not report["class_identity_holds"]:
+        raise InvariantError(
+            "class identity violated: fix_X(C)|C| and |H cap C||X| disagree on a class C of G"
+        )
     report["wall_time_s"] = round(time.perf_counter() - t0, 6)
     return report

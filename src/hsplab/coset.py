@@ -5,7 +5,12 @@ minimal element of each coset, computed greedily along H's stabilizer chain
 (whose base is in increasing smallest-moved-point order, which makes the
 greedy choice lex-minimal).  The table is built breadth-first from the coset
 H with generators applied in input order, so everything downstream is
-deterministic.
+deterministic.  A fix count sifts each coset's conjugate of g through H's
+chain (`_kernels.fix_count`).
+
+The exact-number layers (`qfs`, `radical`) are imported by the functions and
+`serialize` methods that use them, so a job that only checks identities on
+the action, the Frobenius suite, loads neither.
 """
 
 from __future__ import annotations
@@ -34,8 +39,6 @@ from .profile import (
     check_index,
     sn_class_size,
 )
-from .qfs import d_between, distinguishability_threshold
-from .radical import frac_text
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -69,6 +72,9 @@ class CosetAction:
         self.index = reps.shape[0]
         self.reps = reps  # (index, degree) canonical representatives, BFS order
         self._order = order  # the rows of reps sorted by their keys
+        # built on first use by fix_in_X: the inverse of each row of reps,
+        # and the points that G moves
+        self._reps_inv = self._moved = None
         self._table = None  # built on first use by permutation_character
         self._rank_report = None  # built on first use by rank_subdegrees
 
@@ -134,7 +140,13 @@ def coset_action(
 def fix_in_X(ca: CosetAction, g: Permutation) -> int:
     """Number of cosets fixed by g."""
     ca._check_member(g)
-    return _kernels.fix_count(ca.reps, g.array, ca.subgroup.chain)
+    if ca._reps_inv is None:
+        points = np.arange(ca.group.degree, dtype=np.int32)
+        ca._reps_inv = np.empty_like(ca.reps)
+        np.put_along_axis(ca._reps_inv, ca.reps, points, axis=1)
+        moving = [h.array != points for h in ca.group.generators]
+        ca._moved = np.flatnonzero(np.any(moving, axis=0)).tolist()
+    return _kernels.fix_count(ca.reps, ca._reps_inv, g.array, ca.subgroup.chain, ca._moved)
 
 
 def _sn_type_rep(t: tuple, n: int) -> Permutation:
@@ -280,6 +292,8 @@ class AvgSubdegreeVerdict(NamedTuple):
     implied_distinguishable: bool
 
     def serialize(self) -> dict:
+        from .radical import frac_text
+
         return {
             "average_subdegree": frac_text(self.average_subdegree),
             "rank": self.rank,
@@ -298,6 +312,8 @@ class AvgSubdegreeVerdict(NamedTuple):
 def avg_subdegree_verdict(ca: CosetAction, c: float) -> AvgSubdegreeVerdict:
     """Average-subdegree test: small average subdegree with |H| above the
     polylog size bound forces D_H > bound (ii) >= 1/avg - 1/|H|."""
+    from .qfs import distinguishability_threshold
+
     rr = rank_subdegrees(ca)
     avg = Fraction(ca.index, rr.rank)
     threshold = math.log2(ca.group.order) ** c if ca.group.order > 1 else 1.0
@@ -359,6 +375,8 @@ class GassmannReport(NamedTuple):
         return ok
 
     def serialize(self) -> dict:
+        from .radical import frac_text
+
         return {
             "degree": self.degree,
             "order_h": str(self.order_h),
@@ -450,6 +468,8 @@ def gassmann_test(
 
     distance = None
     if G.order == math.factorial(G.degree):
+        from .qfs import d_between
+
         n = G.degree
         distance = d_between(n, ClassProfile(n, counts_h), ClassProfile(n, counts_k))
 

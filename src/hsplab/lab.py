@@ -20,14 +20,16 @@ from functools import cached_property, partial
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import LimitExceeded, ParseError, PreconditionError
-from .profile import ENUMERATION_LIMIT, ClassProfile, check_enumeration, sn_class_size
+from .profile import (
+    DEGREE_LIMIT,
+    ENUMERATION_LIMIT,
+    ClassProfile,
+    check_enumeration,
+    sn_class_size,
+)
 
 if TYPE_CHECKING:
     from .perm import PermGroup
-
-#: Degree cap for partition scans (class-size sandwich, Liebeck report) and
-#: the CLI's default character-analysis limit.
-DEGREE_LIMIT = 40
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .characters import partitions
 from .errors import LimitExceeded, PreconditionError
-from .lab import DEGREE_LIMIT, support_census
-from .profile import ENUMERATION_LIMIT, ClassProfile, CycleType, sn_class_size
+from .lab import support_census
+from .profile import DEGREE_LIMIT, ENUMERATION_LIMIT, ClassProfile, CycleType, sn_class_size
 from .radical import frac_text
 
 if TYPE_CHECKING:

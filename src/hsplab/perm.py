@@ -21,8 +21,8 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from . import _kernels
-from .errors import InvariantError, LimitExceeded, ParseError, PreconditionError
-from .profile import ENUMERATION_LIMIT, ClassProfile, check_enumeration
+from .errors import InvariantError, ParseError, PreconditionError
+from .profile import ENUMERATION_LIMIT, ClassProfile, check_enumeration, check_group_degree
 
 
 def inv_array(a: np.ndarray) -> np.ndarray:
@@ -525,8 +525,7 @@ class PermGroup:
 def class_profile(H: PermGroup, limit: int = ENUMERATION_LIMIT) -> ClassProfile:
     """Exact census of H by S_n cycle type via chain enumeration."""
     check_enumeration(H.order, limit)
-    if H.degree > 32000:  # census rows are int16 multiplicity vectors
-        raise LimitExceeded("censuses support degrees up to 32000")
+    check_group_degree(H.degree)  # census rows are int16 multiplicity vectors
     n = H.degree
     rows = _kernels.census_rows(H.chain, n, H.order)
     # group equal rows by sorting them in place as opaque byte strings
@@ -628,6 +627,7 @@ def parse_group_file(text: str) -> PermGroup:
         ) from None
     if degree < 1:
         raise ParseError("degree must be positive")
+    check_group_degree(degree)  # before any array of the degree is built
     gens = [parse_cycles(line, degree) for line in lines[1:]]
     return PermGroup(gens, degree=degree)
 

@@ -23,6 +23,15 @@ ENUMERATION_LIMIT = 10**6
 #: Default bound on |G:H| for coset tables.
 INDEX_LIMIT = 10**5
 
+#: Degree cap for partition scans (class-size sandwich, Liebeck report) and
+#: the CLI's default character-analysis limit.
+DEGREE_LIMIT = 40
+
+#: Largest degree of a permutation group: a census row holds each cycle
+#: length's multiplicity as an int16, and a group file of a larger degree is
+#: refused before any of its arrays is built.
+GROUP_DEGREE_LIMIT = 32000
+
 CycleType = tuple  # partition of the degree, descending, 1s included
 
 
@@ -43,6 +52,14 @@ def check_enumeration(order: int, limit: int = ENUMERATION_LIMIT) -> None:
     if order > limit:
         raise LimitExceeded(
             f"group order {_count_text(order)} exceeds the enumeration bound {limit}"
+        )
+
+
+def check_group_degree(degree: int) -> None:
+    """Refuse a permutation group of a degree over GROUP_DEGREE_LIMIT."""
+    if degree > GROUP_DEGREE_LIMIT:
+        raise LimitExceeded(
+            f"degree {_count_text(degree)} exceeds the group degree bound {GROUP_DEGREE_LIMIT}"
         )
 
 

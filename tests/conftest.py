@@ -7,6 +7,7 @@ subgroups), which doubles as an independent oracle for chain-based orders.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import os
 import random
@@ -199,7 +200,21 @@ def s4_subgroups(s4_table) -> list:
     return [s4_table.subgroup_from_mask(m) for m in s4_table.all_subgroup_masks()]
 
 
+_SMALL_PARENTS = {
+    "S5": lambda: PermGroup.symmetric(5),
+    "S6": lambda: PermGroup.symmetric(6),
+    "A6": lambda: PermGroup.alternating(6),
+}
+
+
+@functools.cache
+def every_subgroup(parent: str) -> tuple:
+    """(G, every subgroup of G) for G named "S5", "S6" or "A6", built once
+    per test session."""
+    table = GroupTable(_SMALL_PARENTS[parent]())
+    return table.group, [table.subgroup_from_mask(m) for m in table.all_subgroup_masks()]
+
+
 @pytest.fixture(scope="session")
 def s5_subgroups() -> list:
-    table = GroupTable(PermGroup.symmetric(5))
-    return [table.subgroup_from_mask(m) for m in table.all_subgroup_masks()]
+    return every_subgroup("S5")[1]

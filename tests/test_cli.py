@@ -308,6 +308,26 @@ def test_a_catalog_family_refuses_a_name_in_its_own_words(spec, message, capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("degree", ["9" * 30, "3000000000", "1000001", "32001"])
+@pytest.mark.parametrize("command", ["analyze", "coset"])
+def test_a_group_file_over_the_degree_bound_is_refused_before_it_is_read(
+    degree, command, tmp_path, capsys, monkeypatch
+):
+    def unbuildable(*args, **kwargs):
+        raise AssertionError("parsed a generator of a refused group file")
+
+    monkeypatch.setattr(perm, "parse_cycles", unbuildable)
+    path = tmp_path / "huge.grp"
+    path.write_text(f"degree {degree}\n(1 2)\n")
+    code, out, err = run_cli(capsys, command, *[str(path)] * (1 if command == "analyze" else 2))
+    assert (code, out) == (3, "")
+    assert err == f"error: degree {degree} exceeds the group degree bound 32000\n"
+
+
+def test_a_group_file_at_the_degree_bound_is_read():
+    assert perm.parse_group_file("degree 32000\n").degree == profile.GROUP_DEGREE_LIMIT == 32000
+
+
 def test_a_group_file_degree_past_the_int_conversion_limit_is_a_parse_error(
     tmp_path, capsys, default_int_digits
 ):
@@ -664,6 +684,39 @@ def test_frobenius_check_does_not_read_the_induced_images(capsys, monkeypatch):
     assert "Frobenius identity violated" in err
 
 
+def test_a_false_class_identity_exits_1(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "coset", "symmetric:5", "young:3+2")
+    assert code == 0 and json.loads(out)["class_identity_holds"] is True
+    # the 5-cycles miss H, so one more fixed coset on them leaves the
+    # Frobenius total alone: only the class identity sees it
+    real = coset.fix_in_X
+    five_cycle = perm.parse_cycles("(1 2 3 4 5)", 5)
+    monkeypatch.setattr(coset, "fix_in_X", lambda ca, g: real(ca, g) + (g == five_cycle))
+    code, out, err = run_cli(capsys, "coset", "symmetric:5", "young:3+2")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: class identity violated: fix_X(C)|C| and |H cap C||X| disagree on a class C of G\n"
+    )
+
+
+def test_an_inconsistent_gassmann_report_exits_1(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "compare", "gl32-point", "gl32-plane")
+    assert code == 0 and json.loads(out)["gassmann"]["consistent"] is True
+    # one more fixed coset on the first action's non-identity classes: its
+    # permutation character moves, its class counts do not
+    real, first = coset.fix_in_X, {}
+
+    def mutant(ca, g):
+        return real(ca, g) + (first.setdefault("action", ca) is ca and g.support() > 0)
+
+    monkeypatch.setattr(coset, "fix_in_X", mutant)
+    code, out, err = run_cli(capsys, "compare", "gl32-point", "gl32-plane")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: Gassmann conditions disagree: class_counts_equal=true, perm_chars_equal=false\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -869,7 +922,8 @@ def test_importing_the_package_and_cli_loads_no_numpy():
 
 # What a job loads: its own subcommand's module and no other's, never the
 # library-only paper checks; the analytic jobs none of the group layer, the
-# `check` suites or csv; no job OpenSSL (hashlib: the input digests come from
+# `check` suites or csv; the Frobenius suite none of the analytic stack
+# (`lab`, `qfs`, `radical`); no job OpenSSL (hashlib: the input digests come from
 # the built-in sha256).  `random` is not asserted on: a `site` hook may import
 # it before hsplab runs.
 _SUBCOMMANDS = ("analyze", "compare", "coset", "sweep", "check")
@@ -883,7 +937,8 @@ _HASHLIB = ["hashlib", "_hashlib"]
         (["analyze", "block:4x2"], _ANALYTIC_UNUSED + _HASHLIB),
         (["sweep", "--family", "block", "--r", "2", "--start", "2", "--end", "5"],
          _ANALYTIC_UNUSED + _HASHLIB),
-        (["check", "--suite", "frobenius", "--actions", "2", "--seed", "1"], _HASHLIB),
+        (["check", "--suite", "frobenius", "--actions", "2", "--seed", "1"],
+         _HASHLIB + ["hsplab.lab", "hsplab.qfs", "hsplab.radical"]),
         (["analyze", "gl32"], _HASHLIB),
         (["coset", "gl32", "gl32-point"], _HASHLIB),
         (["compare", "gl32-point", "gl32-plane"], _HASHLIB),

@@ -6,14 +6,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import block_bounds, random_subgroup
+from conftest import block_bounds, every_subgroup, random_subgroup
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsplab import _kernels
 from hsplab.coset import coset_action, fix_in_X, rank_subdegrees
 from hsplab.paper import cycle_type_of_array
-from hsplab.perm import PermGroup, Permutation, inv_array, parse_cycles
+from hsplab.perm import PermGroup, Permutation, element_class_map, inv_array, parse_cycles
 
 GROUPS = [
     PermGroup.from_cycles(["(1 2)", "(1 2 3)"], 3),
@@ -42,10 +42,15 @@ def test_census_rows_match_cycle_types(G):
     assert census == Counter(cycle_type_of_array(a) for a in G.element_arrays())
 
 
+def inverse_rows(reps):
+    """The inverse of each row of a matrix of image arrays."""
+    return np.stack([inv_array(x) for x in reps])
+
+
 def test_canon_batch_and_fix_count_match_brute_force():
     H = PermGroup.from_cycles(["(1 2)", "(1 2 3)"], 5)
     S5 = PermGroup.symmetric(5)
-    reps = np.stack(list(S5.element_arrays())[:40])
+    rows = np.stack(list(S5.element_arrays())[:40])
     h_elems = list(H.element_arrays())
 
     def as_tuple(x):
@@ -55,14 +60,17 @@ def test_canon_batch_and_fix_count_match_brute_force():
         # the right coset Hx has members x[h] (apply h, then x)
         return min(as_tuple(x[h]) for h in h_elems)
 
+    # fix_count reads the rows of a coset table: the distinct canonical reps
+    # of the cosets that the 40 elements lie in
+    reps = np.array(sorted({coset_min(x) for x in rows}), dtype=np.int32)
     fixed_total = 0
     for cycles in ("(1 4 2 5)", "(4 5)", "(3 4 5)"):
         g = parse_cycles(cycles, 5).array
-        expected = [coset_min(g[x]) for x in reps]
-        out = _kernels.canon_batch(reps, g, H.chain)
+        expected = [coset_min(g[x]) for x in rows]
+        out = _kernels.canon_batch(rows, g, H.chain)
         assert [as_tuple(row) for row in out] == expected
-        fixed = sum(m == as_tuple(x) for m, x in zip(expected, reps))
-        assert _kernels.fix_count(reps, g, H.chain) == fixed
+        fixed = sum(coset_min(g[x]) == as_tuple(x) for x in reps)
+        assert _kernels.fix_count(reps, inverse_rows(reps), g, H.chain, range(5)) == fixed
         fixed_total += fixed
     assert fixed_total > 0
 
@@ -99,6 +107,40 @@ def test_coset_pipeline():
     assert sum(rr.subdegrees) == 120
 
 
+def assert_fix_counts_match_induced_images(G, H):
+    # the sift of fix_in_X against the canonical-rep route of induced_image,
+    # on a representative of every class of G
+    ca = coset_action(G, H)
+    identity = np.arange(ca.index)
+    for rep, _ in element_class_map(G)[0]:
+        fixed = int(np.count_nonzero(ca.induced_image(rep) == identity))
+        assert fix_in_X(ca, rep) == fixed
+
+
+@pytest.mark.parametrize("parent", ["S5", "S6", "A6"])
+def test_fix_in_X_counts_the_fixed_points_of_the_induced_image_on_every_subgroup(parent):
+    G, subgroups = every_subgroup(parent)
+    for H in subgroups:
+        assert_fix_counts_match_induced_images(G, H)
+
+
+@pytest.mark.parametrize(
+    "G, H",
+    [
+        (PermGroup.symmetric(8), PermGroup.from_cycles(["(1 2 3 4 5 6 7 8)"], 8)),
+        (PermGroup.symmetric(8), PermGroup.from_cycles(["(1 2)", "(3 4)", "(5 6)", "(7 8)"], 8)),
+        # G fixes points 1, 4 and 7, which the sift does not visit
+        (
+            PermGroup.from_cycles(["(2 3 5 6)", "(2 3)", "(8 9)"], 9),
+            PermGroup.from_cycles(["(2 3)(5 6)"], 9),
+        ),
+    ],
+    ids=["S8/C8", "S8/S2^4", "S4xS2/C2"],
+)
+def test_fix_in_X_counts_the_fixed_points_of_the_induced_image_on_larger_tables(G, H):
+    assert_fix_counts_match_induced_images(G, H)
+
+
 def _coset_min(x, h_elems):
     """Lex-minimal member x[h] of the right coset Hx, by brute force."""
     members = x[h_elems]
@@ -120,9 +162,10 @@ def test_canon_rows_match_brute_force_on_random_subgroups(n, seed):
     for g in (np.arange(n, dtype=np.int32), Sn.random_element(rng).array, conj):
         expected = np.stack([_coset_min(g[x], h_elems) for x in reps])
         assert np.array_equal(_kernels.canon_batch(reps, g, H.chain), expected)
+        # reps are canonical, so a coset is fixed when its rep is its image's rep
         fixed = int(np.count_nonzero((expected == reps).all(axis=1)))
-        assert _kernels.fix_count(reps, g, H.chain) == fixed
-    assert _kernels.fix_count(reps, conj, H.chain) >= 1
+        assert _kernels.fix_count(reps, inverse_rows(reps), g, H.chain, range(n)) == fixed
+    assert _kernels.fix_count(reps, inverse_rows(reps), conj, H.chain, range(n)) >= 1
     for x in xs:
         assert np.array_equal(canon(x, H.chain), _coset_min(x, h_elems))
 
@@ -174,6 +217,8 @@ def test_kernels_on_the_trivial_group(n):
     g = np.roll(np.arange(n, dtype=np.int32), 1)
     # every coset of the trivial group is a single element
     assert np.array_equal(_kernels.canon_batch(reps, g, T.chain), g[reps])
-    assert _kernels.fix_count(reps, g, T.chain) == (n if n == 1 else 0)
-    assert _kernels.fix_count(reps, np.arange(n, dtype=np.int32), T.chain) == n
+    reps_inv = inverse_rows(reps)
+    identity = np.arange(n, dtype=np.int32)
+    assert _kernels.fix_count(reps, reps_inv, g, T.chain, range(n)) == (n if n == 1 else 0)
+    assert _kernels.fix_count(reps, reps_inv, identity, T.chain, range(n)) == n
     assert np.array_equal(canon(g, T.chain), g)

@@ -43,35 +43,92 @@ _OFF_THE_PATH = {
 }
 
 
-def _runtime_imports(body: list):
-    """Modules imported when a module body runs: its top-level imports, also
-    those inside `if` and `try`, but not those under `if TYPE_CHECKING:`."""
+def _source(name: str) -> Path:
+    """The source file of the package's module `name` (dotted, after `hsplab.`)."""
+    path = PACKAGE.joinpath(*name.split("."))
+    return path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+
+
+def _runtime_import_nodes(body: list):
+    """The import statements that run when a module body runs: its top-level
+    imports, also those inside `if` and `try`, but not those under `if
+    TYPE_CHECKING:`."""
     for node in body:
-        if isinstance(node, ast.Import):
-            yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            if node.module is None:  # from . import x
-                yield from (alias.name for alias in node.names)
-            else:
-                yield node.module
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
         elif isinstance(node, ast.If):
             if not (isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"):
-                yield from _runtime_imports(node.body)
-            yield from _runtime_imports(node.orelse)
+                yield from _runtime_import_nodes(node.body)
+            yield from _runtime_import_nodes(node.orelse)
         elif isinstance(node, ast.Try):
             for block in (node.body, node.orelse, node.finalbody, *(h.body for h in node.handlers)):
-                yield from _runtime_imports(block)
+                yield from _runtime_import_nodes(block)
+
+
+def _runtime_imports(body: list):
+    """Modules imported when a module body runs (see `_runtime_import_nodes`)."""
+    for node in _runtime_import_nodes(body):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif node.module is None:  # from . import x
+            yield from (alias.name for alias in node.names)
+        else:
+            yield node.module
 
 
 def test_the_analytic_import_path_loads_nothing_it_does_not_run():
     found = []
     for name in _ANALYTIC_PATH:
-        path = PACKAGE.joinpath(*name.split("."))
-        path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tree = ast.parse(_source(name).read_text(encoding="utf-8"))
         for module in _runtime_imports(tree.body):
             if module.removeprefix("hsplab.").split(".")[0] in _OFF_THE_PATH:
                 found.append(f"{name}: {module}")
+    assert not found, found
+
+
+# The modules on the import path of a group-only job (`check --suite
+# frobenius`).  It runs no character sum, so none of them reaches the
+# analytic stack, directly or through another module, when its body runs.
+_GROUP_PATH = (
+    "checks", "coset", "perm", "_kernels", "groups", "profile", "commands", "commands.check",
+)
+_ANALYTIC_STACK = {"lab", "qfs", "radical"}
+
+
+def _package_imports(name: str) -> set:
+    """The package's modules (dotted, after `hsplab.`) that module `name`
+    imports when its body runs, with the packages that hold them."""
+    path = _source(name)
+    package = name.split(".") if path.name == "__init__.py" else name.split(".")[:-1]
+    found = set()
+    for node in _runtime_import_nodes(ast.parse(path.read_text(encoding="utf-8")).body):
+        if isinstance(node, ast.Import):
+            targets = [alias.name.split(".") for alias in node.names]
+        else:
+            # `from X import y` imports X, and X.y where y is a module
+            base = package[: len(package) - node.level + 1] if node.level else []
+            module = base + (node.module.split(".") if node.module else [])
+            targets = [module, *(module + [alias.name] for alias in node.names)]
+        if isinstance(node, ast.Import) or not node.level:  # absolute: keep hsplab's own
+            targets = [parts[1:] for parts in targets if parts[0] == "hsplab"]
+        for parts in targets:
+            for k in range(1, len(parts) + 1):  # a module's packages run first
+                if _source(".".join(parts[:k])).exists():
+                    found.add(".".join(parts[:k]))
+    return found
+
+
+def test_the_group_import_path_reaches_no_analytic_module():
+    found = []
+    for start in _GROUP_PATH:
+        # every module that importing `start` runs, with the chain that reaches it
+        chains, todo = {start: start}, [start]
+        while todo:
+            name = todo.pop()
+            for module in _package_imports(name) - set(chains):
+                chains[module] = f"{chains[name]} -> {module}"
+                todo.append(module)
+        found += [chains[m] for m in sorted(_ANALYTIC_STACK & set(chains))]
     assert not found, found
 
 
