@@ -25,8 +25,10 @@ def add_limits(p: argparse.ArgumentParser, *names: str) -> None:
 
 
 def add_c(p: argparse.ArgumentParser, help: str | None = None) -> None:
-    """The verdict exponent `--c`, which `check_c` validates."""
-    p.add_argument("--c", type=float, default=1.0, help=help)
+    """The verdict exponent `--c`, which `check_c` validates.  Argparse reads
+    `--c -1e-3` as a flag missing its value, so the help shows the `=` form."""
+    negative = "write a negative value as --c=-1e-3"
+    p.add_argument("--c", type=float, default=1.0, help=f"{help}; {negative}" if help else negative)
 
 
 def check_c(c: float) -> None:

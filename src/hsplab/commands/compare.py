@@ -69,6 +69,14 @@ def run(args) -> dict:
         sn_distance = qfs.d_between(
             n, lab.profile_of(src_a, args.order_limit), lab.profile_of(src_b, args.order_limit)
         )
+    # D(H, K) by the class tables' censuses and by the profiles, analytic for
+    # catalog inputs: two routes to one number
+    table_distance = report_g.profile_distance
+    if table_distance is not None and sn_distance is not None and table_distance != sn_distance:
+        raise InvariantError(
+            f"D(H, K) routes disagree: {frac_text(table_distance)} from the class tables, "
+            f"{frac_text(sn_distance)} from the profiles"
+        )
     return {
         "command": "compare",
         "a": src_a.describe(),

@@ -5,8 +5,10 @@ minimal element of each coset, computed greedily along H's stabilizer chain
 (whose base is in increasing smallest-moved-point order, which makes the
 greedy choice lex-minimal).  The table is built breadth-first from the coset
 H with generators applied in input order, so everything downstream is
-deterministic.  A fix count sifts each coset's conjugate of g through H's
-chain (`_kernels.fix_count`).
+deterministic.  One dict from each representative's bytes to its coset
+number serves the BFS and `induced_image`; it holds about 150 bytes per coset
+beyond the table's own rows.  A fix count sifts each coset's conjugate of g
+through H's chain (`_kernels.fix_count`).
 
 The exact-number layers (`qfs`, `radical`) are imported by the functions and
 `serialize` methods that use them, so a job that only checks identities on
@@ -41,20 +43,6 @@ from .profile import (
 )
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """Each row of a C-contiguous int32 matrix as one opaque byte-string key,
-    a view: equal rows have equal keys, and keys sort."""
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-
-
-def _find(keys: np.ndarray, order: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """The index in `keys` of each key of `probe`, or -1 where it is absent;
-    `order` sorts `keys`."""
-    at = np.searchsorted(keys, probe, sorter=order)
-    found = order[np.minimum(at, order.shape[0] - 1)]
-    return np.where(keys[found] == probe, found, -1)
-
-
 class CosetAction:
     """The permutation action of G on X = G/H by right multiplication."""
 
@@ -63,7 +51,7 @@ class CosetAction:
         group: PermGroup,
         subgroup: PermGroup,
         reps: np.ndarray,
-        order: np.ndarray,
+        cosets: dict,
         order_limit: int,
     ):
         self.group = group
@@ -71,7 +59,7 @@ class CosetAction:
         self.order_limit = order_limit  # bounds the class table's census of H or class map of G
         self.index = reps.shape[0]
         self.reps = reps  # (index, degree) canonical representatives, BFS order
-        self._order = order  # the rows of reps sorted by their keys
+        self._coset_of = cosets  # the bytes of each row of reps -> its row number
         # built on first use by fix_in_X: the inverse of each row of reps,
         # and the points that G moves
         self._reps_inv = self._moved = None
@@ -80,16 +68,17 @@ class CosetAction:
 
     def _cosets(self, canon: np.ndarray) -> np.ndarray:
         """The coset of each row of a matrix of canonical representatives."""
-        found = _find(_row_keys(self.reps), self._order, _row_keys(canon))
-        if (found < 0).any():
-            raise PreconditionError("element is not in the parent group")
-        return found
+        try:
+            # row by row, so no list of every row's bytes sits next to the dict
+            return np.array([self._coset_of[row.tobytes()] for row in canon], dtype=np.int32)
+        except KeyError:
+            raise PreconditionError("element is not in the parent group") from None
 
     def induced_image(self, g: Permutation) -> np.ndarray:
         """The permutation of {0..index-1} induced by g (as an image array)."""
         self._check_member(g)
         out = _kernels.canon_batch(self.reps, g.array, self.subgroup.chain)
-        return self._cosets(out).astype(np.int32)
+        return self._cosets(out)
 
     def _check_member(self, g: Permutation) -> None:
         if g.degree != self.group.degree or not self.group.contains_array(g.array):
@@ -111,8 +100,8 @@ def coset_action(
     reps = np.empty((index, G.degree), dtype=np.int32)
     # the coset H, whose lex-least element is the identity
     reps[0] = np.arange(G.degree, dtype=np.int32)
-    keys = _row_keys(reps)  # a view: a key is read once its row is filled
-    order = np.zeros(1, dtype=np.int64)
+    cosets = {reps[0].tobytes(): 0}  # the bytes of each row met -> its coset
+    row_bytes = np.dtype((np.void, reps.itemsize * G.degree))  # a row as one value
     gen_arrays = [g.array for g in G.generators]
     lo, count = 0, 1
     while gen_arrays and lo < count:
@@ -120,21 +109,20 @@ def coset_action(
         # cosets numbered in that order, as they are first met
         frontier = reps[lo:count]
         lo = count
-        out = np.concatenate([_kernels.canon_batch(frontier, g, chain) for g in gen_arrays])
-        probe = _row_keys(out)
-        fresh = np.flatnonzero(_find(keys[:count], order, probe) < 0)
-        new_keys, first = np.unique(probe[fresh], return_index=True)
-        if count + first.size > index:
-            raise InvariantError("coset table exceeded |G:H|")
-        met = np.sort(first)
-        reps[count:count + met.size] = out[fresh[met]]
-        # the new rows, in key order, go into the sorted order
-        at = np.searchsorted(keys[:count], new_keys, sorter=order)
-        order = np.insert(order, at, count + np.searchsorted(met, first))
-        count += met.size
+        for g in gen_arrays:
+            out = _kernels.canon_batch(frontier, g, chain)
+            met = []
+            for row, key in enumerate(out.view(row_bytes).ravel().tolist()):
+                if key not in cosets:
+                    cosets[key] = len(cosets)
+                    met.append(row)
+            if len(cosets) > index:
+                raise InvariantError("coset table exceeded |G:H|")
+            reps[count:len(cosets)] = out.take(met, axis=0)
+            count = len(cosets)
     if count != index:
         raise InvariantError("coset table is incomplete")
-    return CosetAction(G, H, reps, order, order_limit)
+    return CosetAction(G, H, reps, cosets, order_limit)
 
 
 def fix_in_X(ca: CosetAction, g: Permutation) -> int:

@@ -29,7 +29,6 @@ from .characters import partitions
 from .errors import LimitExceeded, PreconditionError
 from .lab import support_census
 from .profile import DEGREE_LIMIT, ENUMERATION_LIMIT, ClassProfile, CycleType, sn_class_size
-from .radical import frac_text
 
 if TYPE_CHECKING:
     import numpy as np
@@ -59,24 +58,6 @@ class ClubReport(NamedTuple):
     minimal_support: int | None
     rows: tuple
     max_log2_excess: float | None  # max of log2_count - log2_bound
-
-    def serialize(self) -> dict:
-        return {
-            "degree": self.degree,
-            "exponent": frac_text(self.exponent),
-            "minimal_support": self.minimal_support,
-            "max_log2_excess": self.max_log2_excess,
-            "rows": [
-                {
-                    "support": r.support,
-                    "count": str(r.count),
-                    "log2_count": r.log2_count,
-                    "log2_bound": r.log2_bound,
-                    "satisfied": r.satisfied,
-                }
-                for r in self.rows
-            ],
-        }
 
 
 def club_check(prof: ClassProfile, exponent: Fraction = SUPPORT_EXPONENT) -> ClubReport:
@@ -124,18 +105,6 @@ class LiebeckReport(NamedTuple):
     above_one: bool
     note: str = "empirical at fixed n; the underlying bound is asymptotic"
 
-    def serialize(self) -> dict:
-        return {
-            "n": self.n,
-            "a": self.a,
-            "min_log2_ratio": self.min_log2_ratio,
-            "witness_type": list(self.witness_type),
-            "witness_support": self.witness_support,
-            "witness_class_size": str(self.witness_class_size),
-            "above_one": self.above_one,
-            "note": self.note,
-        }
-
 
 def liebeck_report(n: int, a: float, limit: int = DEGREE_LIMIT) -> LiebeckReport:
     """Scan all non-identity classes for the minimum of |C| / n^(a*support)."""
@@ -176,21 +145,6 @@ class BabaiReport(NamedTuple):
     bound_value: float  # (sqrt(n) - 1) / 2
     bound_holds: bool | None  # exact: (2m+1)^2 >= n
     consistent: bool
-
-    def serialize(self) -> dict:
-        return {
-            "degree": self.degree,
-            "order": str(self.order),
-            "transitive": self.transitive,
-            "primitive": self.primitive,
-            "is_symmetric": self.is_symmetric,
-            "is_alternating": self.is_alternating,
-            "exempt": self.exempt,
-            "minimal_degree": self.minimal_degree,
-            "bound_value": self.bound_value,
-            "bound_holds": self.bound_holds,
-            "consistent": self.consistent,
-        }
 
 
 def babai_check(G: PermGroup, limit: int = ENUMERATION_LIMIT) -> BabaiReport:
@@ -245,23 +199,6 @@ class PolyVerdict(NamedTuple):
     witness: Permutation | None = None
     witness_support: int | None = None
     distinguishable_side: bool | None = None
-
-    def serialize(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "group_order": str(self.group_order),
-            "subgroup_order": str(self.subgroup_order),
-            "log_base": self.log_base,
-            "c": self.c,
-            "c_prime": self.c_prime,
-            "size_bound": self.size_bound,
-            "class_threshold": self.class_threshold,
-            "min_class_size": None if self.min_class_size is None else str(self.min_class_size),
-            "witness": None if self.witness is None else self.witness.cycles(),
-            "witness_support": self.witness_support,
-            "distinguishable_side": self.distinguishable_side,
-        }
 
 
 def poly_subgroup_verdict(

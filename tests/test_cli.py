@@ -717,6 +717,23 @@ def test_an_inconsistent_gassmann_report_exits_1(capsys, monkeypatch):
     )
 
 
+def test_disagreeing_distance_routes_exit_1(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "compare", "young:4+2", "young:2+4")
+    assert code == 0 and json.loads(out)["sn_profile_distance"] == "0/1"
+    # the profile route reads young:3+3 for the first side; the class tables
+    # still give D(H, K) = 0
+    real, swapped = lab.profile_of, lab.resolve("young:3+3").profile
+
+    def mutant(entry, limit):
+        return swapped if entry.name == "young:4+2" else real(entry, limit)
+
+    monkeypatch.setattr(lab, "profile_of", mutant)
+    code, out, err = run_cli(capsys, "compare", "young:4+2", "young:2+4")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: D(H, K) routes disagree: 0/1 from the class tables, ")
+    assert err.endswith(" from the profiles\n")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -808,6 +825,22 @@ def test_a_report_with_a_finite_c_is_strict_json(job, capsys):
     rep = json.loads(out, parse_constant=non_json)
     verdict = rep["verdict"] if job[0] == "analyze" else rep["avg_subdegree"]
     assert verdict["c"] == 2.5
+
+
+@pytest.mark.parametrize("job", _C_JOBS, ids=lambda job: job[0])
+def test_the_c_help_shows_how_to_write_a_negative_value(job, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one help line per option
+    with pytest.raises(SystemExit):
+        main([job[0], "-h"])
+    assert "write a negative value as --c=-1e-3\n" in capsys.readouterr().out
+    code, out, _ = run_cli(capsys, *job, "--c=-1e-3")
+    verdict = json.loads(out)["verdict" if job[0] == "analyze" else "avg_subdegree"]
+    assert (code, verdict["c"]) == (0, -1e-3)
+    # argparse takes a value in e-notation after a space for a flag
+    with pytest.raises(SystemExit) as refused:
+        main([*job, "--c", "-1e-3"])
+    assert refused.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --c: expected one argument\n")
 
 
 def test_output_file(tmp_path, capsys):

@@ -383,6 +383,9 @@ def test_coset_table_matches_the_dict_bfs(s5_subgroups):
     for n in (6, 7, 8):
         G = PermGroup.alternating(n) if n % 2 else PermGroup.symmetric(n)
         pairs += [(G, PermGroup([G.random_element(rng)], n)) for _ in range(3)]
+    # one new coset per BFS round: a cyclic group of order 2520 over the trivial subgroup
+    cycles = "(1 2 3 4 5 6 7 8)(9 10 11 12 13 14 15 16 17)(18 19 20 21 22)(23 24 25 26 27 28 29)"
+    pairs.append((PermGroup.from_cycles([cycles], 29), PermGroup([], 29)))
     for G, H in pairs:
         ca = coset_action(G, H)
         assert np.array_equal(ca.reps, _dict_coset_table(G, H))
