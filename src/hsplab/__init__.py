@@ -70,7 +70,6 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "PermGroup",
-            "Permutation",
             "class_profile",
             "element_class_map",
             "load_group_file",

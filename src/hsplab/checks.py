@@ -15,16 +15,10 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from . import characters
 from .characters import Partition, _dimension, is_partition, partitions
 from .errors import InvariantError, LimitExceeded, ParseError, PreconditionError
-
-if TYPE_CHECKING:
-    import random
-
-    from .perm import PermGroup
 
 
 # ---------------------------------------------------------------------------
@@ -127,14 +121,6 @@ def _check_sandwich(args) -> dict:
     return {"suite": "sandwich", "max_n": args.max_n, "all_passed": ok, "results": results}
 
 
-def _random_subgroup(rng: random.Random, G: PermGroup) -> PermGroup:
-    from .perm import PermGroup
-
-    k = rng.randint(1, 3)
-    gens = [G.random_element(rng) for _ in range(k)]
-    return PermGroup(gens, G.degree)
-
-
 def _check_frobenius(args) -> dict:
     import random
 
@@ -151,7 +137,7 @@ def _check_frobenius(args) -> dict:
     while actions < args.actions and attempts < 100 * args.actions:
         attempts += 1
         G = parents[rng.randrange(len(parents))]
-        H = _random_subgroup(rng, G)
+        H = PermGroup([G.random_element(rng) for _ in range(rng.randint(1, 3))], G.degree)
         try:
             coset_mod.check_action_bounds(
                 G.degree, G.order, H.order, args.order_limit, args.index_limit

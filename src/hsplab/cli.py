@@ -7,8 +7,9 @@ group input, a group file or a catalog name, resolves through `lab.resolve`
 to one catalog entry, whose census `lab.profile_of` reads.  Reports are JSON
 (CSV optional for sweep tables) and byte-identical across runs, except for
 the wall_time_s field.  Exit codes: 0 success, 1 internal inconsistency
-(two routes to one value disagree), 2 parse error, 3 limit exceeded, 4
-mathematical precondition violated.
+(two routes to one value disagree, an identity fails, or a `check` suite
+does not pass), 2 parse error, 3 limit exceeded, 4 mathematical
+precondition violated.
 
 Verdicts are reports at the fixed input degree, not asymptotic claims; every
 threshold states its (log base, c) convention explicitly.
@@ -89,6 +90,10 @@ def main(argv=None) -> int:
     # a report is a dict, printed as JSON, or text (a sweep's CSV table)
     text = report if isinstance(report, str) else json.dumps(report, indent=2) + "\n"
     _emit(text, args)
+    # a `check` suite that failed exits 1 after its report is out
+    if isinstance(report, dict) and report.get("all_passed") is False:
+        print(f"error: the {report['suite']} suite did not pass", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -7,7 +7,7 @@ import math
 import time
 
 from .. import lab, qfs
-from ..errors import HspError, LimitExceeded, PreconditionError
+from ..errors import HspError, InvariantError, LimitExceeded, PreconditionError
 from ..radical import DECIMAL_DIGITS, decimal_text, frac_text
 from . import add_c, add_limits, check_c
 
@@ -46,6 +46,12 @@ def run(args) -> dict:
             f"to the Plancherel distribution gives {frac_text(dh_l1)}"
         )
     cmin = qfs.cmin_bounds(n, prof)
+    # the corollary's bracket follows from Theorem 1's term by term
+    if not (cmin.report.lower < dh and cmin.report.upper >= dh):
+        raise InvariantError(
+            f"corollary violated: D_H = {frac_text(dh)} is not in the bracket "
+            "1/(|H||C_min|) < D_H <= (|H|-1)|C_min|^(-1/2)"
+        )
     census = lab.support_census(prof)
     # weights share the denominator n!, so the likeliest irrep has the
     # largest weight; ties go to the larger partition

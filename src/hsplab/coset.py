@@ -25,14 +25,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvariantError, PreconditionError
-from .perm import (
-    PermGroup,
-    Permutation,
-    class_profile,
-    element_class_map,
-    inv_array,
-    orbit_labels,
-)
+from .perm import PermGroup, class_profile, cycles, element_class_map, inv_array, orbit_labels
 from .profile import (
     ENUMERATION_LIMIT,
     INDEX_LIMIT,
@@ -74,14 +67,14 @@ class CosetAction:
         except KeyError:
             raise PreconditionError("element is not in the parent group") from None
 
-    def induced_image(self, g: Permutation) -> np.ndarray:
+    def induced_image(self, g: np.ndarray) -> np.ndarray:
         """The permutation of {0..index-1} induced by g (as an image array)."""
         self._check_member(g)
-        out = _kernels.canon_batch(self.reps, g.array, self.subgroup.chain)
+        out = _kernels.canon_batch(self.reps, g, self.subgroup.chain)
         return self._cosets(out)
 
-    def _check_member(self, g: Permutation) -> None:
-        if g.degree != self.group.degree or not self.group.contains_array(g.array):
+    def _check_member(self, g: np.ndarray) -> None:
+        if g.shape != (self.group.degree,) or not self.group.contains_array(g):
             raise PreconditionError("element is not in the parent group")
 
 
@@ -102,14 +95,13 @@ def coset_action(
     reps[0] = np.arange(G.degree, dtype=np.int32)
     cosets = {reps[0].tobytes(): 0}  # the bytes of each row met -> its coset
     row_bytes = np.dtype((np.void, reps.itemsize * G.degree))  # a row as one value
-    gen_arrays = [g.array for g in G.generators]
     lo, count = 0, 1
-    while gen_arrays and lo < count:
+    while G.generators and lo < count:
         # one BFS round: the frontier times each generator in turn, the new
         # cosets numbered in that order, as they are first met
         frontier = reps[lo:count]
         lo = count
-        for g in gen_arrays:
+        for g in G.generators:
             out = _kernels.canon_batch(frontier, g, chain)
             met = []
             for row, key in enumerate(out.view(row_bytes).ravel().tolist()):
@@ -125,19 +117,19 @@ def coset_action(
     return CosetAction(G, H, reps, cosets, order_limit)
 
 
-def fix_in_X(ca: CosetAction, g: Permutation) -> int:
+def fix_in_X(ca: CosetAction, g: np.ndarray) -> int:
     """Number of cosets fixed by g."""
     ca._check_member(g)
     if ca._reps_inv is None:
         points = np.arange(ca.group.degree, dtype=np.int32)
         ca._reps_inv = np.empty_like(ca.reps)
         np.put_along_axis(ca._reps_inv, ca.reps, points, axis=1)
-        moving = [h.array != points for h in ca.group.generators]
+        moving = [h != points for h in ca.group.generators]
         ca._moved = np.flatnonzero(np.any(moving, axis=0)).tolist()
-    return _kernels.fix_count(ca.reps, ca._reps_inv, g.array, ca.subgroup.chain, ca._moved)
+    return _kernels.fix_count(ca.reps, ca._reps_inv, g, ca.subgroup.chain, ca._moved)
 
 
-def _sn_type_rep(t: tuple, n: int) -> Permutation:
+def _sn_type_rep(t: tuple, n: int) -> np.ndarray:
     """Canonical permutation of cycle type t: cycles on consecutive points."""
     arr = np.arange(n, dtype=np.int32)
     pos = 0
@@ -145,7 +137,7 @@ def _sn_type_rep(t: tuple, n: int) -> Permutation:
         for k in range(length):
             arr[pos + k] = pos + (k + 1) % length
         pos += length
-    return Permutation(arr)
+    return arr
 
 
 class PermutationCharacter(NamedTuple):
@@ -300,11 +292,11 @@ class AvgSubdegreeVerdict(NamedTuple):
 def avg_subdegree_verdict(ca: CosetAction, c: float) -> AvgSubdegreeVerdict:
     """Average-subdegree test: small average subdegree with |H| above the
     polylog size bound forces D_H > bound (ii) >= 1/avg - 1/|H|."""
-    from .qfs import distinguishability_threshold
+    from .qfs import distinguishability_threshold, log2_power
 
     rr = rank_subdegrees(ca)
     avg = Fraction(ca.index, rr.rank)
-    threshold = math.log2(ca.group.order) ** c if ca.group.order > 1 else 1.0
+    threshold = log2_power(ca.group.order, c)
     avg_small = bool(avg <= threshold)
     order_big = bool(ca.subgroup.order > threshold)
     if ca.subgroup.order >= 2:
@@ -352,7 +344,7 @@ class GassmannReport(NamedTuple):
     first_class_mismatch: str | None
     perm_chars_equal: bool
     conjugate: bool | None  # None = search skipped (|G| beyond the order limit)
-    conjugating_element: Permutation | None
+    conjugating_element: np.ndarray | None
     profile_distance: Fraction | None  # D(H, K), only when G = S_n
 
     @property
@@ -376,7 +368,7 @@ class GassmannReport(NamedTuple):
             "conjugate": self.conjugate,
             "conjugating_element": None
             if self.conjugating_element is None
-            else self.conjugating_element.cycles(),
+            else cycles(self.conjugating_element),
             "profile_distance": None
             if self.profile_distance is None
             else frac_text(self.profile_distance),
@@ -392,13 +384,12 @@ def _conjugacy_search(G: PermGroup, H: PermGroup, K: PermGroup, limit: int):
     """
     if G.order > limit:
         return None, None
-    hgens = [h.array for h in H.generators]
-    if not hgens:
-        return (True, Permutation.identity(G.degree)) if K.order == 1 else (False, None)
+    if not H.generators:
+        return (True, np.arange(G.degree, dtype=np.int32)) if K.order == 1 else (False, None)
     for arr in G.element_arrays(limit):
         arr_inv = inv_array(arr)
-        if all(K.contains_array(arr[h[arr_inv]]) for h in hgens):
-            return True, Permutation(arr.copy())
+        if all(K.contains_array(arr[h[arr_inv]]) for h in H.generators):
+            return True, arr.copy()
     return False, None
 
 

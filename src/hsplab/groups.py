@@ -12,7 +12,7 @@ from functools import cache
 import numpy as np
 
 from .errors import PreconditionError
-from .perm import PermGroup, Permutation, parse_cycles
+from .perm import PermGroup, parse_cycles
 
 
 def block_group_gens(m: int, r: int) -> list:
@@ -23,10 +23,10 @@ def block_group_gens(m: int, r: int) -> list:
     n = m * r
     swap = np.arange(n, dtype=np.int32)
     swap[0:r], swap[r : 2 * r] = np.arange(r, 2 * r), np.arange(0, r)
-    gens = [Permutation(swap)]
+    gens = [swap]
     if m > 2:
         shift = (np.arange(n, dtype=np.int32) + r) % n
-        gens.append(Permutation(shift))
+        gens.append(shift)
     return gens
 
 
@@ -46,7 +46,7 @@ def young_gens(parts) -> list:
     return gens
 
 
-def _gl32_perm(mat) -> Permutation:
+def _gl32_perm(mat) -> np.ndarray:
     """Action of a GL(3,2) matrix on the 7 nonzero vectors of F_2^3.
 
     Vector v in {1..7} has bits (v&1, v>>1&1, v>>2&1); matrices act on column
@@ -60,7 +60,7 @@ def _gl32_perm(mat) -> Permutation:
             bit = (mat[row][0] * x[0] + mat[row][1] * x[1] + mat[row][2] * x[2]) % 2
             w |= bit << row
         arr[v - 1] = w - 1
-    return Permutation(arr)
+    return arr
 
 
 @cache
@@ -85,11 +85,7 @@ def gl32_plane_stabilizer() -> PermGroup:
     """Setwise stabilizer of the plane {1, 2, 3} (the span of 001 and 010)."""
     G = gl32_group()
     plane = {0, 1, 2}
-    members = [
-        Permutation(arr.copy())
-        for arr in G.element_arrays()
-        if {int(arr[p]) for p in plane} == plane
-    ]
+    members = [arr.copy() for arr in G.element_arrays() if {int(arr[p]) for p in plane} == plane]
     return PermGroup(members, degree=7)
 
 

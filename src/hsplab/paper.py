@@ -29,11 +29,12 @@ from .characters import partitions
 from .errors import LimitExceeded, PreconditionError
 from .lab import support_census
 from .profile import DEGREE_LIMIT, ENUMERATION_LIMIT, ClassProfile, CycleType, sn_class_size
+from .qfs import log2_power
 
 if TYPE_CHECKING:
     import numpy as np
 
-    from .perm import PermGroup, Permutation
+    from .perm import PermGroup
 
 #: Exponent in the support-count conjecture: |H_k| <= n^(k * SUPPORT_EXPONENT).
 SUPPORT_EXPONENT = Fraction(1, 7)
@@ -196,7 +197,7 @@ class PolyVerdict(NamedTuple):
     size_bound: float | None = None
     class_threshold: float | None = None
     min_class_size: int | None = None
-    witness: Permutation | None = None
+    witness: np.ndarray | None = None
     witness_support: int | None = None
     distinguishable_side: bool | None = None
 
@@ -210,7 +211,7 @@ def poly_subgroup_verdict(
     Inapplicability (trivial H, or |H| above the polylog size bound) is a
     verdict, not an error.
     """
-    from .perm import Permutation, element_class_map
+    from .perm import element_class_map
 
     if not H.is_subgroup_of(G):
         raise PreconditionError("H is not a subgroup of G")
@@ -225,7 +226,7 @@ def poly_subgroup_verdict(
         return PolyVerdict(
             applicable=False, reason="trivial subgroup has no non-identity element", **base_kwargs
         )
-    size_bound = math.log2(G.order) ** c
+    size_bound = log2_power(G.order, c)
     if H.order > size_bound:
         return PolyVerdict(
             applicable=False,
@@ -241,8 +242,8 @@ def poly_subgroup_verdict(
         ids = class_ids[G.chain.positions(H.chain.images(G.chain.base))]
         sizes = [classes[i][1] for i in ids.tolist()]
     best = min(range(1, H.order), key=sizes.__getitem__)  # the first smallest
-    min_size, witness = sizes[best], Permutation(H.chain.element(best))
-    threshold = math.log2(G.order) ** c_prime
+    min_size, witness = sizes[best], H.chain.element(best)
+    threshold = log2_power(G.order, c_prime)
     return PolyVerdict(
         applicable=True,
         reason=None,
@@ -250,7 +251,7 @@ def poly_subgroup_verdict(
         class_threshold=threshold,
         min_class_size=min_size,
         witness=witness,
-        witness_support=witness.support(),
+        witness_support=sum(p for p in cycle_type_of_array(witness) if p > 1),
         distinguishable_side=bool(min_size <= threshold),
         **base_kwargs,
     )
@@ -266,7 +267,7 @@ def orbits(G: PermGroup) -> list:
     from .perm import orbit_labels
 
     out: dict[int, list] = {}
-    for p, least in enumerate(orbit_labels([g.array for g in G.generators], G.degree).tolist()):
+    for p, least in enumerate(orbit_labels(G.generators, G.degree).tolist()):
         out.setdefault(least, []).append(p + 1)
     return [tuple(orb) for orb in out.values()]
 
@@ -275,7 +276,7 @@ def is_transitive(G: PermGroup) -> bool:
     return len(orbits(G)) == 1
 
 
-def _minimal_block_with(n: int, gens: list, beta: int) -> list:
+def _minimal_block_with(n: int, gens: tuple, beta: int) -> list:
     """Finest block system whose block contains {0, beta} (Atkinson)."""
     parent = list(range(n))
 
@@ -316,10 +317,9 @@ def minimal_blocks(G: PermGroup):
     n = G.degree
     if n == 1:
         return None
-    gens = [g.array for g in G.generators]
     best = None
     for beta in range(1, n):
-        system = _minimal_block_with(n, gens, beta)
+        system = _minimal_block_with(n, G.generators, beta)
         size = len(system[0]) if len(system) > 1 else n
         if 1 < size < n and (best is None or size < len(best[0])):
             best = system

@@ -1,9 +1,8 @@
 """Permutations, permutation groups, and exact conjugacy-class censuses.
 
-Points are 1-based in every public interface, matching cycle notation;
-internally permutations are 0-based int32 image arrays.  The product
-``a * b`` means "apply ``a`` first, then ``b``" (left-to-right action), so
-``(a * b)(i) == b(a(i))``.
+A permutation of {1..n} is its 0-based int32 image array: entry i holds the
+image of the point i + 1, less one.  Points are 1-based in cycle notation
+(`parse_cycles`, `cycles`) and in group files.
 
 Groups carry a deterministic stabilizer chain with base points in increasing
 smallest-moved-point order, giving exact arbitrary-precision orders,
@@ -31,79 +30,28 @@ def inv_array(a: np.ndarray) -> np.ndarray:
     return inv
 
 
-class Permutation:
-    """An immutable bijection of {1..n}."""
-
-    __slots__ = ("_arr", "_key")
-
-    def __init__(self, arr: np.ndarray):
-        arr = np.asarray(arr, dtype=np.int32)
-        arr.setflags(write=False)
-        self._arr = arr
-        self._key = arr.tobytes()
-
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        if degree < 1:
-            raise ValueError("degree must be positive")
-        return cls(np.arange(degree, dtype=np.int32))
-
-    @property
-    def degree(self) -> int:
-        return self._arr.shape[0]
-
-    @property
-    def array(self) -> np.ndarray:
-        """The internal 0-based image array (read-only view)."""
-        return self._arr
-
-    def __call__(self, point: int) -> int:
-        if not 1 <= point <= self.degree:
-            raise ValueError(f"point {point} out of range 1..{self.degree}")
-        return int(self._arr[point - 1]) + 1
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.degree != other.degree:
-            raise PreconditionError("cannot compose permutations of mixed degrees")
-        return Permutation(other._arr[self._arr])
-
-    def support(self) -> int:
-        return int(np.count_nonzero(self._arr != np.arange(self.degree, dtype=np.int32)))
-
-    def cycles(self) -> str:
-        """Cycle notation, e.g. '(1 2)(3 4)'; '()' for the identity."""
-        arr = self._arr
-        seen = np.zeros(self.degree, dtype=bool)
-        out = []
-        for i in range(self.degree):
-            if seen[i] or arr[i] == i:
-                seen[i] = True
-                continue
-            cyc = [i]
-            seen[i] = True
-            j = int(arr[i])
-            while j != i:
-                cyc.append(j)
-                seen[j] = True
-                j = int(arr[j])
-            out.append("(" + " ".join(str(p + 1) for p in cyc) + ")")
-        return "".join(out) if out else "()"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    def __repr__(self) -> str:
-        return f"Permutation({self.cycles()!r}, degree={self.degree})"
+def cycles(arr: np.ndarray) -> str:
+    """Cycle notation of the image array `arr`, e.g. '(1 2)(3 4)'; '()' for
+    the identity."""
+    img, seen, out = arr.tolist(), set(), []
+    for i, j in enumerate(img):  # each cycle starts at its least point
+        if j == i or i in seen:
+            continue
+        cyc = [i]
+        while j != i:
+            cyc.append(j)
+            j = img[j]
+        seen.update(cyc)
+        out.append("(" + " ".join(str(p + 1) for p in cyc) + ")")
+    return "".join(out) or "()"
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def parse_cycles(text: str, degree: int) -> Permutation:
-    """Parse disjoint cycles like '(1 2)(3 4)'; absent points are fixed."""
+def parse_cycles(text: str, degree: int) -> np.ndarray:
+    """Parse disjoint cycles like '(1 2)(3 4)' into an image array; absent
+    points are fixed."""
     if degree < 1:
         raise ParseError("degree must be positive")
     leftover = _CYCLE_RE.sub(" ", text)
@@ -125,7 +73,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             used.add(p)
         for a, b in zip(pts, pts[1:] + pts[:1]):
             arr[a - 1] = b - 1
-    return Permutation(arr)
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +242,9 @@ class _Level:
         return self._mats
 
 
-def _schreier_sims(gens: list, base) -> list:
-    """Strong generators of <gens> relative to ``base``, which lists every point.
+def _schreier_sims(gens: Iterable[np.ndarray], degree: int) -> list:
+    """Strong generators of <gens>, image arrays of the given degree,
+    relative to the base 0, 1, ..., degree - 1: base point k is the point k.
 
     The incremental Schreier–Sims algorithm (Seress, pp. 90-93; Holt, Eick
     and O'Brien, §4.4), fully deterministic: the result is the distinct
@@ -305,9 +254,6 @@ def _schreier_sims(gens: list, base) -> list:
     order, a block at a time; the first failure adds its residue to the
     levels it fixes and the loop restarts at the highest of them.
     """
-    base_arr = np.asarray(base, dtype=np.int64)
-    base = base_arr.tolist()
-    degree = nlev = len(base)
     idarr = np.arange(degree, dtype=np.int32)
     strong, seen = [], {idarr.tobytes()}
     for g in gens:
@@ -318,14 +264,14 @@ def _schreier_sims(gens: list, base) -> list:
     if not strong:
         return []
 
-    # level k starts with the generators fixing base[:k]; levels above the
-    # highest one reached hold the identity as a placeholder
-    levels = [_Level(b) for b in base]
+    # level k starts with the generators fixing the points below k; levels
+    # above the highest one reached hold the identity as a placeholder
+    levels = [_Level(b) for b in range(degree)]
     top = 0
     for g in strong:
         g_list = g.tolist()
         j = 0
-        while j < nlev - 1 and g_list[base[j]] == base[j]:
+        while j < degree - 1 and g_list[j] == j:
             j += 1
         top = max(top, j)
         for level in levels[:j + 1]:
@@ -339,10 +285,10 @@ def _schreier_sims(gens: list, base) -> list:
         level.refresh(idarr)
 
     def strip(h: np.ndarray, k: int):
-        """Sift h, which moves base[k] and fixes every earlier base point:
+        """Sift h, which moves the point k and fixes every point below it:
         None if it reduces to the identity, else (failing level + 1, residue)."""
         while True:
-            if k == nlev:
+            if k == degree:
                 raise InvariantError("strip left a non-identity element fixing the whole base")
             level = levels[k]
             p = level.index.get(int(h[level.point]))
@@ -351,11 +297,11 @@ def _schreier_sims(gens: list, base) -> list:
             if h.tobytes() == level.keys()[p]:
                 return None
             h = level.inverses()[p][h]
-            moved = np.flatnonzero(h[base_arr[k + 1:]] != base_arr[k + 1:])
-            k = k + 1 + int(moved[0]) if moved.size else nlev
+            moved = np.flatnonzero(h[k + 1:] != idarr[k + 1:])
+            k = k + 1 + int(moved[0]) if moved.size else degree
 
     added = []
-    i = nlev - 1
+    i = degree - 1
     while i >= 0:
         level = levels[i]
         if level.gens[-1] is idarr:  # only the placeholder: nothing to test
@@ -364,7 +310,7 @@ def _schreier_sims(gens: list, base) -> list:
         gmat, pos = level.matrices(degree)
         ngens = gmat.shape[0]
         gsel = np.arange(ngens)[None, :, None]
-        tail = base_arr[i + 1:]
+        tail = idarr[i + 1:]
         step = max(1, _kernels.BLOCK_ENTRIES // (ngens * degree))
         found = None
         for lo in range(0, len(level.orbit), step):
@@ -377,8 +323,8 @@ def _schreier_sims(gens: list, base) -> list:
             if not cand.size:
                 continue
             schreier = level.inverses()[gb[cand][:, None], g1[cand]]
-            moved = schreier[:, tail] != tail
-            first = np.where(moved.any(axis=1), moved.argmax(axis=1) + i + 1, nlev)
+            moved = schreier[:, i + 1:] != tail
+            first = np.where(moved.any(axis=1), moved.argmax(axis=1) + i + 1, degree)
             for r, k in enumerate(first.tolist()):
                 found = strip(schreier[r], k)
                 if found is not None:
@@ -433,20 +379,23 @@ def _pack_chain(strong: list, degree: int) -> PackedChain:
 
 
 class PermGroup:
-    """A permutation group given by generators, with an exact stabilizer chain."""
+    """A permutation group given by generators, with an exact stabilizer chain.
 
-    def __init__(self, generators: Iterable[Permutation], degree: int | None = None):
-        gens = tuple(generators)
+    The generators are kept as int32 image arrays, made read-only."""
+
+    def __init__(self, generators: Iterable[np.ndarray], degree: int | None = None):
+        gens = tuple(np.asarray(g, dtype=np.int32) for g in generators)
         if degree is None:
             if not gens:
                 raise ValueError("degree required for an empty generator list")
-            degree = gens[0].degree
+            degree = gens[0].shape[0]
         for g in gens:
-            if g.degree != degree:
+            if g.shape != (degree,):
                 raise PreconditionError("generators have mixed degrees")
+            g.setflags(write=False)  # the chain is built from them
         self.degree = degree
         self.generators = gens
-        self._chain = _pack_chain(_schreier_sims([g.array for g in gens], range(degree)), degree)
+        self.chain = _pack_chain(_schreier_sims(gens, degree), degree)
         self._class_map = None  # built on first use by element_class_map
 
     @classmethod
@@ -459,7 +408,7 @@ class PermGroup:
             return cls([], degree=1)
         gens = [parse_cycles("(1 2)", degree)]
         if degree > 2:
-            gens.append(Permutation(np.roll(np.arange(degree, dtype=np.int32), -1)))
+            gens.append(np.roll(np.arange(degree, dtype=np.int32), -1))
         return cls(gens, degree)
 
     @classmethod
@@ -471,19 +420,10 @@ class PermGroup:
 
     @property
     def order(self) -> int:
-        return self._chain.order
-
-    @property
-    def chain(self) -> PackedChain:
-        return self._chain
-
-    def __contains__(self, p: Permutation) -> bool:
-        if p.degree != self.degree:
-            return False
-        return self.contains_array(p.array)
+        return self.chain.order
 
     def contains_array(self, arr: np.ndarray) -> bool:
-        ch = self._chain
+        ch = self.chain
         g = arr
         for l in range(ch.num_levels):
             p = int(g[ch.base[l]])
@@ -495,23 +435,23 @@ class PermGroup:
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return self.degree == other.degree and all(
-            other.contains_array(g.array) for g in self.generators
+            other.contains_array(g) for g in self.generators
         )
 
     def element_arrays(self, limit: int = ENUMERATION_LIMIT) -> Iterator[np.ndarray]:
         """All elements as image arrays, in deterministic chain order."""
         check_enumeration(self.order, limit)
-        for block in self._chain.blocks(_kernels.BLOCK_ENTRIES):
+        for block in self.chain.blocks(_kernels.BLOCK_ENTRIES):
             yield from block
 
-    def random_element(self, rng) -> Permutation:
+    def random_element(self, rng) -> np.ndarray:
         """Uniform random element drawn via the chain (deterministic per rng)."""
-        ch = self._chain
+        ch = self.chain
         position = 0
         for l in range(ch.num_levels - 1, -1, -1):  # one digit per level, slowest first
             lo, hi = int(ch.level_off[l]), int(ch.level_off[l + 1])
             position = position * (hi - lo) + rng.randrange(lo, hi) - lo
-        return Permutation(ch.element(position))
+        return ch.element(position)
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order}, ngens={len(self.generators)})"
@@ -568,14 +508,13 @@ def _build_class_map(G: PermGroup):
     # images of the points g^-1(base)
     maps = []
     for g in G.generators:
-        arr = g.array
-        maps.append(ch.positions(arr[ch.images(inv_array(arr)[ch.base])]).astype(np.int32))
+        maps.append(ch.positions(g[ch.images(inv_array(g)[ch.base])]).astype(np.int32))
     label = orbit_labels(maps, G.order)
     first = label == np.arange(G.order)  # each class's first element in chain order
     class_ids = (np.cumsum(first) - 1)[label]
     sizes = np.bincount(class_ids).tolist()
     reps = np.flatnonzero(first).tolist()
-    classes = [(Permutation(ch.element(r)), size) for r, size in zip(reps, sizes)]
+    classes = [(ch.element(r), size) for r, size in zip(reps, sizes)]
     return classes, class_ids
 
 

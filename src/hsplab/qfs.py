@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .characters import Partition, _dimension, class_sums, partitions
-from .errors import InvariantError, PreconditionError
+from .errors import InvariantError, ParseError, PreconditionError
 from .profile import ClassProfile, centralizer_order, class_size_split
 from .radical import DECIMAL_DIGITS, SqrtSum, frac_text
 
@@ -169,7 +169,8 @@ def _bounds_report(lower: Fraction, upper: SqrtSum, exact: Fraction | None = Non
 
 def thm1_bounds(n: int, prof: ClassProfile) -> BoundsReport:
     """sum |C∩H|^2 / (|H||C|)  <  D_H  <=  sum |C∩H| |C|^(-1/2), both exact,
-    with D_H itself.  The lower bound is one integer over |H| n!."""
+    with D_H itself.  The lower bound is one integer over |H| n!.  A D_H
+    outside the bracket raises InvariantError."""
     _check_profile(n, prof)
     if prof.order < 2:
         raise PreconditionError("the strict lower bound requires |H| >= 2")
@@ -178,7 +179,13 @@ def thm1_bounds(n: int, prof: ClassProfile) -> BoundsReport:
     items = prof.nonidentity_items()
     lower = Fraction(sum(c * c * centralizer_order(t) for t, c in items), prof.order * fact)
     upper = SqrtSum.from_terms([(c, *class_size_split(t)) for t, c in items])
-    return _bounds_report(lower, upper, dh_exact(n, prof))
+    report = _bounds_report(lower, upper, dh_exact(n, prof))
+    if not report.sandwich_ok:
+        raise InvariantError(
+            f"Theorem 1 violated: D_H = {frac_text(report.exact_value)} is not in the bracket "
+            "sum |C∩H|^2/(|H||C|) < D_H <= sum |C∩H| |C|^(-1/2)"
+        )
+    return report
 
 
 class CminBounds(NamedTuple):
@@ -216,11 +223,23 @@ def cmin_bounds(n: int, prof: ClassProfile) -> CminBounds:
 # ---------------------------------------------------------------------------
 
 
+def log2_power(group_order: int, c: float) -> float:
+    """(log2 |G|)^c as a double, 1.0 for |G| = 1: the one float power behind
+    every verdict threshold.  A power beyond the range of a double is refused
+    as a ParseError naming --c."""
+    if group_order < 2:
+        return 1.0
+    try:
+        return math.log2(group_order) ** c
+    except OverflowError:
+        raise ParseError(f"--c: (log2 {group_order})^{c} is beyond the range of a double") from None
+
+
 def distinguishability_threshold(group_order: int, c: float) -> float:
     """(log2 |G|)^(-c); the base-2 convention is reported with every verdict."""
     if group_order < 2:
         raise PreconditionError("thresholds need |G| >= 2")
-    return math.log2(group_order) ** (-c)
+    return log2_power(group_order, -c)
 
 
 def verdict(D: Fraction, group_order: int, c: float) -> bool:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from hsplab import characters
-from hsplab.perm import PermGroup, Permutation, inv_array
+from hsplab.perm import PermGroup, inv_array
 
 # pytest puts src/ on sys.path (pyproject's `pythonpath`); the tests' child
 # processes inherit the environment, so they find the same hsplab through it
@@ -135,10 +135,7 @@ class GroupTable:
             if not cur[i]:
                 gens.append(int(i))
                 cur = self.close(gens)
-        return PermGroup(
-            [Permutation(self.elements[i].copy()) for i in gens] or [],
-            degree=self.group.degree,
-        )
+        return PermGroup([self.elements[i].copy() for i in gens], degree=self.group.degree)
 
     def mask_elements(self, mask: np.ndarray):
         return [self.elements[i] for i in np.flatnonzero(mask)]
@@ -150,7 +147,7 @@ def bfs_class_map(G: PermGroup):
     bytes to its class.  Walks the elements in chain order, each built by the
     digit walk of `PackedChain.element`; the first one in no class yet starts
     a new class, filled by BFS under conjugation by the generators."""
-    gen_pairs = [(g.array, inv_array(g.array)) for g in G.generators]
+    gen_pairs = [(g, inv_array(g)) for g in G.generators]
     assigned: dict[bytes, int] = {}
     classes = []
     for e in map(G.chain.element, range(G.order)):
@@ -170,7 +167,7 @@ def bfs_class_map(G: PermGroup):
                     assigned[ykey] = cid
                     size += 1
                     queue.append(y)
-        classes.append((Permutation(e), size))
+        classes.append((e, size))
     return classes, assigned
 
 

@@ -271,13 +271,10 @@ def test_criterion_11_analytic_vs_enumeration():
         analytic = product_profile(class_profile(A), class_profile(B))
         shifted = []
         for g in B.generators:
-            imgs = list(range(na)) + [x + na for x in g.array.tolist()]
+            imgs = list(range(na)) + [x + na for x in g.tolist()]
             shifted.append(imgs)
-        from hsplab.perm import Permutation
-
         combined = PermGroup(
-            [Permutation(g.array.tolist() + list(range(na, na + nb))) for g in A.generators]
-            + [Permutation(img) for img in shifted],
+            [g.tolist() + list(range(na, na + nb)) for g in A.generators] + shifted,
             na + nb,
         )
         assert combined.order == A.order * B.order <= 10**4

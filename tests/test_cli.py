@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from conftest import SIGN_MUTATION, WEIGHT_MUTATION, engine_mutant
 
-from hsplab import characters, coset, groups, lab, perm, profile, qfs
+from hsplab import characters, coset, groups, lab, perm, profile, qfs, radical
 from hsplab.cli import build_parser, main
 from hsplab.errors import LimitExceeded, ParseError
 
@@ -667,11 +667,12 @@ def test_failed_invariant_exits_1_and_fails_the_frobenius_check(capsys, monkeypa
     code, out, err = run_cli(capsys, "coset", "symmetric:4", "young:3+1")
     assert code == 1 and out == ""
     assert "Frobenius identity violated" in err
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "check", "--suite", "frobenius", "--actions", "5", "--seed", "3"
     )
-    rep = json.loads(out)
-    assert code == 0 and rep["all_passed"] is False and len(rep["failures"]) == 5
+    rep = json.loads(out)  # the report is still printed
+    assert code == 1 and rep["all_passed"] is False and len(rep["failures"]) == 5
+    assert err == "error: the frobenius suite did not pass\n"
 
 
 def test_frobenius_check_does_not_read_the_induced_images(capsys, monkeypatch):
@@ -691,11 +692,43 @@ def test_a_false_class_identity_exits_1(capsys, monkeypatch):
     # Frobenius total alone: only the class identity sees it
     real = coset.fix_in_X
     five_cycle = perm.parse_cycles("(1 2 3 4 5)", 5)
-    monkeypatch.setattr(coset, "fix_in_X", lambda ca, g: real(ca, g) + (g == five_cycle))
+    monkeypatch.setattr(coset, "fix_in_X", lambda ca, g: real(ca, g) + np.array_equal(g, five_cycle))
     code, out, err = run_cli(capsys, "coset", "symmetric:5", "young:3+2")
     assert (code, out) == (1, "")
     assert err == (
         "error: class identity violated: fix_X(C)|C| and |H cap C||X| disagree on a class C of G\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv", [("analyze", "young:3+2"), ("sweep", "--family", "block", "--start", "2", "--end", "3")]
+)
+def test_a_false_theorem_1_sandwich_exits_1(argv, capsys, monkeypatch):
+    real = qfs._bounds_report
+    monkeypatch.setattr(
+        qfs, "_bounds_report", lambda *a: real(*a)._replace(sandwich_ok=False)
+    )
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Theorem 1 violated: D_H = ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bound", ["lower", "upper"])
+def test_a_d_h_outside_the_corollary_bracket_exits_1(bound, capsys, monkeypatch):
+    # the mutant moves one side of the corollary's bracket past D_H = 1/2
+    real = qfs.cmin_bounds
+    moved = {"lower": Fraction(1), "upper": radical.SqrtSum.from_terms([(1, 4, 1)])}
+
+    def mutant(n, prof):
+        out = real(n, prof)
+        return out._replace(report=out.report._replace(**{bound: moved[bound]}))
+
+    monkeypatch.setattr(qfs, "cmin_bounds", mutant)
+    code, out, err = run_cli(capsys, "analyze", "block:2x2")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: corollary violated: D_H = 1/2 is not in the bracket "
+        "1/(|H||C_min|) < D_H <= (|H|-1)|C_min|^(-1/2)\n"
     )
 
 
@@ -707,7 +740,8 @@ def test_an_inconsistent_gassmann_report_exits_1(capsys, monkeypatch):
     real, first = coset.fix_in_X, {}
 
     def mutant(ca, g):
-        return real(ca, g) + (first.setdefault("action", ca) is ca and g.support() > 0)
+        moves = bool((g != np.arange(g.shape[0])).any())
+        return real(ca, g) + (first.setdefault("action", ca) is ca and moves)
 
     monkeypatch.setattr(coset, "fix_in_X", mutant)
     code, out, err = run_cli(capsys, "compare", "gl32-point", "gl32-plane")
@@ -813,6 +847,19 @@ _C_JOBS = [("analyze", "block:3x2"), ("coset", "symmetric:4", "young:3+1")]
 def test_a_non_finite_c_is_refused(job, c, shown, capsys):
     code, out, err = run_cli(capsys, *job, f"--c={c}")
     assert (code, out, err) == (2, "", f"error: --c must be a finite number, got {shown}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, power",
+    [
+        (("analyze", "block:3x2", "--c=-1e3"), "(log2 720)^1000.0"),
+        (("analyze", "block:3x2", "--c=-400"), "(log2 720)^400.0"),
+        (("coset", "symmetric:4", "young:2+2", "--c=1e3"), "(log2 24)^1000.0"),
+    ],
+)
+def test_a_c_whose_threshold_overflows_a_double_is_refused(argv, power, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: --c: {power} is beyond the range of a double\n")
 
 
 @pytest.mark.parametrize("job", _C_JOBS, ids=lambda job: job[0])

@@ -14,7 +14,7 @@ from hsplab.characters import class_sums, dimension, partitions
 from hsplab.checks import mn_character
 from hsplab.errors import InvariantError, PreconditionError
 from hsplab.paper import cycle_type_of_array, poly_subgroup_verdict
-from hsplab.perm import PermGroup, class_profile
+from hsplab.perm import PermGroup, class_profile, cycles
 from hsplab.profile import ClassProfile, sn_class_size
 from hsplab.qfs import (
     BoundsReport,
@@ -328,7 +328,7 @@ def test_poly_verdict_transposition():
     S8 = PermGroup.symmetric(8)
     v = poly_subgroup_verdict(S8, PermGroup.from_cycles(["(1 2)"], 8), 1.0, 3.0)
     assert v.applicable
-    assert v.min_class_size == 28 and v.witness.cycles() == "(1 2)"
+    assert v.min_class_size == 28 and cycles(v.witness) == "(1 2)"
     assert v.witness_support == 2
     assert v.distinguishable_side is True
 
@@ -379,7 +379,7 @@ def test_poly_verdict_witness_is_the_first_smallest_class_in_chain_order(spec):
     first = min(range(1, H.order), key=sizes.__getitem__)
     v = poly_subgroup_verdict(G, H, 2.0, 3.0)
     assert v.applicable and v.min_class_size == sizes[first]
-    assert v.witness.array.tolist() == list(H.element_arrays())[first].tolist()
+    assert v.witness.tolist() == list(H.element_arrays())[first].tolist()
 
 
 # ---------------------------------------------------------------------------
