@@ -85,7 +85,6 @@ _EXPORTS = {
             "cmin_bounds",
             "d_between",
             "dh_exact",
-            "plancherel",
             "thm1_bounds",
             "verdict",
             "weak_distribution",

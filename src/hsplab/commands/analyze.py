@@ -5,8 +5,10 @@ from __future__ import annotations
 import argparse
 import math
 import time
+from fractions import Fraction
 
 from .. import lab, qfs
+from ..characters import _dimension, partitions
 from ..errors import HspError, InvariantError, LimitExceeded, PreconditionError
 from ..radical import DECIMAL_DIGITS, decimal_text, frac_text
 from . import add_c, add_limits, check_c
@@ -39,11 +41,14 @@ def run(args) -> dict:
     dist = qfs.weak_distribution(n, prof)
     thm1 = qfs.thm1_bounds(n, prof)
     dh = thm1.exact_value
-    dh_l1 = dist.l1(qfs.plancherel(n))
-    if dh != dh_l1:
+    # both distributions have unit mass, so their L1 distance is twice the
+    # mass by which P_H exceeds Plancherel: a second code path to D_H
+    excess = sum(max(w - _dimension(lam) ** 2, 0) for lam, w in dist.weights.items())
+    dh_excess = Fraction(2 * excess, math.factorial(n))
+    if dh != dh_excess:
         raise HspError(
-            f"D_H routes disagree: dh_exact gives {frac_text(dh)}, the L1 distance "
-            f"to the Plancherel distribution gives {frac_text(dh_l1)}"
+            f"D_H routes disagree: dh_exact gives {frac_text(dh)}, twice the mass by which "
+            f"P_H exceeds the Plancherel distribution gives {frac_text(dh_excess)}"
         )
     cmin = qfs.cmin_bounds(n, prof)
     # the corollary's bracket follows from Theorem 1's term by term
@@ -64,7 +69,7 @@ def run(args) -> dict:
         "minimal_degree": prof.minimal_support(),
         "support_census": census.serialize(),
         "distribution_summary": {
-            "num_irreps": len(dist.weights),
+            "num_irreps": len(partitions(n)),
             "max_prob_partition": list(top),
             "max_prob": frac_text(dist.prob(top)),
             "prob_trivial": frac_text(dist.prob((n,))),
@@ -73,7 +78,7 @@ def run(args) -> dict:
         "dh": frac_text(dh),
         "dh_decimal": decimal_text(dh),
         "decimal_precision": DECIMAL_DIGITS,
-        "routes_agree": dh == dh_l1,
+        "routes_agree": dh == dh_excess,
         "thm1_bounds": thm1.serialize(),
         "cmin_bounds": cmin.serialize(),
         "prop_upper": thm1.upper.serialize(DECIMAL_DIGITS),

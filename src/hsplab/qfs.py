@@ -1,9 +1,9 @@
 """Weak-sampling distributions over Irr(S_n) and their total-variation bounds.
 
 Everything here is exact: a distribution is integer weights over the common
-denominator n!, the class-size square-root upper bounds are carried as SqrtSum
-values, and verdict thresholds use base-2 logarithms (the base is a reporting
-convention; it only shifts the constant c).
+denominator n!, kept on its support, the class-size square-root upper bounds
+are carried as SqrtSum values, and verdict thresholds use base-2 logarithms
+(the base is a reporting convention; it only shifts the constant c).
 
 Everything here works from a cycle-type census and needs no group: the
 small-subgroup dichotomy `poly_subgroup_verdict`, which enumerates a
@@ -28,17 +28,12 @@ def _check_profile(n: int, prof: ClassProfile) -> None:
 
 
 class IrrepDistribution(NamedTuple):
-    """Exact distribution on Irr(S_n), indexed by partition: P(lam) is
-    weights[lam] / n!, with integer weights (summing to n! for a census)."""
+    """Exact distribution on Irr(S_n), kept on its support: P(lam) is
+    weights[lam] / n! with integer weights summing to n!, and a partition
+    that weights does not hold has probability 0."""
 
     degree: int
-    subgroup_order: int
     weights: Mapping[Partition, int]
-
-    @property
-    def probs(self) -> dict:
-        fact = math.factorial(self.degree)
-        return {lam: Fraction(w, fact) for lam, w in self.weights.items()}
 
     def prob(self, lam: Partition) -> Fraction:
         return Fraction(self.weights.get(tuple(lam), 0), math.factorial(self.degree))
@@ -46,22 +41,29 @@ class IrrepDistribution(NamedTuple):
     def l1(self, other: "IrrepDistribution") -> Fraction:
         if self.degree != other.degree:
             raise PreconditionError("distributions live on different degrees")
-        total = sum(abs(w - other.weights[lam]) for lam, w in self.weights.items())
+        a, b = self.weights, other.weights
+        total = sum(abs(a.get(lam, 0) - b.get(lam, 0)) for lam in a.keys() | b.keys())
         return Fraction(total, math.factorial(self.degree))
 
     def serialize(self) -> list:
+        fact = math.factorial(self.degree)
         return [
-            {"partition": list(lam), "prob": frac_text(p)}
-            for lam, p in self.probs.items()
+            {"partition": list(lam), "prob": frac_text(Fraction(self.weights.get(lam, 0), fact))}
+            for lam in partitions(self.degree)
         ]
 
 
-def _census_sums(n: int, prof: ClassProfile) -> dict:
-    """The class sums of prof (its counts, walked through its factors when it
-    has them), checked as a subgroup census H: v(lam) / |H| is the
-    multiplicity of the trivial irrep in the restriction of chi_lam to H, so
-    v(lam) >= 0 and |H| divides v(lam).  weak_distribution and dh_exact (so
-    thm1_bounds and every sweep row) read the vector through this check."""
+def weak_distribution(n: int, prof: ClassProfile) -> IrrepDistribution:
+    """P_H(lam) = d_lam / n! * sum_t count(t) chi_lam(t), exactly: the weight
+    of lam is d_lam * v(lam), with v the class sums of prof.
+
+    The one reader of class_sums here, so the one place they are checked as
+    a subgroup census H: v(lam) / |H| is the multiplicity of the trivial
+    irrep in the restriction of chi_lam to H, so v(lam) >= 0 and |H| divides
+    v(lam), and the weights sum to n!.  Dimensions are computed on the
+    support alone, and weights holds no zero.
+    """
+    _check_profile(n, prof)
     sums = class_sums(prof)
     order = prof.order
     for lam, v in sums.items():
@@ -73,45 +75,30 @@ def _census_sums(n: int, prof: ClassProfile) -> dict:
                 f"class sum v{lam} = {v} is not a multiple of |H| = {order}: "
                 "profile is not a subgroup census"
             )
-    return sums
-
-
-def weak_distribution(n: int, prof: ClassProfile) -> IrrepDistribution:
-    """P_H(lam) = d_lam / n! * sum_t count(t) chi_lam(t), exactly: the weight
-    of lam is d_lam * v(lam), with v the checked class sums of prof."""
-    _check_profile(n, prof)
-    weights = {lam: _dimension(lam) * v for lam, v in _census_sums(n, prof).items()}
+    weights = {lam: _dimension(lam) * v for lam, v in sums.items() if v}
     fact = math.factorial(n)
     mass = sum(weights.values())
     if mass != fact:
         raise InvariantError(
             f"total mass {Fraction(mass, fact)} is not 1: profile is not a subgroup census"
         )
-    return IrrepDistribution(n, prof.order, weights)
-
-
-def plancherel(n: int) -> IrrepDistribution:
-    """The identity-subgroup distribution: P(lam) = d_lam^2 / n!, read from
-    dimensions alone, with no class sums."""
-    return IrrepDistribution(n, 1, {lam: _dimension(lam) ** 2 for lam in partitions(n)})
+    return IrrepDistribution(n, weights)
 
 
 def dh_exact(n: int, prof: ClassProfile) -> Fraction:
-    """D_H = 1/n! * sum_lam d_lam |v(lam) - count(id) d_lam|, where v is the
-    same checked vector weak_distribution reads.
+    """D_H = |P_H - Plancherel|_1 = 1/n! * sum_lam |w(lam) - d_lam^2|, read
+    on the support of weak_distribution(n, prof): since sum_lam d_lam^2 = n!,
+    the Plancherel mass off it is n! - sum_supp d_lam^2.
 
-    The subtracted term is the identity class, so the absolute value runs over
-    the non-identity class sum.  `analyze` compares this with the L1 distance
-    between weak_distribution(prof) and plancherel(n), built from dimensions
-    alone, and refuses a report where the two differ.
+    `analyze` compares this with twice the mass by which P_H exceeds the
+    Plancherel distribution, and refuses a report where the two differ.
     """
-    _check_profile(n, prof)
-    c_id = prof.count((1,) * n)
-    total = 0
-    for lam, v in _census_sums(n, prof).items():
-        d = _dimension(lam)
-        total += d * abs(v - c_id * d)
-    return Fraction(total, math.factorial(n))
+    fact = math.factorial(n)
+    total = fact
+    for lam, w in weak_distribution(n, prof).weights.items():
+        square = _dimension(lam) ** 2
+        total += abs(w - square) - square
+    return Fraction(total, fact)
 
 
 def d_between(n: int, prof_a: ClassProfile, prof_b: ClassProfile) -> Fraction:

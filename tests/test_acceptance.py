@@ -14,7 +14,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import GroupTable
-from hsplab.characters import clear_character_cache, dimension, orthogonality_check, partitions
+from hsplab.characters import (
+    class_sums,
+    clear_character_cache,
+    dimension,
+    orthogonality_check,
+    partitions,
+)
 from hsplab.coset import (
     class_fixpoint_identity_holds,
     coset_action,
@@ -33,7 +39,7 @@ from hsplab.groups import (
 from hsplab.lab import block_group_profile, class_sandwich_check, product_profile, young_profile
 from hsplab.paper import cycle_type_of_array
 from hsplab.perm import ClassProfile, PermGroup, class_profile
-from hsplab.qfs import d_between, dh_exact, plancherel, thm1_bounds, weak_distribution
+from hsplab.qfs import d_between, dh_exact, thm1_bounds, weak_distribution
 
 
 def report(num: int, message: str) -> None:
@@ -100,9 +106,12 @@ def test_criterion_02_route_agreement():
         prof = class_profile(H)
         dist = weak_distribution(n, prof)
         direct = dh_exact(n, prof)
-        assert direct == dist.l1(plancherel(n))
+        assert direct == dist.l1(weak_distribution(n, ClassProfile(n, {(1,) * n: 1})))
+        # the dense sum over every partition, Eq. (2) with the identity term
+        dense = sum(dimension(lam) * abs(v - dimension(lam)) for lam, v in class_sums(prof).items())
+        assert direct == Fraction(dense, math.factorial(n))
         for lam, w in dist.weights.items():  # restriction multiplicities are integers
-            assert w >= 0 and w % (dimension(lam) * H.order) == 0
+            assert w > 0 and w % (dimension(lam) * H.order) == 0
     elapsed = time.perf_counter() - t0
     assert elapsed < 120
     report(2, f"Eq.(2) route == L1 route (and integral multiplicities) on all {len(corpus)} subgroups in {elapsed:.1f} s")

@@ -340,7 +340,7 @@ def test_package_exports_resolve_to_their_home_modules():
 
     import hsplab
 
-    assert len(hsplab.__all__) == len(set(hsplab.__all__)) == 53
+    assert len(hsplab.__all__) == len(set(hsplab.__all__)) == 52
     for name in hsplab.__all__:
         home = importlib.import_module(f"hsplab.{hsplab._EXPORTS[name]}")
         assert getattr(hsplab, name) is getattr(home, name), name

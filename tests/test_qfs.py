@@ -10,9 +10,12 @@ from conftest import random_subgroup
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsplab import characters
 from hsplab.characters import class_sums, dimension, partitions
 from hsplab.checks import mn_character
+from hsplab.cli import main
 from hsplab.errors import InvariantError, PreconditionError
+from hsplab.lab import block_group_profile, symmetric_profile, young_profile
 from hsplab.paper import cycle_type_of_array, poly_subgroup_verdict
 from hsplab.perm import PermGroup, class_profile, cycles
 from hsplab.profile import ClassProfile, sn_class_size
@@ -22,7 +25,6 @@ from hsplab.qfs import (
     d_between,
     dh_exact,
     distinguishability_threshold,
-    plancherel,
     thm1_bounds,
     verdict,
     weak_distribution,
@@ -38,21 +40,44 @@ def frac(a, b):
     return Fraction(a, b)
 
 
+def trivial(n):
+    """The trivial group's census: its distribution is Plancherel's."""
+    return ClassProfile(n, {(1,) * n: 1})
+
+
+def dense_dh(n, prof):
+    """Oracle: D_H = 1/n! * sum_lam d_lam |v(lam) - d_lam| over every
+    partition, with v the class sums of a census counting the identity once."""
+    total = sum(dimension(lam) * abs(v - dimension(lam)) for lam, v in class_sums(prof).items())
+    return Fraction(total, math.factorial(n))
+
+
 # ---------------------------------------------------------------------------
 # distributions
 # ---------------------------------------------------------------------------
 
 
-def test_plancherel_s3():
-    d = plancherel(3)
-    assert d.probs == {(3,): frac(1, 6), (2, 1): frac(4, 6), (1, 1, 1): frac(1, 6)}
+def test_the_trivial_group_has_plancherel_weights():
+    assert weak_distribution(3, trivial(3)).weights == {(3,): 1, (2, 1): 4, (1, 1, 1): 1}
+    for n in (1, 5, 9):
+        dist = weak_distribution(n, trivial(n))
+        assert dist.weights == {lam: dimension(lam) ** 2 for lam in partitions(n)}
+        assert dh_exact(n, trivial(n)) == 0
 
 
 def test_weak_distribution_examples():
+    # weights hold the support alone; prob reads 0 off it
     d = weak_distribution(3, H12_S3)
-    assert d.probs == {(3,): frac(1, 3), (2, 1): frac(2, 3), (1, 1, 1): 0}
+    assert d.weights == {(3,): 2, (2, 1): 4}
+    assert [d.prob(lam) for lam in partitions(3)] == [frac(1, 3), frac(2, 3), 0]
     d = weak_distribution(3, A3)
-    assert d.probs == {(3,): frac(1, 2), (2, 1): 0, (1, 1, 1): frac(1, 2)}
+    assert d.weights == {(3,): 3, (1, 1, 1): 3}
+    assert [d.prob(lam) for lam in partitions(3)] == [frac(1, 2), 0, frac(1, 2)]
+    assert d.serialize() == [
+        {"partition": [3], "prob": "1/2"},
+        {"partition": [2, 1], "prob": "0/1"},
+        {"partition": [1, 1, 1], "prob": "1/2"},
+    ]
 
 
 def test_distribution_normalization_and_integrality(s4_subgroups):
@@ -61,9 +86,9 @@ def test_distribution_normalization_and_integrality(s4_subgroups):
         dist = weak_distribution(4, prof)
         assert all(type(w) is int for w in dist.weights.values())
         assert sum(dist.weights.values()) == math.factorial(4)
-        assert sum(dist.probs.values()) == 1
+        assert sum(dist.prob(lam) for lam in partitions(4)) == 1
         for lam, w in dist.weights.items():
-            assert w >= 0 and w % (dimension(lam) * H.order) == 0
+            assert w > 0 and w % (dimension(lam) * H.order) == 0
 
 
 def test_negative_mass_detected():
@@ -102,9 +127,43 @@ def test_dh_examples():
 
 
 def test_dh_equals_l1_route(s4_subgroups):
+    plancherel = weak_distribution(4, trivial(4))
     for H in s4_subgroups:
         prof = class_profile(H)
-        assert dh_exact(4, prof) == weak_distribution(4, prof).l1(plancherel(4))
+        assert dh_exact(4, prof) == weak_distribution(4, prof).l1(plancherel)
+
+
+def test_sparse_dh_matches_the_dense_oracle(s4_subgroups, s5_subgroups):
+    for n, subgroups in ((4, s4_subgroups), (5, s5_subgroups)):
+        for H in subgroups:
+            prof = class_profile(H)
+            assert dh_exact(n, prof) == dense_dh(n, prof)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_sparse_dh_matches_the_dense_oracle_on_catalog_profiles(n):
+    profiles = [symmetric_profile(n)] + [young_profile(lam) for lam in partitions(n)[1:]]
+    profiles += [block_group_profile(m, n // m) for m in range(2, n + 1) if n % m == 0]
+    for prof in profiles:
+        dist = weak_distribution(n, prof)
+        assert 0 not in dist.weights.values()
+        assert dh_exact(n, prof) == dense_dh(n, prof), prof.factors
+
+
+def test_dh_exact_refuses_a_census_that_counts_the_identity_twice():
+    with pytest.raises(InvariantError, match="total mass 2 is not 1"):
+        dh_exact(3, ClassProfile(3, {(1, 1, 1): 2}))
+
+
+@pytest.mark.parametrize("spec, support", [("symmetric:40", 1), ("young:20+20", 21)])
+def test_analyze_computes_dimensions_on_the_support_alone(spec, support, capsys):
+    characters.clear_character_cache()
+    characters._dimension.cache_clear()
+    assert main(["analyze", spec]) == 0
+    assert characters._dimension.cache_info().misses <= 2 * support
+    assert "routes_agree\": true" in capsys.readouterr().out
+    prof = symmetric_profile(40) if spec == "symmetric:40" else young_profile((20, 20))
+    assert len(weak_distribution(40, prof).weights) == support
 
 
 def assert_engine_matches_mn_oracle(n, prof):
@@ -116,7 +175,9 @@ def assert_engine_matches_mn_oracle(n, prof):
         for lam in partitions(n)
     }
     assert class_sums(prof) == oracle
-    assert weak_distribution(n, prof).probs == {
+    dist = weak_distribution(n, prof)
+    assert dist.weights == {lam: dimension(lam) * v for lam, v in oracle.items() if v}
+    assert {lam: dist.prob(lam) for lam in partitions(n)} == {
         lam: Fraction(dimension(lam) * v, fact) for lam, v in oracle.items()
     }
     nonid = prof.nonidentity_items()
@@ -141,15 +202,6 @@ def test_engine_matches_mn_oracle_on_s4_and_s5_subgroups(s4_subgroups, s5_subgro
 def test_engine_matches_mn_oracle_on_random_subgroups(n, seed):
     H = random_subgroup(random.Random(seed), PermGroup.symmetric(n))
     assert_engine_matches_mn_oracle(n, class_profile(H))
-
-
-def test_plancherel_is_dimension_squares():
-    for n in (1, 5, 9):
-        fact = math.factorial(n)
-        assert plancherel(n).probs == {
-            lam: Fraction(dimension(lam) ** 2, fact) for lam in partitions(n)
-        }
-        assert plancherel(n) == weak_distribution(n, ClassProfile(n, {(1,) * n: 1}))
 
 
 def test_d_between_examples():
@@ -395,12 +447,12 @@ def test_random_subgroup_properties():
             H = PermGroup([Sn.random_element(rng) for _ in range(rng.randint(1, 2))], n)
             prof = class_profile(H)
             dist = weak_distribution(n, prof)
-            assert sum(dist.probs.values()) == 1
+            assert sum(dist.weights.values()) == math.factorial(n)
             d = dh_exact(n, prof)
-            assert d == dist.l1(plancherel(n))
+            assert d == dist.l1(weak_distribution(n, trivial(n))) == dense_dh(n, prof)
             if H.order >= 2:
                 r = thm1_bounds(n, prof)
                 assert r.lower < d
                 assert r.upper.compare_to(d) >= 0
             for lam, w in dist.weights.items():
-                assert w >= 0 and w % (dimension(lam) * H.order) == 0
+                assert w > 0 and w % (dimension(lam) * H.order) == 0
