@@ -153,6 +153,11 @@ def _check_frobenius(args) -> dict:
         except InvariantError:
             failures.append({"parent_order": str(G.order), "subgroup_order": str(H.order)})
         actions += 1
+    if actions < args.actions:
+        raise LimitExceeded(
+            f"only {actions} of {args.actions} actions fit --order-limit {args.order_limit} "
+            f"and --index-limit {args.index_limit} in {attempts} draws"
+        )
     return {
         "suite": "frobenius",
         "actions": actions,

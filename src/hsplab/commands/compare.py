@@ -77,6 +77,15 @@ def run(args) -> dict:
             f"D(H, K) routes disagree: {frac_text(table_distance)} from the class tables, "
             f"{frac_text(sn_distance)} from the profiles"
         )
+    # D(H, K) = 0 means H and K meet every class of S_n equally, which
+    # Gassmann equivalence in any parent G implies; the converse holds for
+    # G = S_n alone, where `consistent` already holds the two equal
+    distance = table_distance if sn_distance is None else sn_distance
+    distance_zero = None if distance is None else distance == 0
+    if report_g.class_counts_equal and distance_zero is False:
+        raise InvariantError(
+            f"H and K meet every class of G equally, yet D(H, K) = {frac_text(distance)}"
+        )
     return {
         "command": "compare",
         "a": src_a.describe(),
@@ -86,6 +95,6 @@ def run(args) -> dict:
         else {"spec": spec, "degree": n, "order": str(parent.order)},
         "gassmann": report_g.serialize(),
         "sn_profile_distance": None if sn_distance is None else frac_text(sn_distance),
-        "distance_zero": report_g.class_counts_equal,
+        "distance_zero": distance_zero,
         "wall_time_s": round(time.perf_counter() - t0, 6),
     }

@@ -7,7 +7,7 @@ import io
 import time
 
 from .. import lab, qfs
-from ..errors import LimitExceeded, PreconditionError
+from ..errors import LimitExceeded, ParseError, PreconditionError
 from ..radical import decimal_text, frac_text
 from . import add_limits
 
@@ -70,8 +70,23 @@ def _csv_text(rows: list) -> str:
     return buf.getvalue()
 
 
+def _check_flags(args) -> None:
+    """Refuse, naming the flag, a value that can build no catalog name: a
+    negative --start, or a --r or --fixed-part below 1 for the family that
+    reads it."""
+    least = [("--start", args.start, 0)]
+    if args.family == "block":
+        least.append(("--r", args.r, 1))
+    elif args.family == "young":
+        least.append(("--fixed-part", args.fixed_part, 1))
+    for flag, value, bound in least:
+        if value < bound:
+            raise ParseError(f"{flag} must be at least {bound}, got {value}")
+
+
 def run(args) -> dict | str:
     t0 = time.perf_counter()
+    _check_flags(args)
     if args.end < args.start:
         rows = []
     else:

@@ -454,6 +454,38 @@ def test_compare_in_s3(capsys):
     assert rep["parent"]["spec"] == "symmetric:3"
 
 
+def _write_v4_files(path):
+    # V_4 and two of its order-2 subgroups, conjugate in S_4 but not in V_4
+    for name, gens in (("h", ["(1 2)(3 4)"]), ("k", ["(1 3)(2 4)"]), ("v4", ["(1 2)(3 4)", "(1 3)(2 4)"])):
+        (path / f"{name}.grp").write_text("\n".join(["degree 4", *gens]) + "\n", encoding="utf-8")
+
+
+def test_compare_under_a_parent_other_than_sn_reads_distance_zero_from_d(
+    capsys, monkeypatch, tmp_path
+):
+    _write_v4_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "compare", "h.grp", "k.grp", "--parent", "v4.grp")
+    rep = json.loads(out)
+    assert code == 0 and rep["gassmann"]["class_counts_equal"] is False
+    assert (rep["sn_profile_distance"], rep["distance_zero"]) == ("0/1", True)
+    # no route computes D(H, K) here: the verdict is null, not false
+    code, out, _ = run_cli(
+        capsys, "compare", "h.grp", "k.grp", "--parent", "v4.grp", "--degree-limit", "3"
+    )
+    rep = json.loads(out)
+    assert code == 0 and (rep["sn_profile_distance"], rep["distance_zero"]) == (None, None)
+
+
+def test_compare_exits_1_when_equal_class_counts_meet_a_nonzero_distance(capsys, monkeypatch):
+    # gl32-point and gl32-plane meet every class of GL(3,2) equally, so they
+    # meet every class of S_7 equally; the mutant says D(H, K) = 1/5040
+    monkeypatch.setattr(qfs, "d_between", lambda n, a, b: Fraction(1, math.factorial(n)))
+    code, out, err = run_cli(capsys, "compare", "gl32-point", "gl32-plane")
+    assert (code, out) == (1, "")
+    assert err == "error: H and K meet every class of G equally, yet D(H, K) = 1/5040\n"
+
+
 def test_compare_containment_failure(capsys):
     code, _, err = run_cli(
         capsys, "compare", "cyclic:2@4", "cyclic:2@4", "--parent", "alternating:4"
@@ -514,6 +546,24 @@ def test_sweep_empty_range(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--family", "cyclic", "--start", "5", "--end", "4")
     assert code == 0
     assert json.loads(out)["rows"] == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--family", "block", "--r", "-2", "--start", "2", "--end", "3"], "--r must be at least 1, got -2"),
+        (["--family", "block", "--r", "0", "--start", "3", "--end", "2"], "--r must be at least 1, got 0"),
+        (
+            ["--family", "young", "--fixed-part", "0", "--start", "2", "--end", "3"],
+            "--fixed-part must be at least 1, got 0",
+        ),
+        (["--family", "cyclic", "--start", "-1", "--end", "2"], "--start must be at least 0, got -1"),
+    ],
+)
+def test_sweep_refuses_a_flag_that_names_no_catalog_entry(argv, message, capsys, monkeypatch):
+    monkeypatch.setattr(lab, "resolve_catalog", None)  # no row may run
+    code, out, err = run_cli(capsys, "sweep", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_sweep_young_family(capsys):
@@ -599,6 +649,17 @@ def test_the_frobenius_suite_skips_a_draw_over_the_order_limit(capsys):
     assert code == 0, err
     rep = json.loads(out)
     assert rep["actions"] == 5 and rep["all_passed"] is True
+
+
+def test_the_frobenius_suite_refuses_to_pass_with_fewer_actions_than_asked(capsys):
+    # no coset table fits an index limit of 0, so every draw is skipped
+    code, out, err = run_cli(
+        capsys, "check", "--suite", "frobenius", "--actions", "3", "--index-limit", "0"
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: only 0 of 3 actions fit --order-limit 1000000 and --index-limit 0 in 300 draws\n"
+    )
 
 
 def test_compare_refuses_a_parent_class_map_over_the_order_limit(capsys, monkeypatch):
