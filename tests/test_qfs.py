@@ -57,11 +57,20 @@ def dense_dh(n, prof):
 # ---------------------------------------------------------------------------
 
 
-def test_the_trivial_group_has_plancherel_weights():
-    assert weak_distribution(3, trivial(3)).weights == {(3,): 1, (2, 1): 4, (1, 1, 1): 1}
+def test_plancherel_s3():
+    d = weak_distribution(3, trivial(3))
+    assert d.weights == {(3,): 1, (2, 1): 4, (1, 1, 1): 1}
+    assert [d.prob(lam) for lam in partitions(3)] == [frac(1, 6), frac(4, 6), frac(1, 6)]
+
+
+def test_plancherel_is_dimension_squares():
     for n in (1, 5, 9):
+        fact = math.factorial(n)
         dist = weak_distribution(n, trivial(n))
         assert dist.weights == {lam: dimension(lam) ** 2 for lam in partitions(n)}
+        assert {lam: dist.prob(lam) for lam in partitions(n)} == {
+            lam: Fraction(dimension(lam) ** 2, fact) for lam in partitions(n)
+        }
         assert dh_exact(n, trivial(n)) == 0
 
 
