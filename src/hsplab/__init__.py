@@ -33,20 +33,6 @@ _EXPORTS = {
     ),
     "mn_character": "checks",
     **dict.fromkeys(
-        (
-            "babai_check",
-            "club_check",
-            "is_primitive",
-            "is_transitive",
-            "liebeck_report",
-            "minimal_blocks",
-            "minimal_degree",
-            "orbits",
-            "poly_subgroup_verdict",
-        ),
-        "paper",
-    ),
-    **dict.fromkeys(
         ("HspError", "InvariantError", "LimitExceeded", "ParseError", "PreconditionError"),
         "errors",
     ),

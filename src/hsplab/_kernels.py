@@ -57,14 +57,15 @@ def fix_count(reps, reps_inv, g, chain, moved) -> int:
     computes y one point at a time, over the rows still in play: first the
     base points, each image stripped through the transversal inverses already
     chosen for its row, which must land in its level's orbit; then every
-    other point that G moves, whose stripped image must be the point itself
-    (y and H lie in G, so they fix every point that G fixes).  A row drops
-    out at its first failing point.
+    other point that G moves but the last, whose stripped image must be the
+    point itself (y and H lie in G, so they fix every point that G fixes).
+    A row drops out at its first failing point.
     """
     n = reps.shape[1]
     flat, flat_inv, trans_inv = reps.ravel(), reps_inv.ravel(), chain.trans_inv.ravel()
     base = chain.base.tolist()
-    rest = sorted(set(moved).difference(base))
+    # the residue lies in G and fixes every other point, so it fixes the last too
+    rest = sorted(set(moved).difference(base))[:-1]
     rows = np.arange(0, flat.size, n)  # the flat offset of each row in play
     # row l: the flat offset in trans_inv of the inverse chosen at level l
     strips = np.empty((len(base), rows.size), dtype=np.int64)

@@ -262,9 +262,11 @@ def _engine(n: int, factors: tuple) -> tuple:
 
 
 def _certify(n: int, items: tuple, vec: tuple) -> None:
-    """Column orthogonality, by routes that do not run through the engine:
-    (a) sum_lam d_lam v(lam) = n! c_id and (b) sum_lam v(lam)^2 =
-    sum_t c_t^2 z_t.  Both hold for any counts, subgroup census or not."""
+    """Checks that do not run through the engine and hold for any counts,
+    subgroup census or not.  Column orthogonality: (a) sum_lam d_lam v(lam)
+    = n! c_id and (b) sum_lam v(lam)^2 = sum_t c_t^2 z_t.  The two linear
+    characters: (c) v((n)) = sum_t c_t, as chi_(n) = 1, and (d) v((1^n)) =
+    sum_t c_t (-1)^(n - len t), as chi_(1^n) = sgn."""
     c_id = next((c for t, c in items if len(t) == n), 0)  # the type (1^n)
     mass = sum(_dimension(lam) * v for lam, v in zip(partitions(n), vec) if v)
     if mass != math.factorial(n) * c_id:
@@ -278,6 +280,17 @@ def _certify(n: int, items: tuple, vec: tuple) -> None:
         raise InvariantError(
             f"class-sum certificate (b) sum_lam v(lam)^2 = sum_t c_t^2 z_t fails at n={n}: "
             f"{square} != {want}"
+        )
+    total = sum(c for _, c in items)
+    if vec[0] != total:
+        raise InvariantError(
+            f"class-sum certificate (c) v((n)) = sum_t c_t fails at n={n}: {vec[0]} != {total}"
+        )
+    signed = sum(-c if (n - len(t)) & 1 else c for t, c in items)
+    if vec[-1] != signed:
+        raise InvariantError(
+            f"class-sum certificate (d) v((1^n)) = sum_t c_t sgn(t) fails at n={n}: "
+            f"{vec[-1]} != {signed}"
         )
 
 

@@ -8,7 +8,6 @@
 None of this needs numpy at import: the group layer is imported inside the
 Frobenius suite, the one suite that builds groups, and `hsplab.lab` inside
 the sandwich suite, so a Frobenius job loads none of the analytic stack.
-The paper checks that no CLI command runs live in `hsplab.paper`.
 """
 
 from __future__ import annotations

@@ -5,9 +5,7 @@ one `CatalogEntry`.
 
 Everything a catalog `analyze` or `sweep` runs lives here, and none of it
 needs numpy: a catalog entry builds its group through `hsplab.groups` only
-when the group is asked for.  The library-only paper checks (the
-support-count diagnostic, the Liebeck and Babai reports) live in
-`hsplab.paper`.
+when the group is asked for.
 """
 
 from __future__ import annotations

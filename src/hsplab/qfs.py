@@ -5,9 +5,7 @@ denominator n!, kept on its support, the class-size square-root upper bounds
 are carried as SqrtSum values, and verdict thresholds use base-2 logarithms
 (the base is a reporting convention; it only shifts the constant c).
 
-Everything here works from a cycle-type census and needs no group: the
-small-subgroup dichotomy `poly_subgroup_verdict`, which enumerates a
-subgroup, lives in `hsplab.paper`.
+Everything here works from a cycle-type census and needs no group.
 """
 
 from __future__ import annotations

@@ -37,6 +37,20 @@ SIGN_MUTATION = (
 WEIGHT_MUTATION = ("_type_dag", "math.factorial(factor)", "math.factorial(factor - 1)")
 
 
+_HONEST_ENGINE = characters._engine
+
+
+def transposed_engine(n: int, factors: tuple) -> tuple:
+    """characters._engine with its vector mapped through lam -> lam'.  As
+    d_lam' = d_lam, column orthogonality cannot tell it from the honest one;
+    where the group has odd elements, v((n)) = sum_t c_t can."""
+    value = dict(zip(characters.partitions(n), _HONEST_ENGINE(n, factors)))
+    return tuple(
+        value[tuple(sum(part > i for part in lam) for i in range(lam[0]))]  # lam'
+        for lam in characters.partitions(n)
+    )
+
+
 def engine_mutant(name: str, old: str, new: str):
     """A copy of characters.<name> with one source fragment replaced."""
     src = inspect.getsource(getattr(characters, name))
@@ -169,6 +183,25 @@ def bfs_class_map(G: PermGroup):
                     queue.append(y)
         classes.append((e, size))
     return classes, assigned
+
+
+def cycle_type_of_array(arr: np.ndarray) -> tuple:
+    """The cycle type of the permutation whose 0-based image array is `arr`,
+    parts in descending order."""
+    img = arr.tolist()
+    seen = [False] * len(img)
+    parts = []
+    for i in range(len(img)):
+        if not seen[i]:
+            length = 0
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = img[j]
+                length += 1
+            parts.append(length)
+    parts.sort(reverse=True)
+    return tuple(parts)
 
 
 def block_bounds(G: PermGroup) -> dict:

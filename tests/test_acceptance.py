@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import GroupTable
+from conftest import GroupTable, cycle_type_of_array
 from hsplab.characters import (
     class_sums,
     clear_character_cache,
@@ -37,7 +37,6 @@ from hsplab.groups import (
     young_gens,
 )
 from hsplab.lab import block_group_profile, class_sandwich_check, product_profile, young_profile
-from hsplab.paper import cycle_type_of_array
 from hsplab.perm import ClassProfile, PermGroup, class_profile
 from hsplab.qfs import d_between, dh_exact, thm1_bounds, weak_distribution
 

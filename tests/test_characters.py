@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 
 import pytest
-from conftest import SIGN_MUTATION, WEIGHT_MUTATION, engine_mutant
+from conftest import SIGN_MUTATION, WEIGHT_MUTATION, engine_mutant, transposed_engine
 
 from hsplab import characters
 from hsplab.characters import (
@@ -409,6 +409,18 @@ def test_certificate_catches_a_mutated_engine(mutation, prof, fresh_cache, monke
     assert _class_sum_vector.cache_info().currsize == 0  # nothing wrong was kept
     monkeypatch.undo()
     assert class_sums(prof) == dict(zip(partitions(n), honest))
+
+
+@pytest.mark.parametrize("prof", [young_profile((4, 2)), symmetric_profile(5),
+                                  block_group_profile(4, 3)], ids=["young4+2", "s5", "block4x3"])
+def test_certificate_catches_a_transposed_engine(prof, fresh_cache, monkeypatch):
+    # v(lam') in place of v(lam) passes (a) and (b); on a group with odd
+    # elements the trivial character tells, as v((1^n)) = 0 there
+    monkeypatch.setattr(characters, "_engine", transposed_engine)
+    want = rf"\(c\) v\(\(n\)\) = sum_t c_t fails at n={prof.degree}: 0 != {prof.order}$"
+    with pytest.raises(InvariantError, match=want):
+        class_sums(prof)
+    assert _class_sum_vector.cache_info().currsize == 0
 
 
 def test_certificate_holds_for_any_counts():

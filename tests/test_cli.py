@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import SIGN_MUTATION, WEIGHT_MUTATION, engine_mutant
+from conftest import SIGN_MUTATION, WEIGHT_MUTATION, engine_mutant, transposed_engine
 
 from hsplab import characters, coset, groups, lab, perm, profile, qfs, radical
 from hsplab.cli import build_parser, main
@@ -1061,12 +1061,11 @@ def test_importing_the_package_and_cli_loads_no_numpy():
     assert proc.stdout.strip() == "False"
 
 
-# What a job loads: its own subcommand's module and no other's, never the
-# library-only paper checks; the analytic jobs none of the group layer, the
-# `check` suites or csv; the Frobenius suite none of the analytic stack
-# (`lab`, `qfs`, `radical`); no job OpenSSL (hashlib: the input digests come from
-# the built-in sha256).  `random` is not asserted on: a `site` hook may import
-# it before hsplab runs.
+# What a job loads: its own subcommand's module and no other's; the analytic
+# jobs none of the group layer, the `check` suites or csv; the Frobenius suite
+# none of the analytic stack (`lab`, `qfs`, `radical`); no job OpenSSL
+# (hashlib: the input digests come from the built-in sha256).  `random` is not
+# asserted on: a `site` hook may import it before hsplab runs.
 _SUBCOMMANDS = ("analyze", "compare", "coset", "sweep", "check")
 _ANALYTIC_UNUSED = ["numpy", "csv", "hsplab.perm", "hsplab.groups", "hsplab.checks"]
 _HASHLIB = ["hashlib", "_hashlib"]
@@ -1097,9 +1096,7 @@ def test_a_job_loads_only_what_its_subcommand_runs(argv, unused, tmp_path):
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg for arg in argv]  # files
     own = f"hsplab.commands.{argv[0]}"
-    unused = [
-        *unused, "hsplab.paper", *(f"hsplab.commands.{name}" for name in _SUBCOMMANDS)
-    ]
+    unused = [*unused, *(f"hsplab.commands.{name}" for name in _SUBCOMMANDS)]
     unused.remove(own)
     code = (
         "import contextlib, io, sys\nfrom hsplab.cli import main\n"
@@ -1388,6 +1385,15 @@ def test_mutated_engine_exits_1_naming_the_identity(
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert re.fullmatch(r"error: class-sum certificate \([ab]\) sum_lam .* fails at n=\d+: .*\n", err)
+
+
+def test_transposed_engine_exits_1_naming_the_trivial_character(
+    capsys, monkeypatch, fresh_class_sums
+):
+    monkeypatch.setattr(characters, "_engine", transposed_engine)
+    assert run_cli(capsys, "analyze", "young:4+2") == (
+        1, "", "error: class-sum certificate (c) v((n)) = sum_t c_t fails at n=6: 0 != 48\n"
+    )
 
 
 def test_weight_mutation_leaves_census_profiles_alone(capsys, monkeypatch, fresh_class_sums):

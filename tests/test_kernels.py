@@ -6,13 +6,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import block_bounds, every_subgroup, random_subgroup
+from conftest import block_bounds, cycle_type_of_array, every_subgroup, random_subgroup
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsplab import _kernels
 from hsplab.coset import coset_action, fix_in_X, rank_subdegrees
-from hsplab.paper import cycle_type_of_array
 from hsplab.perm import PermGroup, element_class_map, inv_array, parse_cycles
 
 GROUPS = [

@@ -1,10 +1,9 @@
 import math
 import sys
-from fractions import Fraction
 
 import pytest
 
-from hsplab.errors import LimitExceeded, ParseError, PreconditionError
+from hsplab.errors import LimitExceeded, ParseError
 from hsplab.groups import (
     agl15_group,
     block_group_gens,
@@ -25,7 +24,6 @@ from hsplab.lab import (
     symmetric_profile,
     young_profile,
 )
-from hsplab.paper import babai_check, club_check, liebeck_report
 from hsplab.perm import ClassProfile, PermGroup, class_profile
 
 
@@ -51,44 +49,16 @@ def test_support_census_total_and_min():
 
 
 def test_census_min_equals_minimal_degree():
-    from hsplab.paper import minimal_degree
-
+    # the oracle: the least number of moved points over H's non-identity elements
     for gens, n in ((["(1 2)", "(1 2 3)"], 5), (["(1 2)(3 4)", "(1 3 5)(2 4 6)"], 6)):
         H = PermGroup.from_cycles(gens, n)
-        assert min(support_census(class_profile(H)).counts) == minimal_degree(H)
+        moved = [sum(i != x for i, x in enumerate(a.tolist())) for a in H.element_arrays()]
+        assert min(support_census(class_profile(H)).counts) == min(m for m in moved if m)
 
 
 # ---------------------------------------------------------------------------
-# conjecture diagnostics
+# class-size sandwich
 # ---------------------------------------------------------------------------
-
-
-def test_club_check_examples():
-    rep = club_check(class_profile(PermGroup.from_cycles(["(1 2)"], 8)))
-    assert [(r.support, r.count, r.satisfied) for r in rep.rows] == [(2, 1, True)]
-
-    rep = club_check(block_group_profile(4, 2))
-    by_k = {r.support: r for r in rep.rows}
-    assert by_k[4].count == 6 and not by_k[4].satisfied  # 6 > 8^(4/7)
-    assert rep.minimal_support == 4
-
-    rep = club_check(ClassProfile(6, {(1,) * 6: 1}))
-    assert rep.rows == () and rep.minimal_support is None
-
-
-def test_club_check_flags_are_exact():
-    # boundary sanity: count 1 always satisfies; count n^k never strictly
-    prof = ClassProfile(4, {(1, 1, 1, 1): 1, (2, 1, 1): 1})
-    rep = club_check(prof)
-    assert rep.rows[0].satisfied  # 1 <= 4^(2/7)
-    rep = club_check(prof, exponent=Fraction(0, 1))
-    assert rep.rows[0].satisfied  # 1 <= 4^0
-
-
-def test_club_exponent_is_configurable():
-    prof = block_group_profile(4, 2)
-    loose = club_check(prof, exponent=Fraction(1, 2))
-    assert all(r.satisfied for r in loose.rows)  # 6 <= 8^2, 8 <= 8^3, 9 <= 8^4
 
 
 def test_class_sandwich_examples():
@@ -106,65 +76,6 @@ def test_class_sandwich_small(n):
 def test_class_sandwich_limit():
     with pytest.raises(LimitExceeded):
         class_sandwich_check(41)
-
-
-def test_liebeck_examples():
-    rep = liebeck_report(2, 0.1)
-    assert not rep.above_one and rep.min_log2_ratio == pytest.approx(-0.2)
-    rep = liebeck_report(20, 0.33)
-    assert rep.above_one
-    # the transposition class clears the bound (190 > 20^0.66), but the actual
-    # minimizer is the fixed-point-free involution class
-    assert 190 > 20**0.66
-    assert rep.witness_type == (2,) * 10
-    with pytest.raises(PreconditionError):
-        liebeck_report(10, 0.34)
-
-
-def test_liebeck_full_scan_oracle():
-    import math as _math
-
-    from hsplab.characters import partitions
-    from hsplab.profile import sn_class_size
-
-    n, a = 5, 0.2
-    rep = liebeck_report(n, a)
-    ratios = {
-        t: _math.log2(sn_class_size(t)) - a * (n - t.count(1)) * _math.log2(n)
-        for t in partitions(n)
-        if t != (1,) * n
-    }
-    assert len(ratios) == 6  # all non-identity types scanned
-    witness = min(ratios, key=lambda t: (ratios[t], t))
-    assert rep.min_log2_ratio == pytest.approx(min(ratios.values()))
-    assert ratios[rep.witness_type] == pytest.approx(ratios[witness])
-
-
-def test_babai_examples():
-    rep = babai_check(agl15_group())
-    assert rep.primitive and not rep.exempt
-    assert rep.minimal_degree == 4 and rep.bound_holds and rep.consistent
-
-    rep = babai_check(PermGroup.symmetric(4))
-    assert rep.primitive and rep.is_symmetric and rep.exempt and rep.consistent
-
-    rep = babai_check(PermGroup.from_cycles(["(1 2 3 4)"], 4))
-    assert not rep.primitive and rep.exempt
-
-    with pytest.raises(PreconditionError):
-        babai_check(PermGroup.from_cycles(["(1 2)"], 4))
-
-
-def test_babai_alternating_exempt():
-    rep = babai_check(PermGroup.alternating(5))
-    assert rep.is_alternating and rep.exempt and rep.consistent
-
-
-def test_babai_gl32_not_exempt():
-    rep = babai_check(gl32_group())
-    assert rep.primitive and not rep.exempt
-    assert rep.minimal_degree == 4  # transvections fix a hyperplane pointwise
-    assert rep.bound_holds and rep.consistent
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +251,7 @@ def test_package_exports_resolve_to_their_home_modules():
 
     import hsplab
 
-    assert len(hsplab.__all__) == len(set(hsplab.__all__)) == 52
+    assert len(hsplab.__all__) == len(set(hsplab.__all__)) == 43
     for name in hsplab.__all__:
         home = importlib.import_module(f"hsplab.{hsplab._EXPORTS[name]}")
         assert getattr(hsplab, name) is getattr(home, name), name

@@ -13,14 +13,6 @@ from hypothesis import strategies as st
 from hsplab import _kernels
 from hsplab.errors import LimitExceeded, ParseError, PreconditionError
 from hsplab.lab import resolve_catalog
-from hsplab.paper import (
-    cycle_type_of_array,
-    is_primitive,
-    is_transitive,
-    minimal_blocks,
-    minimal_degree,
-    orbits,
-)
 from hsplab.perm import (
     PermGroup,
     class_profile,
@@ -34,7 +26,7 @@ from hsplab.perm import (
 )
 from hsplab.profile import ClassProfile, sn_class_size
 
-from conftest import bfs_class_map, block_bounds, random_subgroup
+from conftest import bfs_class_map, block_bounds, cycle_type_of_array, random_subgroup
 
 
 def brute_force_elements(gens, degree):
@@ -394,22 +386,14 @@ def test_cli_runs_without_sympy(argv):
 
 
 # ---------------------------------------------------------------------------
-# orbits, blocks, primitivity
+# orbits and class profiles
 # ---------------------------------------------------------------------------
-
-
-def test_orbit_examples():
-    assert orbits(PermGroup.from_cycles(["(1 2)"], 4)) == [(1, 2), (3,), (4,)]
-    assert is_transitive(PermGroup.symmetric(4))
-    assert orbits(PermGroup.from_cycles(["(1 2)(3 4)"], 4)) == [(1, 2), (3, 4)]
-    assert not is_transitive(PermGroup.from_cycles(["(1 2)"], 4))
-    assert orbits(PermGroup([], degree=3)) == [(1,), (2,), (3,)]
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_orbits_match_the_closure_on_random_subgroups(n):
     # oracle: the orbit of each point, closed under the generators one image
-    # at a time; orbits listed by least point, each sorted
+    # at a time; each point's label is the least point of its orbit
     rng = random.Random(300 + n)
     for _ in range(12):
         H = random_subgroup(rng, PermGroup.symmetric(n), max_gens=2)
@@ -418,66 +402,14 @@ def test_orbits_match_the_closure_on_random_subgroups(n):
         gens = [g.tolist() for g in H.generators]
         expected = []
         for p in range(n):
-            if any(p + 1 in orb for orb in expected):
-                continue
             orb = {p}
             grown = True
             while grown:
                 new = {g[q] for q in orb for g in gens} - orb
                 orb |= new
                 grown = bool(new)
-            expected.append(tuple(sorted(q + 1 for q in orb)))
-        assert orbits(H) == expected
-        assert is_transitive(H) == (len(expected) == 1)
-
-
-def test_minimal_blocks_examples():
-    assert minimal_blocks(PermGroup.from_cycles(["(1 2 3 4)"], 4)) == [(1, 3), (2, 4)]
-    assert is_primitive(PermGroup.from_cycles(["(1 2 3 4 5)", "(2 3 5 4)"], 5))
-    assert is_primitive(PermGroup.symmetric(4))
-    with pytest.raises(PreconditionError):
-        minimal_blocks(PermGroup.from_cycles(["(1 2)"], 4))
-
-
-def test_block_system_invariants():
-    G = PermGroup.from_cycles(["(1 2 3 4 5 6)"], 6)
-    system = minimal_blocks(G)
-    assert system is not None
-    sizes = {len(b) for b in system}
-    assert len(sizes) == 1
-    size = sizes.pop()
-    assert G.degree % size == 0 and 1 < size < G.degree
-    blocks = {frozenset(b) for b in system}
-    for g in G.generators:
-        for b in system:
-            assert frozenset(int(g[x - 1]) + 1 for x in b) in blocks  # 1-based points
-
-
-# ---------------------------------------------------------------------------
-# minimal degree and censuses
-# ---------------------------------------------------------------------------
-
-
-def test_minimal_degree_examples():
-    assert minimal_degree(PermGroup.from_cycles(["(1 2)"], 3)) == 2
-    assert minimal_degree(PermGroup.from_cycles(["(1 2 3)", "(2 3 4)"], 4)) == 3
-    block = PermGroup.from_cycles(["(1 3)(2 4)", "(1 3 5 7)(2 4 6 8)"], 8)
-    assert block.order == 24
-    assert minimal_degree(block) == 4  # 2r for r = 2
-
-
-def test_minimal_degree_errors():
-    with pytest.raises(PreconditionError):
-        minimal_degree(PermGroup([], degree=3))
-    with pytest.raises(LimitExceeded):
-        class_profile(PermGroup.symmetric(10))  # 10! > 10^6
-
-
-def test_minimal_degree_two_iff_transposition():
-    S5 = PermGroup.symmetric(5)
-    assert minimal_degree(S5) == 2
-    A5 = PermGroup.alternating(5)
-    assert minimal_degree(A5) == 3
+            expected.append(min(orb))
+        assert orbit_labels(H.generators, n).tolist() == expected
 
 
 def test_class_profile_examples():
@@ -494,6 +426,8 @@ def test_class_profile_examples():
         (2, 1): 3,
         (3,): 2,
     }
+    with pytest.raises(LimitExceeded):
+        class_profile(PermGroup.symmetric(10))  # 10! > 10^6
 
 
 def test_class_profile_orders_types_descending():

@@ -16,8 +16,7 @@ from hsplab.checks import mn_character
 from hsplab.cli import main
 from hsplab.errors import InvariantError, PreconditionError
 from hsplab.lab import block_group_profile, symmetric_profile, young_profile
-from hsplab.paper import cycle_type_of_array, poly_subgroup_verdict
-from hsplab.perm import PermGroup, class_profile, cycles
+from hsplab.perm import PermGroup, class_profile
 from hsplab.profile import ClassProfile, sn_class_size
 from hsplab.qfs import (
     BoundsReport,
@@ -383,64 +382,6 @@ def test_verdict_examples():
 
 def test_threshold_convention():
     assert distinguishability_threshold(2**10, 1.0) == pytest.approx(0.1)
-
-
-def test_poly_verdict_transposition():
-    S8 = PermGroup.symmetric(8)
-    v = poly_subgroup_verdict(S8, PermGroup.from_cycles(["(1 2)"], 8), 1.0, 3.0)
-    assert v.applicable
-    assert v.min_class_size == 28 and cycles(v.witness) == "(1 2)"
-    assert v.witness_support == 2
-    assert v.distinguishable_side is True
-
-
-def test_poly_verdict_eight_cycle():
-    S8 = PermGroup.symmetric(8)
-    H = PermGroup.from_cycles(["(1 2 3 4 5 6 7 8)"], 8)
-    # independent oracle: enumerate the 8 elements and their class sizes
-    expected_min = min(
-        sn_class_size(t) for t in map(cycle_type_of_array, H.element_arrays()) if t != (1,) * 8
-    )
-    v = poly_subgroup_verdict(S8, H, 3.0, 1.0)
-    assert v.applicable
-    assert v.min_class_size == expected_min == 105
-    assert v.class_threshold == pytest.approx(math.log2(math.factorial(8)))
-    assert v.distinguishable_side is False  # 105 > log2(8!) ~ 15.3
-
-
-def test_poly_verdict_inapplicable():
-    S8 = PermGroup.symmetric(8)
-    v = poly_subgroup_verdict(S8, PermGroup([], degree=8), 1.0, 1.0)
-    assert not v.applicable and v.distinguishable_side is None
-    # subgroup bigger than the polylog bound
-    v = poly_subgroup_verdict(S8, PermGroup.alternating(8), 1.0, 1.0)
-    assert not v.applicable and "exceeds" in v.reason
-
-
-def test_poly_verdict_general_parent():
-    from hsplab.groups import gl32_group
-
-    G = gl32_group()
-    H = PermGroup([G.generators[0]], degree=7)
-    v = poly_subgroup_verdict(G, H, 2.0, 3.0)
-    assert v.applicable
-    assert v.min_class_size == 21  # transvection class in GL(3,2)
-
-
-@pytest.mark.parametrize("spec", ["gl32-point", "gl32-plane"])
-def test_poly_verdict_witness_is_the_first_smallest_class_in_chain_order(spec):
-    from hsplab.groups import gl32_group
-    from hsplab.lab import resolve_catalog
-
-    from conftest import bfs_class_map
-
-    G, H = gl32_group(), resolve_catalog(spec).group
-    classes, class_id = bfs_class_map(G)
-    sizes = [classes[class_id[h.tobytes()]][1] for h in H.element_arrays()]
-    first = min(range(1, H.order), key=sizes.__getitem__)
-    v = poly_subgroup_verdict(G, H, 2.0, 3.0)
-    assert v.applicable and v.min_class_size == sizes[first]
-    assert v.witness.tolist() == list(H.element_arrays())[first].tolist()
 
 
 # ---------------------------------------------------------------------------
